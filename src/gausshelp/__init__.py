@@ -21,6 +21,7 @@ from .codebook import (
     covering_deficiency,
     derive_seed,
     haar_rotation,
+    haar_rotations,
     message_codebook,
 )
 from .converse import (

@@ -39,20 +39,28 @@ def derive_seed(base: int, index: int) -> int:
     return x
 
 
-def haar_rotation(n: int, seed: int) -> np.ndarray:
-    """Haar-uniform n x n orthogonal matrix, deterministic in (n, seed).
+def haar_rotations(n: int, seeds) -> np.ndarray:
+    """Haar-uniform n x n orthogonal matrices, one per seed, as a (len(seeds), n, n) stack.
 
-    QR of an IID standard-normal matrix, with the diagonal of R normalized
-    positive so the factorization is unique and the Q factor Haar-distributed.
+    QR of an IID standard-normal matrix drawn from each seed's own generator,
+    with the diagonal of R normalized positive so the factorization is unique
+    and the Q factor Haar-distributed.  The QR runs once over the whole stack;
+    each matrix is bitwise the one a single-seed call gives.
     """
     if n < 2:
         raise ValueError(f"rotation dimension must be at least 2, got {n}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, n))
+    g = np.empty((len(seeds), n, n))
+    for row, seed in zip(g, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
     q, r = np.linalg.qr(g)
-    d = np.sign(np.diag(r))
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
-    return q * d
+    return q * d[:, None, :]
+
+
+def haar_rotation(n: int, seed: int) -> np.ndarray:
+    """Haar-uniform n x n orthogonal matrix, deterministic in (n, seed)."""
+    return haar_rotations(n, [seed])[0]
 
 
 def sample_sphere(n: int, count: int, rng) -> np.ndarray:
@@ -77,6 +85,13 @@ class HelperCodebook:
         if m < 0:
             raise ValueError(f"message index must be nonnegative, got {m}")
         return haar_rotation(self.blocklength, derive_seed(self.rotation_seed_base, m))
+
+    def rotations(self, messages) -> np.ndarray:
+        """Stacked rotations of several messages, (len(messages), n, n)."""
+        if any(m < 0 for m in messages):
+            raise ValueError(f"message indices must be nonnegative, got {min(messages)}")
+        seeds = [derive_seed(self.rotation_seed_base, m) for m in messages]
+        return haar_rotations(self.blocklength, seeds)
 
 
 def build_base_codebook(n: int, ch: ChannelParams, rh: float, eps: float, seed: int) -> HelperCodebook:

@@ -12,20 +12,22 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .codebook import derive_seed
-from .results import TrialRecord
 from .scheme import (
     SchemeConfig,
     build_codebook,
     candidate_rotations,
     draw_messages,
-    run_trial,
+    run_trials,
     summarize,
 )
-
-import numpy as np
+# Not called here: perfbench/spans.py traces the per-trial reference through
+# this binding, so the name stays importable from this module.
+from .scheme import run_trial  # noqa: F401
 
 # Offset separating the time-zero noise stream from the inner trial streams.
 _Z0_STREAM_OFFSET = 1 << 32
@@ -95,9 +97,13 @@ def _boundary_gap(value: float) -> float:
 def simulate_feedback(cfg: FeedbackConfig, keep_records=False) -> "SimSummary":
     """Run the length-(n+1) feedback scheme for cfg.trials blocks.
 
-    Per trial the outer error event is checked to equal the inner one; a
-    violation (only possible through floating-point boundary effects, which
-    are also counted) raises instead of being silently absorbed.
+    A pre/post transform over the cognizant engine: the time-zero draw turns
+    each outer message m into the inner message m' (the quantized noise), the
+    engine runs the inner scheme on m', and reconstruction maps its decision
+    back.  Per trial the outer error event is checked to equal the inner one;
+    a violation (only possible through floating-point boundary effects, which
+    are also counted) raises, naming the first failing trial, instead of
+    being silently absorbed.
     """
     t_start = time.perf_counter()
     inner = cfg.inner
@@ -110,43 +116,32 @@ def simulate_feedback(cfg: FeedbackConfig, keep_records=False) -> "SimSummary":
     rotations = candidate_rotations(inner, cb)
     messages = draw_messages(inner)
 
-    records = []
-    boundary_events = 0
+    z0s, y0s, m_primes, boundary = [], [], [], []
     for i, m in enumerate(messages):
         z0_rng = np.random.default_rng(derive_seed(inner.noise_seed, _Z0_STREAM_OFFSET + i))
         z0 = float(z0_rng.standard_normal()) * sigma
-        x0 = encode_time_zero(m, mb, power)
-        y0 = x0 + z0
+        y0 = encode_time_zero(m, mb, power) + z0
+        z0s.append(z0)
+        y0s.append(y0)
+        m_primes.append(inner_message(z0, mb, power))
+        boundary.append(_boundary_gap(z0 * scale) < BOUNDARY_TOL
+                        or _boundary_gap(y0 * scale) < BOUNDARY_TOL)
 
-        m_prime = inner_message(z0, mb, power)
-        if _boundary_gap(z0 * scale) < BOUNDARY_TOL or _boundary_gap(y0 * scale) < BOUNDARY_TOL:
-            boundary_events += 1
+    cols = run_trials(inner, cb, m_primes, rotations)
 
-        inner_rec = run_trial(inner, cb, m_prime, derive_seed(inner.noise_seed, i),
-                              rotations=rotations)
-        m_prime_hat = inner_rec.decoded
-        m_hat = reconstruct(y0, m_prime_hat, mb, power)
+    m_hats = [reconstruct(y0, d, mb, power) for y0, d in zip(y0s, cols.decoded)]
+    outer_error = np.array([m_hat != m for m_hat, m in zip(m_hats, messages)], dtype=bool)
+    mismatch = np.flatnonzero(outer_error != cols.error)
+    if mismatch.size:
+        i = int(mismatch[0])
+        raise QuantizationBoundaryError(
+            f"trial {i}: outer error {outer_error[i]} != inner error {cols.error[i]} "
+            f"(z0={z0s[i]!r}, boundary events so far: {sum(boundary[:i + 1])})"
+        )
 
-        outer_error = m_hat != m
-        inner_error = m_prime_hat != m_prime
-        if outer_error != inner_error:
-            raise QuantizationBoundaryError(
-                f"trial {i}: outer error {outer_error} != inner error {inner_error} "
-                f"(z0={z0!r}, boundary events so far: {boundary_events})"
-            )
-
-        records.append(TrialRecord(
-            message=m,
-            help_index=inner_rec.help_index,
-            helper_angle=inner_rec.helper_angle,
-            decode_angle=inner_rec.decode_angle,
-            noise_energy=inner_rec.noise_energy + z0 * z0,
-            covering_miss=inner_rec.covering_miss,
-            decoded=m_hat,
-            error=outer_error,
-        ))
-
+    cols = replace(cols, message=messages, decoded=m_hats, error=outer_error,
+                   noise_energy=cols.noise_energy + np.square(z0s))
     return summarize(
-        inner, records, time.perf_counter() - t_start,
-        scheme="feedback", keep_records=keep_records, boundary_events=boundary_events,
+        inner, cols, time.perf_counter() - t_start,
+        scheme="feedback", keep_records=keep_records, boundary_events=sum(boundary),
     )

@@ -34,22 +34,27 @@ def angle_between(x, y) -> float:
     return math.acos(min(1.0, max(-1.0, c)))
 
 
-def cap_ratio_exact(dim: int, phi: float) -> float:
+def cap_ratio_exact(dim: int, phi):
     """Normalized surface area of a cap of half-angle phi on the sphere in R^dim.
 
     Regularized incomplete beta formulation: for phi <= pi/2 the ratio is
     I_{sin^2 phi}((dim-1)/2, 1/2) / 2; the obtuse case follows by complement
     symmetry.  Exact up to the beta-function evaluation, monotone in phi,
-    and equal to 1 at phi = pi.
+    and equal to 1 at phi = pi.  phi may be an array of half-angles; a scalar
+    phi gives a float.
     """
     if dim < 2:
         raise ValueError(f"ambient dimension must be at least 2, got {dim}")
-    if not 0.0 <= phi <= math.pi:
-        raise ValueError(f"cap half-angle must lie in [0, pi], got {phi!r}")
-    if phi > math.pi / 2:
-        return 1.0 - cap_ratio_exact(dim, math.pi - phi)
-    s = math.sin(phi)
-    return 0.5 * float(special.betainc((dim - 1) / 2.0, 0.5, s * s))
+    phi = np.asarray(phi, dtype=float)
+    inside = (phi >= 0.0) & (phi <= math.pi)
+    if not inside.all():
+        bad = float(phi[~inside][0])
+        raise ValueError(f"cap half-angle must lie in [0, pi], got {bad!r}")
+    obtuse = phi > math.pi / 2
+    s = np.sin(np.where(obtuse, math.pi - phi, phi))
+    half = 0.5 * special.betainc((dim - 1) / 2.0, 0.5, s * s)
+    ratio = np.where(obtuse, 1.0 - half, half)
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
 def cap_rate_exponent(phi: float) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .capacity import ChannelParams, capacity_cognizant
 from .codebook import CodebookSizeError, derive_seed
-from .feedback import FeedbackConfig, simulate_feedback
+from .feedback import FeedbackConfig, QuantizationBoundaryError, simulate_feedback
 from .results import SimSummary
 from .scheme import SchemeConfig, config_from_rates, simulate
 
@@ -43,6 +43,10 @@ CSV_COLUMNS = (
     "mean_decode_angle,corr_sum,corr_budget,capacity_bits,threshold_bits,"
     "seed,wall_time_s"
 )
+
+
+# Failures that skip one sweep cell (with a logged reason) instead of the sweep.
+CELL_SKIPS = (CodebookSizeError, QuantizationBoundaryError)
 
 
 class ConfigError(ValueError):
@@ -219,15 +223,16 @@ def _run_cell_safe(args):
     cfg, diagnostics = args
     try:
         return run_cell(cfg, diagnostics)
-    except CodebookSizeError as exc:
+    except CELL_SKIPS as exc:
         return exc
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
     """One SimSummary per grid cell, in sweep order, independent of worker count.
 
-    Cells whose resources exceed the caps are skipped (with a logged reason);
-    the sweep continues.
+    Cells whose resources exceed the caps, or whose feedback run hits a
+    quantization boundary, are skipped (with a logged reason); the sweep
+    continues.
     """
     cells = []
     for i_snr in range(len(spec.snr)):
@@ -247,8 +252,11 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
 
     summaries = []
     for (cfg, _), outcome in zip(cells, outcomes):
-        if isinstance(outcome, CodebookSizeError):
-            log.warning("cell skipped: %s", outcome)
+        if isinstance(outcome, CELL_SKIPS):
+            inner = cfg.inner if isinstance(cfg, FeedbackConfig) else cfg
+            log.warning("cell skipped (snr=%g, n=%d, rate_bits=%.6g): %s: %s",
+                        inner.channel.snr, inner.blocklength, inner.rate,
+                        type(outcome).__name__, outcome)
             continue
         summaries.append(outcome)
     return summaries

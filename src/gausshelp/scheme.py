@@ -12,25 +12,46 @@ independent rotations of the same base point, hence IID uniform on the
 sphere, so given the decode angle alpha the probability that some competitor
 lands closer is 1 - (1 - c)^(M-1) with c the cap ratio at alpha.  The two
 decode routes are cross-checked against each other in the test suite.
+
+`simulate` runs its trials through one chunked engine (`run_trials`): per
+chunk of CHUNK_TRIALS trials it stacks the rotations (one batched QR), scores
+every trial's noise against the base codebook with one tiled GEMM, and
+decodes exhaustively with one tiled GEMM over the rotation stack.  Each trial
+keeps its own random streams, so the engine reproduces `run_trial`, the
+per-trial reference implementation, trial for trial:
+
+* trial i draws its noise from default_rng(derive_seed(noise_seed, i)), then
+  (analytic route) two uniforms from the same generator: the error draw and
+  the wrong-message draw;
+* message m's rotation comes from derive_seed(rotation_seed_base, m).
 """
 
 from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .capacity import ChannelParams, capacity_cognizant
-from .codebook import HelperCodebook, build_base_codebook, derive_seed
-from .geometry import achievable_rate_threshold, angle_between, cap_ratio_exact, theta0
-from .results import SimSummary, TrialRecord, wilson_interval
+from .codebook import (MAX_CODEBOOK_FLOATS, CodebookSizeError, HelperCodebook,
+                       build_base_codebook, derive_seed)
+from .geometry import (COS_CLAMP_TOL, achievable_rate_threshold, angle_between,
+                       cap_ratio_exact, theta0)
+from .results import SimSummary, TrialColumns, TrialRecord, wilson_interval
 
 # Largest message space scanned exhaustively when decoder="auto".
 EXHAUSTIVE_LIMIT = 1 << 12
 # Hard cap on exhaustive decoding regardless of mode.
 EXHAUSTIVE_HARD_LIMIT = 1 << 24
+
+# Trials per engine chunk.  Every trial keeps its own random streams, so the
+# chunk size bounds memory without changing any result.
+CHUNK_TRIALS = 128
+# Floats in one score tile (helper cosines or decode scores), about 2 MB.
+TILE_FLOATS = 1 << 18
 
 _DECODERS = ("auto", "exhaustive", "analytic")
 
@@ -161,12 +182,21 @@ def decode(cb: HelperCodebook, y, t: int, message_space: range, rotations=None) 
     return message_space[int(np.argmax(scores))]
 
 
-def _analytic_error_probability(n: int, decode_angle: float, n_competitors: int) -> float:
-    """P(some of n_competitors IID uniform sphere points beats the true codeword)."""
+def exhaustive_route(cfg: SchemeConfig) -> bool:
+    """The decode-route rule: scan every message, or draw from the analytic law."""
+    return cfg.decoder == "exhaustive" or (
+        cfg.decoder == "auto" and (1 << cfg.message_bits) <= EXHAUSTIVE_LIMIT
+    )
+
+
+def _analytic_error_probability(n: int, decode_angle, n_competitors: int):
+    """P(some of n_competitors IID uniform sphere points beats the true codeword).
+
+    decode_angle may be an array of angles.
+    """
     c = cap_ratio_exact(n, decode_angle)
-    if c >= 1.0:
-        return 1.0
-    return -math.expm1(n_competitors * math.log1p(-c))
+    with np.errstate(divide="ignore"):
+        return np.where(c >= 1.0, 1.0, -np.expm1(float(n_competitors) * np.log1p(-c)))
 
 
 def run_trial(cfg: SchemeConfig, cb: HelperCodebook, m: int, trial_seed: int,
@@ -187,10 +217,7 @@ def run_trial(cfg: SchemeConfig, cb: HelperCodebook, m: int, trial_seed: int,
     decode_angle = angle_between(x, y) if np.any(y) else 0.0
 
     n_messages = 1 << cfg.message_bits
-    exhaustive = cfg.decoder == "exhaustive" or (
-        cfg.decoder == "auto" and n_messages <= EXHAUSTIVE_LIMIT
-    )
-    if exhaustive:
+    if exhaustive_route(cfg):
         decoded = decode(cb, y, t, range(n_messages), rotations=rotations)
     else:
         p_err = _analytic_error_probability(n, decode_angle, n_messages - 1)
@@ -227,27 +254,146 @@ def draw_messages(cfg: SchemeConfig) -> list[int]:
 
 
 def candidate_rotations(cfg: SchemeConfig, cb: HelperCodebook):
-    """Stacked per-message rotations when the exhaustive decoder will be used."""
-    n_messages = 1 << cfg.message_bits
-    exhaustive = cfg.decoder == "exhaustive" or (
-        cfg.decoder == "auto" and n_messages <= EXHAUSTIVE_LIMIT
-    )
-    if not exhaustive:
+    """Stacked per-message rotations when the exhaustive decoder will be used.
+
+    The stack is refused before it is allocated when it would exceed the
+    codebook size cap (MAX_CODEBOOK_FLOATS).
+    """
+    if not exhaustive_route(cfg):
         return None
+    n_messages = 1 << cfg.message_bits
     if n_messages > EXHAUSTIVE_HARD_LIMIT:
         raise ValueError(f"message space of {n_messages} is too large to scan")
-    return np.stack([cb.rotation(m) for m in range(n_messages)])
+    n = cfg.blocklength
+    if n_messages * n * n > MAX_CODEBOOK_FLOATS:
+        raise CodebookSizeError(
+            f"rotation stack of {n_messages} {n}x{n} matrices exceeds the size cap"
+        )
+    stack = np.empty((n_messages, n, n))
+    for lo in range(0, n_messages, CHUNK_TRIALS):
+        hi = min(lo + CHUNK_TRIALS, n_messages)
+        stack[lo:hi] = cb.rotations(range(lo, hi))
+    return stack
 
 
-def summarize(cfg: SchemeConfig, records, wall_time_s, scheme="cognizant",
+def _tiled_argmax(a: np.ndarray, b: np.ndarray):
+    """Row-wise argmax and max of a @ b.T, computed over tiles of b's rows.
+
+    A tile holds at most TILE_FLOATS scores.  Ties break to the smallest
+    index: first occurrence within a tile, strict improvement across tiles.
+    """
+    k = a.shape[0]
+    tile = max(1, TILE_FLOATS // k)
+    rows = np.arange(k)
+    best_index = np.zeros(k, dtype=np.int64)
+    best = np.full(k, -np.inf)
+    for lo in range(0, b.shape[0], tile):
+        scores = a @ b[lo:lo + tile].T
+        index = scores.argmax(axis=1)
+        value = scores[rows, index]
+        better = value > best
+        best_index[better] = index[better] + lo
+        best[better] = value[better]
+    return best_index, best
+
+
+def _row_angles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """angle_between for each row pair; a zero row of y gives 0.0, as in run_trial."""
+    ny = np.linalg.norm(y, axis=1)
+    cos = np.divide(np.einsum("ki,ki->k", x, y), np.linalg.norm(x, axis=1) * ny,
+                    out=np.ones(len(y)), where=ny > 0)
+    if np.any(np.abs(cos) > 1.0 + COS_CLAMP_TOL):
+        warnings.warn("a cosine exceeds [-1, 1] beyond round-off slack; clamped", RuntimeWarning)
+    return np.arccos(np.clip(cos, -1.0, 1.0))
+
+
+def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
+               vectors=False) -> TrialColumns:
+    """Trial i sends messages[i]; the batched equivalent of run_trial per trial.
+
+    Runs CHUNK_TRIALS trials at a time on the per-trial streams documented in
+    the module docstring.  `rotations` is candidate_rotations(cfg, cb).  With
+    `vectors`, the columns also carry the stacked input and noise vectors.
+    """
+    messages = list(messages)
+    trials, n = len(messages), cfg.blocklength
+    n_messages = 1 << cfg.message_bits
+    exhaustive = exhaustive_route(cfg)
+    sigma = math.sqrt(cfg.channel.noise_var)
+    scale = math.sqrt(n * cb.power)
+
+    help_index = np.empty(trials, dtype=np.int64)
+    helper_angle, decode_angle, noise_energy = np.empty(trials), np.empty(trials), np.empty(trials)
+    decoded = []
+    xs = np.empty((trials, n)) if vectors else None
+    zs = np.empty((trials, n)) if vectors else None
+
+    for lo in range(0, trials, CHUNK_TRIALS):
+        hi = min(lo + CHUNK_TRIALS, trials)
+        ms = messages[lo:hi]
+        z = np.empty((hi - lo, n))
+        u = np.empty((hi - lo, 2))
+        for j in range(hi - lo):
+            rng = np.random.default_rng(derive_seed(cfg.noise_seed, lo + j))
+            rng.standard_normal(out=z[j])
+            if not exhaustive:
+                u[j] = rng.random(2)
+        z *= sigma
+        rot = rotations[ms] if exhaustive else cb.rotations(ms)
+
+        # Helper: the base point closest in angle to R^T z.
+        t, best = _tiled_argmax(np.einsum("kji,kj->ki", rot, z), cb.base_points)
+        nz = np.linalg.norm(z, axis=1)
+        cos = np.divide(best, scale * nz, out=np.ones(len(nz)), where=nz > 0)
+        helper_angle[lo:hi] = np.arccos(np.clip(cos, -1.0, 1.0))
+        help_index[lo:hi] = t
+
+        # Transmit x = R b_t; receive y = x + z.
+        bt = cb.base_points[t]
+        x = np.einsum("kij,kj->ki", rot, bt)
+        y = x + z
+        decode_angle[lo:hi] = _row_angles(x, y)
+        noise_energy[lo:hi] = np.einsum("ki,ki->k", z, z)
+        if vectors:
+            xs[lo:hi], zs[lo:hi] = x, z
+
+        if exhaustive:
+            # Score of m' is (R_m' b_t) . y = vec(R_m') . vec(y b_t^T).
+            w = (y[:, :, None] * bt[:, None, :]).reshape(hi - lo, n * n)
+            found, _ = _tiled_argmax(w, rotations.reshape(n_messages, n * n))
+            decoded.extend(found.tolist())
+        else:
+            p_err = _analytic_error_probability(n, decode_angle[lo:hi], n_messages - 1)
+            for m, (u_err, u_wrong), p in zip(ms, u.tolist(), p_err.tolist()):
+                if u_err < p:
+                    wrong = int(u_wrong * (n_messages - 1))
+                    decoded.append(wrong + (wrong >= m))
+                else:
+                    decoded.append(m)
+
+    return TrialColumns(
+        message=messages,
+        help_index=help_index,
+        helper_angle=helper_angle,
+        decode_angle=decode_angle,
+        noise_energy=noise_energy,
+        covering_miss=helper_angle > cfg.theta0_rad,
+        decoded=decoded,
+        error=np.fromiter((d != m for d, m in zip(decoded, messages)), bool, trials),
+        x=xs,
+        z=zs,
+    )
+
+
+def summarize(cfg: SchemeConfig, cols: TrialColumns, wall_time_s, scheme="cognizant",
               corr_sum=math.nan, corr_profile=None, keep_records=False,
               boundary_events=0) -> SimSummary:
-    """Aggregate trial records into a SimSummary (exact integer accounting)."""
-    trials = len(records)
-    errors = sum(r.error for r in records)
-    misses = sum(r.covering_miss for r in records)
+    """Aggregate trial columns into a SimSummary (exact integer accounting)."""
+    trials = len(cols.error)
+    errors = int(np.count_nonzero(cols.error))
+    misses = int(np.count_nonzero(cols.covering_miss))
     covered = trials - misses
-    errors_covered = sum(r.error for r in records if not r.covering_miss)
+    errors_covered = int(np.count_nonzero(cols.error & ~cols.covering_miss))
     lo, hi = wilson_interval(errors, trials)
     ch, rh = cfg.channel, cfg.helper_rate
     try:
@@ -268,8 +414,8 @@ def summarize(cfg: SchemeConfig, records, wall_time_s, scheme="cognizant",
         err_rate_given_covered=errors_covered / covered if covered else math.nan,
         ci_low=lo,
         ci_high=hi,
-        mean_helper_angle=sum(r.helper_angle for r in records) / trials,
-        mean_decode_angle=sum(r.decode_angle for r in records) / trials,
+        mean_helper_angle=float(np.mean(cols.helper_angle)),
+        mean_decode_angle=float(np.mean(cols.decode_angle)),
         corr_sum=corr_sum,
         corr_budget=cfg.blocklength * (1.0 - 2.0 ** (-2.0 * rh)),
         capacity_bits=capacity_cognizant(ch, rh),
@@ -277,7 +423,7 @@ def summarize(cfg: SchemeConfig, records, wall_time_s, scheme="cognizant",
         seed=cfg.base_seed if cfg.base_seed is not None else cfg.codebook_seed,
         wall_time_s=wall_time_s,
         boundary_events=boundary_events,
-        records=list(records) if keep_records else None,
+        records=cols.records() if keep_records else None,
         corr_profile=corr_profile,
     )
 
@@ -298,30 +444,17 @@ def simulate(cfg: SchemeConfig, keep_records=False, diagnostics=False,
     elif len(messages) != cfg.trials:
         raise ValueError(f"need {cfg.trials} messages, got {len(messages)}")
 
-    records = []
-    xs = zs = None
-    if diagnostics:
-        xs = np.empty((cfg.trials, cfg.blocklength))
-        zs = np.empty((cfg.trials, cfg.blocklength))
-    for i, m in enumerate(messages):
-        seed = derive_seed(cfg.noise_seed, i)
-        if diagnostics:
-            rec, x, z = run_trial(cfg, cb, m, seed, rotations=rotations, return_vectors=True)
-            xs[i] = x
-            zs[i] = z
-        else:
-            rec = run_trial(cfg, cb, m, seed, rotations=rotations)
-        records.append(rec)
+    cols = run_trials(cfg, cb, messages, rotations, vectors=diagnostics)
 
     corr_sum = math.nan
     profile = None
     if diagnostics:
         from .converse import empirical_correlations
 
-        profile = empirical_correlations(list(zip(xs, zs)))
+        profile = empirical_correlations(list(zip(cols.x, cols.z)))
         corr_sum = float(np.sum(profile.per_index_rho ** 2))
 
     return summarize(
-        cfg, records, time.perf_counter() - t_start,
+        cfg, cols, time.perf_counter() - t_start,
         corr_sum=corr_sum, corr_profile=profile, keep_records=keep_records,
     )

@@ -12,6 +12,7 @@ from gausshelp.codebook import (
     derive_seed,
     dump_codebook,
     haar_rotation,
+    haar_rotations,
     load_codebook,
     message_codebook,
     sample_sphere,
@@ -48,6 +49,16 @@ class TestHaarRotation:
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             haar_rotation(1, 0)
+
+    @pytest.mark.parametrize("n", [2, 12, 32])
+    def test_stack_is_bitwise_the_single_seed_rotations(self, n):
+        seeds = [derive_seed(7, i) for i in range(40)]
+        stack = haar_rotations(n, seeds)
+        assert stack.shape == (40, n, n)
+        for seed, rot in zip(seeds, stack):
+            # the unbatched 2-D QR of the same draw, sign-fixed
+            q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+            assert np.array_equal(rot, q * np.where(np.diag(r) < 0, -1.0, 1.0))
 
     def test_image_of_basis_vector_is_uniform(self):
         # first coordinate of R e1 should match the uniform-on-sphere moments

@@ -158,6 +158,16 @@ class TestSweep:
         assert len(summaries) == 1  # the 2^48-point codebook cell is dropped
         assert any("skipped" in rec.message for rec in caplog.records)
 
+    def test_quantization_boundary_cell_skipped(self, caplog):
+        # 52 message bits at n = 48: the time-zero identity fails in floating point
+        spec = SweepSpec(snr=(3.0,), helper_rate=(0.25,), blocklength=(12, 48),
+                         rate_fraction=(0.7,), trials=300, base_seed=1, scheme="feedback")
+        with caplog.at_level("WARNING"):
+            summaries = run_sweep(spec, workers=1)
+        assert [s.blocklength for s in summaries] == [12]
+        (skip,) = [rec.message for rec in caplog.records if "skipped" in rec.message]
+        assert "n=48" in skip and "QuantizationBoundaryError" in skip and "trial" in skip
+
     def test_cell_rate_tracks_capacity(self):
         spec, _ = parse_config(SWEEP)
         cfg = cell_config(spec, 0, 0, 1, 1)
