@@ -20,6 +20,8 @@ from .codebook import (
     build_base_codebook,
     covering_deficiency,
     derive_seed,
+    derive_seeds,
+    generators,
     haar_rotation,
     haar_rotations,
     message_codebook,

@@ -13,6 +13,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .capacity import ChannelParams
 from .results import wilson_interval
@@ -39,6 +40,95 @@ def derive_seed(base: int, index: int) -> int:
     return x
 
 
+def derive_seeds(base: int, indices) -> np.ndarray:
+    """derive_seed(base, i) for every i in indices, as a uint64 array.
+
+    Arithmetic is mod 2^64 throughout, so indices of any size (message
+    indices reach 2^74) give the same seeds as derive_seed.
+    """
+    idx = np.fromiter((int(i) & _MASK64 for i in indices), dtype=np.uint64, count=len(indices))
+    x = np.uint64(int(base) & _MASK64) + (idx + np.uint64(1)) * np.uint64(_GAMMA)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+# numpy's SeedSequence constants: a 4-word uint32 pool, hashed with the
+# multiplier sequences starting at INIT_A (mixing) and INIT_B (output).
+_MASK32 = (1 << 32) - 1
+_SS_SHIFT = np.uint32(16)
+_SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, count: int):
+    # Column vectors of the (xor, multiply) pair each successive hash uses.
+    xor, mul, h = [], [], init
+    for _ in range(count):
+        xor.append(h)
+        h = (h * mult) & _MASK32
+        mul.append(h)
+    return np.array(xor, np.uint32)[:, None], np.array(mul, np.uint32)[:, None]
+
+
+_SS_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # 4 fills, then 12 cross-mixes
+_SS_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # 8 output words
+
+
+def _hashmix(v, xor, mul):
+    v = (v ^ xor) * mul
+    return v ^ (v >> _SS_SHIFT)
+
+
+def _seed_states(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, uint64) for every seed s < 2^64, as (len, 4).
+
+    A seed is entropy of one or two uint32 words (low word first); the pool
+    is filled with their hashes (the missing words count as 0), every pool
+    word is mixed into every other, and eight output hashes form four
+    little-endian uint64 words.
+    """
+    xor, mul = _SS_A
+    pool = np.zeros((4, len(seeds)), np.uint32)
+    pool[0] = seeds & np.uint64(_MASK32)
+    pool[1] = seeds >> np.uint64(32)
+    pool = _hashmix(pool, xor[:4], mul[:4])
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                r = _SS_MIX_L * pool[dst] - _SS_MIX_R * _hashmix(pool[src], xor[k], mul[k])
+                pool[dst] = r ^ (r >> _SS_SHIFT)
+                k += 1
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_SS_B).astype(np.uint64)
+    return np.ascontiguousarray((words[0::2] | (words[1::2] << np.uint64(32))).T)
+
+
+class _SeedState(ISeedSequence):
+    """A seed sequence whose state was generated in advance by _seed_states."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def generators(seeds) -> list:
+    """One Generator per seed, each bitwise equal to numpy.random.default_rng(seed).
+
+    The seed sequences of all seeds are computed in one vectorised pass;
+    seeds must lie in [0, 2^64), as derive_seed's do.  Unlike default_rng's,
+    these generators cannot spawn children.
+    """
+    states = _seed_states(np.asarray(seeds, dtype=np.uint64))
+    return [np.random.Generator(np.random.PCG64(_SeedState(s))) for s in states]
+
+
 def haar_rotations(n: int, seeds) -> np.ndarray:
     """Haar-uniform n x n orthogonal matrices, one per seed, as a (len(seeds), n, n) stack.
 
@@ -50,8 +140,8 @@ def haar_rotations(n: int, seeds) -> np.ndarray:
     if n < 2:
         raise ValueError(f"rotation dimension must be at least 2, got {n}")
     g = np.empty((len(seeds), n, n))
-    for row, seed in zip(g, seeds):
-        np.random.default_rng(seed).standard_normal(out=row)
+    for row, rng in zip(g, generators(seeds)):
+        rng.standard_normal(out=row)
     q, r = np.linalg.qr(g)
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
@@ -90,8 +180,7 @@ class HelperCodebook:
         """Stacked rotations of several messages, (len(messages), n, n)."""
         if any(m < 0 for m in messages):
             raise ValueError(f"message indices must be nonnegative, got {min(messages)}")
-        seeds = [derive_seed(self.rotation_seed_base, m) for m in messages]
-        return haar_rotations(self.blocklength, seeds)
+        return haar_rotations(self.blocklength, derive_seeds(self.rotation_seed_base, messages))
 
 
 def build_base_codebook(n: int, ch: ChannelParams, rh: float, eps: float, seed: int) -> HelperCodebook:

@@ -16,8 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codebook import derive_seed
+from .codebook import derive_seeds, generators
 from .scheme import (
+    CHUNK_TRIALS,
     SchemeConfig,
     build_codebook,
     candidate_rotations,
@@ -117,11 +118,12 @@ def simulate_feedback(cfg: FeedbackConfig, keep_records=False) -> "SimSummary":
     messages = draw_messages(inner)
 
     z0s, y0s, m_primes, boundary = [], [], [], []
-    for i, m in enumerate(messages):
-        z0_rng = np.random.default_rng(derive_seed(inner.noise_seed, _Z0_STREAM_OFFSET + i))
-        z0 = float(z0_rng.standard_normal()) * sigma
+    for lo in range(0, len(messages), CHUNK_TRIALS):
+        hi = min(lo + CHUNK_TRIALS, len(messages))
+        seeds = derive_seeds(inner.noise_seed, range(_Z0_STREAM_OFFSET + lo, _Z0_STREAM_OFFSET + hi))
+        z0s.extend(float(rng.standard_normal()) * sigma for rng in generators(seeds))
+    for m, z0 in zip(messages, z0s):
         y0 = encode_time_zero(m, mb, power) + z0
-        z0s.append(z0)
         y0s.append(y0)
         m_primes.append(inner_message(z0, mb, power))
         boundary.append(_boundary_gap(z0 * scale) < BOUNDARY_TOL

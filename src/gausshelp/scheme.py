@@ -22,8 +22,16 @@ per-trial reference implementation, trial for trial:
 
 * trial i draws its noise from default_rng(derive_seed(noise_seed, i)), then
   (analytic route) two uniforms from the same generator: the error draw and
-  the wrong-message draw;
-* message m's rotation comes from derive_seed(rotation_seed_base, m).
+  the wrong-message draw.  When M - 1 exceeds 2^53, the values a uniform
+  double resolves, the wrong message is instead drawn uniformly by rejection
+  on rng.bytes from the same generator, after the two uniforms;
+* message m's rotation comes from derive_seed(rotation_seed_base, m);
+* the messages are one draw of ceil(message_bits/32) uint32 words per trial
+  from default_rng(message_seed), equal to one rng.bytes call per trial.
+
+The engine builds these generators a chunk at a time (codebook.derive_seeds
+and codebook.generators), each bitwise equal to its default_rng; run_trial
+keeps calling default_rng, so the replay checks one against the other.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import numpy as np
 
 from .capacity import ChannelParams, capacity_cognizant
 from .codebook import (MAX_CODEBOOK_FLOATS, CodebookSizeError, HelperCodebook,
-                       build_base_codebook, derive_seed)
+                       build_base_codebook, derive_seed, derive_seeds, generators)
 from .geometry import (COS_CLAMP_TOL, achievable_rate_threshold, angle_between,
                        cap_ratio_exact, theta0)
 from .results import SimSummary, TrialColumns, TrialRecord, wilson_interval
@@ -221,11 +229,7 @@ def run_trial(cfg: SchemeConfig, cb: HelperCodebook, m: int, trial_seed: int,
         decoded = decode(cb, y, t, range(n_messages), rotations=rotations)
     else:
         p_err = _analytic_error_probability(n, decode_angle, n_messages - 1)
-        if rng.random() < p_err:
-            wrong = int(rng.random() * (n_messages - 1))
-            decoded = wrong + (1 if wrong >= m else 0)
-        else:
-            decoded = m
+        decoded = _wrong_message(rng, m, rng.random(), n_messages) if rng.random() < p_err else m
 
     record = TrialRecord(
         message=m,
@@ -242,15 +246,40 @@ def run_trial(cfg: SchemeConfig, cb: HelperCodebook, m: int, trial_seed: int,
     return record
 
 
+def _wrong_message(rng, m: int, u_wrong: float, n_messages: int) -> int:
+    """A decision other than m, uniform over the n_messages - 1 others.
+
+    u_wrong picks it while the others number at most 2^53, the values a
+    uniform double resolves; beyond that it is drawn by rejection on rng.bytes.
+    """
+    others = n_messages - 1
+    if others <= 1 << 53:
+        wrong = int(u_wrong * others)
+    else:
+        bits = (others - 1).bit_length()
+        while True:
+            wrong = int.from_bytes(rng.bytes((bits + 7) // 8), "little") & ((1 << bits) - 1)
+            if wrong < others:
+                break
+    return wrong + (wrong >= m)
+
+
 def draw_messages(cfg: SchemeConfig) -> list[int]:
     """Equiprobable messages for each trial, reproducible from message_seed.
 
-    Byte-based so message spaces wider than 64 bits work too.
+    One draw of ceil(message_bits/32) uint32 words per trial, little-endian,
+    masked to message_bits: the stream a per-trial Generator.bytes would give,
+    so message spaces wider than 64 bits work too.
     """
     rng = np.random.default_rng(cfg.message_seed)
-    nbytes = (cfg.message_bits + 7) // 8
+    nwords = (cfg.message_bits + 31) // 32
     mask = (1 << cfg.message_bits) - 1
-    return [int.from_bytes(rng.bytes(nbytes), "little") & mask for _ in range(cfg.trials)]
+    words = rng.integers(0, 1 << 32, size=(cfg.trials, nwords), dtype=np.uint32)
+    if nwords <= 2:
+        shifts = np.arange(nwords, dtype=np.uint64) * np.uint64(32)
+        joined = np.bitwise_or.reduce(words.astype(np.uint64) << shifts, axis=1)
+        return (joined & np.uint64(mask)).tolist()
+    return [int.from_bytes(row.astype("<u4").tobytes(), "little") & mask for row in words]
 
 
 def candidate_rotations(cfg: SchemeConfig, cb: HelperCodebook):
@@ -333,8 +362,8 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
         ms = messages[lo:hi]
         z = np.empty((hi - lo, n))
         u = np.empty((hi - lo, 2))
-        for j in range(hi - lo):
-            rng = np.random.default_rng(derive_seed(cfg.noise_seed, lo + j))
+        rngs = generators(derive_seeds(cfg.noise_seed, range(lo, hi)))
+        for j, rng in enumerate(rngs):
             rng.standard_normal(out=z[j])
             if not exhaustive:
                 u[j] = rng.random(2)
@@ -364,12 +393,8 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
             decoded.extend(found.tolist())
         else:
             p_err = _analytic_error_probability(n, decode_angle[lo:hi], n_messages - 1)
-            for m, (u_err, u_wrong), p in zip(ms, u.tolist(), p_err.tolist()):
-                if u_err < p:
-                    wrong = int(u_wrong * (n_messages - 1))
-                    decoded.append(wrong + (wrong >= m))
-                else:
-                    decoded.append(m)
+            for rng, m, (u_err, u_wrong), p in zip(rngs, ms, u.tolist(), p_err.tolist()):
+                decoded.append(_wrong_message(rng, m, u_wrong, n_messages) if u_err < p else m)
 
     return TrialColumns(
         message=messages,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gausshelp.capacity import ChannelParams
 from gausshelp.codebook import (
@@ -10,7 +11,9 @@ from gausshelp.codebook import (
     build_base_codebook,
     covering_deficiency,
     derive_seed,
+    derive_seeds,
     dump_codebook,
+    generators,
     haar_rotation,
     haar_rotations,
     load_codebook,
@@ -33,6 +36,61 @@ class TestDeriveSeed:
     def test_fits_64_bits(self):
         for i in range(100):
             assert 0 <= derive_seed(2**64 - 1, i) < 2**64
+
+
+class TestDeriveSeeds:
+    BASES = (0, 1, 12345, 2**63 - 1, 2**63, 2**63 + 987654321, 2**64 - 1)
+    INDICES = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 2, 2**64 - 1, 2**64, 2**64 + 5,
+               2**74 - 1, 2**74 + 3)
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_equals_derive_seed(self, base):
+        got = derive_seeds(base, self.INDICES)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [derive_seed(base, i) for i in self.INDICES]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 2**80), max_size=20))
+    def test_equals_derive_seed_sampled(self, base, indices):
+        assert derive_seeds(base, indices).tolist() == [derive_seed(base, i) for i in indices]
+
+    def test_range_input(self):
+        assert derive_seeds(7, range(5, 9)).tolist() == [derive_seed(7, i) for i in range(5, 9)]
+
+
+def assert_same_stream(rng, seed):
+    # The full PCG64 state (state and increment) and a few draws of each kind.
+    ref = np.random.default_rng(seed)
+    assert rng.bit_generator.state == ref.bit_generator.state, seed
+    assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5)), seed
+    assert rng.bytes(7) == ref.bytes(7), seed
+    assert np.array_equal(rng.random(3), ref.random(3)), seed
+
+
+class TestGenerators:
+    # These pin numpy's SeedSequence algorithm: a numpy whose default_rng
+    # seeds differently fails here.
+    EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1)
+
+    def test_edge_seeds_match_default_rng(self):
+        rngs = generators(list(self.EDGE_SEEDS))
+        assert len(rngs) == len(self.EDGE_SEEDS)
+        for rng, seed in zip(rngs, self.EDGE_SEEDS):
+            assert_same_stream(rng, seed)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_sampled_seeds_match_default_rng(self, seeds):
+        for rng, seed in zip(generators(seeds), seeds):
+            assert_same_stream(rng, seed)
+
+    def test_derived_seeds_match_default_rng(self):
+        seeds = derive_seeds(3, range(300))
+        for rng, seed in zip(generators(seeds), seeds.tolist()):
+            assert_same_stream(rng, seed)
+
+    def test_empty(self):
+        assert generators([]) == []
 
 
 class TestHaarRotation:

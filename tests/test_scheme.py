@@ -11,6 +11,8 @@ from gausshelp.scheme import (
     build_codebook,
     config_from_rates,
     decode,
+    draw_messages,
+    exhaustive_route,
     helper_select,
     run_trial,
     simulate,
@@ -251,3 +253,43 @@ class TestSimulate:
             covered = [math.cos(r.helper_angle) for r in s.records if not r.covering_miss]
             assert min(covered) >= math.cos(cfg.theta0_rad) - 1e-12
         assert all(b > a for a, b in zip(means, means[1:]))
+
+
+def bytes_loop_messages(cfg):
+    """The per-trial Generator.bytes draw that draw_messages must reproduce."""
+    rng = np.random.default_rng(cfg.message_seed)
+    nbytes = (cfg.message_bits + 7) // 8
+    mask = (1 << cfg.message_bits) - 1
+    return [int.from_bytes(rng.bytes(nbytes), "little") & mask for _ in range(cfg.trials)]
+
+
+class TestDrawMessages:
+    @pytest.mark.parametrize("bits", [1, 8, 31, 32, 33, 64, 65, 74, 128])
+    def test_equals_bytes_loop(self, bits):
+        cfg = SchemeConfig(blocklength=8, message_bits=bits, helper_bits=0, eps=0.0,
+                           channel=CH, codebook_seed=1, noise_seed=2,
+                           message_seed=derive_seed(9, bits), trials=257)
+        got = draw_messages(cfg)
+        assert got == bytes_loop_messages(cfg)
+        assert all(type(m) is int and 0 <= m < 1 << bits for m in got)
+
+
+class TestWrongMessage:
+    def test_uniform_beyond_double_resolution(self):
+        # 74 message bits at n = 8 is far above capacity, so every trial errs
+        # and draws its wrong message from the 2^74 - 1 others.
+        cfg = config_from_rates(8, 74 / 8, 0.5, CH, seed=17, eps=0.1, trials=300)
+        assert cfg.message_bits == 74 and not exhaustive_route(cfg)
+        s = simulate(cfg, keep_records=True)
+        assert s.errors == cfg.trials
+        wrong = [r.decoded for r in s.records]
+        assert all(0 <= d < 1 << 74 and d != r.message for d, r in zip(wrong, s.records))
+        # The draw before skipping m; int(u * (M - 1)) with a 53-bit uniform u
+        # would give only multiples of 2^20 here.
+        drawn = [d - (d > r.message) for d, r in zip(wrong, s.records)]
+        assert any(w & ((1 << 20) - 1) for w in drawn)
+        assert len(set(wrong)) == len(wrong)
+        cb = build_codebook(cfg)
+        for i, rec in enumerate(s.records[:20]):
+            ref = run_trial(cfg, cb, rec.message, derive_seed(cfg.noise_seed, i))
+            assert ref.decoded == rec.decoded, i
