@@ -22,6 +22,7 @@ from .codebook import (
     derive_seed,
     derive_seeds,
     generators,
+    haar_reflectors,
     haar_rotation,
     haar_rotations,
     message_codebook,
@@ -31,6 +32,7 @@ from .converse import (
     check_budget,
     converse_rate_bound,
     correlation_budget,
+    correlation_profile,
     empirical_correlations,
 )
 from .feedback import FeedbackConfig, encode_time_zero, inner_message, reconstruct, \

@@ -47,7 +47,7 @@ def _build_parser():
         p.add_argument("--repro", action="store_true",
                        help="zero the wall_time_s column for byte-identical output")
         if name == "sweep":
-            p.add_argument("--workers", type=int, help="worker processes (default: env/cpu count)")
+            p.add_argument("--workers", type=int, help="worker processes (default: env/usable CPUs)")
 
     p = sub.add_parser("diagnose", help="run a cognizant simulation with correlation auditing")
     p.add_argument("--snr", type=float, required=True)

@@ -17,6 +17,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .capacity import ChannelParams
 from .results import wilson_interval
+from .search import ScreenedSearch
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -129,6 +130,23 @@ def generators(seeds) -> list:
     return [np.random.Generator(np.random.PCG64(_SeedState(s))) for s in states]
 
 
+def _gaussian_stack(n: int, seeds) -> np.ndarray:
+    """An IID standard-normal n x n matrix from each seed's own generator, stacked."""
+    if n < 2:
+        raise ValueError(f"rotation dimension must be at least 2, got {n}")
+    g = np.empty((len(seeds), n, n))
+    for row, rng in zip(g, generators(seeds)):
+        rng.standard_normal(out=row)
+    return g
+
+
+def _diagonal_signs(r: np.ndarray) -> np.ndarray:
+    # sign(diag R) per matrix, with 0 counted as positive.
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    d[d == 0] = 1.0
+    return d
+
+
 def haar_rotations(n: int, seeds) -> np.ndarray:
     """Haar-uniform n x n orthogonal matrices, one per seed, as a (len(seeds), n, n) stack.
 
@@ -137,15 +155,48 @@ def haar_rotations(n: int, seeds) -> np.ndarray:
     and the Q factor Haar-distributed.  The QR runs once over the whole stack;
     each matrix is bitwise the one a single-seed call gives.
     """
-    if n < 2:
-        raise ValueError(f"rotation dimension must be at least 2, got {n}")
-    g = np.empty((len(seeds), n, n))
-    for row, rng in zip(g, generators(seeds)):
-        rng.standard_normal(out=row)
-    q, r = np.linalg.qr(g)
-    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    d[d == 0] = 1.0
-    return q * d[:, None, :]
+    q, r = np.linalg.qr(_gaussian_stack(n, seeds))
+    return q * _diagonal_signs(r)[:, None, :]
+
+
+@dataclass(frozen=True)
+class HaarReflectors:
+    """The rotations R = Q D of haar_rotations, kept as their Householder reflectors.
+
+    Q = H_0 H_1 ... H_{n-1} with H_i = I - tau_i v_i v_i^T, where v_i is
+    zero before entry i, one at it, and LAPACK geqrf's reflector below it;
+    D = diag(sign).  Applying R or R^T to a vector takes n rank-one steps,
+    so Q is never formed (no orgqr).
+    """
+
+    v: np.ndarray  # (k, n, n): row i of matrix j holds v_i from entry i on
+    tau: np.ndarray  # (k, n)
+    sign: np.ndarray  # (k, n): the diagonal of D
+
+    def _reflect(self, w: np.ndarray, order) -> np.ndarray:
+        for i in order:
+            vi, wi = self.v[:, i, i:], w[:, i:]
+            s = np.einsum("kj,kj->k", vi, wi) * self.tau[:, i]
+            wi -= s[:, None] * vi
+        return w
+
+    def transpose_apply(self, z: np.ndarray) -> np.ndarray:
+        """R_j^T z_j for each row j of z: D H_{n-1} ... H_0 z."""
+        return self._reflect(z.copy(), range(self.v.shape[1])) * self.sign
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """R_j x_j for each row j of x: H_0 ... H_{n-1} D x."""
+        return self._reflect(x * self.sign, reversed(range(self.v.shape[1])))
+
+
+def haar_reflectors(n: int, seeds) -> HaarReflectors:
+    """haar_rotations(n, seeds) as reflectors: the same draw, geqrf and sign(diag R)."""
+    h, tau = np.linalg.qr(_gaussian_stack(n, seeds), mode="raw")
+    v = np.ascontiguousarray(h)  # numpy returns geqrf's output transposed: v_i in row i
+    sign = _diagonal_signs(v)
+    diag = np.arange(n)
+    v[:, diag, diag] = 1.0
+    return HaarReflectors(v, tau, sign)
 
 
 def haar_rotation(n: int, seed: int) -> np.ndarray:
@@ -178,9 +229,16 @@ class HelperCodebook:
 
     def rotations(self, messages) -> np.ndarray:
         """Stacked rotations of several messages, (len(messages), n, n)."""
+        return haar_rotations(self.blocklength, self._seeds(messages))
+
+    def reflectors(self, messages) -> HaarReflectors:
+        """The same rotations as rotations(messages), kept as Householder reflectors."""
+        return haar_reflectors(self.blocklength, self._seeds(messages))
+
+    def _seeds(self, messages) -> np.ndarray:
         if any(m < 0 for m in messages):
             raise ValueError(f"message indices must be nonnegative, got {min(messages)}")
-        return haar_rotations(self.blocklength, derive_seeds(self.rotation_seed_base, messages))
+        return derive_seeds(self.rotation_seed_base, messages)
 
 
 def build_base_codebook(n: int, ch: ChannelParams, rh: float, eps: float, seed: int) -> HelperCodebook:
@@ -201,7 +259,8 @@ def build_base_codebook(n: int, ch: ChannelParams, rh: float, eps: float, seed: 
             f"codebook of {help_size} points in dimension {n} exceeds the size cap"
         )
     rng = np.random.default_rng(derive_seed(seed, 0))
-    pts = sample_sphere(n, help_size, rng) * math.sqrt(n * ch.power)
+    pts = sample_sphere(n, help_size, rng)
+    pts *= math.sqrt(n * ch.power)
     return HelperCodebook(
         blocklength=n,
         power=ch.power,
@@ -241,12 +300,14 @@ def covering_deficiency(
 
     Measures the codebook's covering quality empirically, with a Wilson 95%
     interval attached.  With `message` given, the per-message codebook is
-    probed instead of the base one.
+    probed instead of the base one.  Probes are scored in tiles of at most
+    TILE_FLOATS cosines (search.ScreenedSearch), so memory stays flat in the
+    codebook size, and the miss test uses the exact float64 best cosine.
     """
     if probes < 1:
         raise ValueError(f"need at least one probe, got {probes}")
     pts = cb.base_points if message is None else message_codebook(cb, message)
-    unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    search = ScreenedSearch(pts / np.linalg.norm(pts, axis=1, keepdims=True))
     cos_thresh = math.cos(theta0)
     rng = np.random.default_rng(seed)
     misses = 0
@@ -254,7 +315,7 @@ def covering_deficiency(
     while done < probes:
         block = min(chunk, probes - done)
         dirs = sample_sphere(cb.blocklength, block, rng)
-        best = (dirs @ unit.T).max(axis=1)
+        best = search.argmax(dirs)[1]
         misses += int(np.count_nonzero(best < cos_thresh))
         done += block
     lo, hi = wilson_interval(misses, probes)

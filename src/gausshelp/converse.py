@@ -40,8 +40,14 @@ def empirical_correlations(records) -> CorrelationProfile:
     """Per-index sample correlation coefficients from (x, z) vector pairs."""
     if len(records) < 2:
         raise ValueError(f"need at least 2 records, got {len(records)}")
-    xs = np.asarray([r[0] for r in records], dtype=float)
-    zs = np.asarray([r[1] for r in records], dtype=float)
+    return correlation_profile(np.asarray([r[0] for r in records], dtype=float),
+                               np.asarray([r[1] for r in records], dtype=float))
+
+
+def correlation_profile(xs: np.ndarray, zs: np.ndarray) -> CorrelationProfile:
+    """Per-index sample correlation coefficients from stacked (trials, n) inputs and noises."""
+    if len(xs) < 2:
+        raise ValueError(f"need at least 2 trials, got {len(xs)}")
     if xs.shape != zs.shape:
         raise ValueError(f"inconsistent record shapes {xs.shape} vs {zs.shape}")
     xc = xs - xs.mean(axis=0)
@@ -52,7 +58,7 @@ def empirical_correlations(records) -> CorrelationProfile:
     rho = np.zeros(xs.shape[1])
     ok = (var_x > _VAR_FLOOR) & (var_z > _VAR_FLOOR)
     rho[ok] = np.clip(cov[ok] / np.sqrt(var_x[ok] * var_z[ok]), -1.0, 1.0)
-    return CorrelationProfile(per_index_rho=rho, trials=len(records))
+    return CorrelationProfile(per_index_rho=rho, trials=len(xs))
 
 
 def converse_rate_bound(ch: ChannelParams, rh: float) -> float:

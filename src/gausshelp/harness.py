@@ -227,6 +227,13 @@ def _run_cell_safe(args):
         return exc
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
     """One SimSummary per grid cell, in sweep order, independent of worker count.
 
@@ -243,7 +250,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
                                   spec.diagnostics))
 
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, 0)) or (os.cpu_count() or 1)
+        workers = int(os.environ.get(WORKERS_ENV, 0)) or _usable_cpus()
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell_safe, cells))

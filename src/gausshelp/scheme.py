@@ -14,11 +14,18 @@ lands closer is 1 - (1 - c)^(M-1) with c the cap ratio at alpha.  The two
 decode routes are cross-checked against each other in the test suite.
 
 `simulate` runs its trials through one chunked engine (`run_trials`): per
-chunk of CHUNK_TRIALS trials it stacks the rotations (one batched QR), scores
-every trial's noise against the base codebook with one tiled GEMM, and
-decodes exhaustively with one tiled GEMM over the rotation stack.  Each trial
-keeps its own random streams, so the engine reproduces `run_trial`, the
-per-trial reference implementation, trial for trial:
+chunk of CHUNK_TRIALS trials it factors the rotations with one batched QR,
+scores every trial's noise against the base codebook with one tiled GEMM,
+and decodes exhaustively with one tiled GEMM over the rotation stack.  Both
+searches go through search.ScreenedSearch, which scores in float32 under a
+rigorous error bound and rescans in float64 only the rows the bound cannot
+decide, so its indices are exactly those of a float64 scan.  The analytic
+route never forms a rotation: it applies R^T to the noise through the QR's
+Householder reflectors (codebook.HaarReflectors) and, since rotations keep
+angles, takes the decode angle as angle(b_t, b_t + R^T z); R b_t is formed
+only when the input vectors are requested.  Each trial keeps its own random
+streams, so the engine reproduces `run_trial`, the per-trial reference
+implementation, trial for trial:
 
 * trial i draws its noise from default_rng(derive_seed(noise_seed, i)), then
   (analytic route) two uniforms from the same generator: the error draw and
@@ -49,6 +56,7 @@ from .codebook import (MAX_CODEBOOK_FLOATS, CodebookSizeError, HelperCodebook,
 from .geometry import (COS_CLAMP_TOL, achievable_rate_threshold, angle_between,
                        cap_ratio_exact, theta0)
 from .results import SimSummary, TrialColumns, TrialRecord, wilson_interval
+from .search import ScreenedSearch
 
 # Largest message space scanned exhaustively when decoder="auto".
 EXHAUSTIVE_LIMIT = 1 << 12
@@ -58,8 +66,6 @@ EXHAUSTIVE_HARD_LIMIT = 1 << 24
 # Trials per engine chunk.  Every trial keeps its own random streams, so the
 # chunk size bounds memory without changing any result.
 CHUNK_TRIALS = 128
-# Floats in one score tile (helper cosines or decode scores), about 2 MB.
-TILE_FLOATS = 1 << 18
 
 _DECODERS = ("auto", "exhaustive", "analytic")
 
@@ -305,27 +311,6 @@ def candidate_rotations(cfg: SchemeConfig, cb: HelperCodebook):
     return stack
 
 
-def _tiled_argmax(a: np.ndarray, b: np.ndarray):
-    """Row-wise argmax and max of a @ b.T, computed over tiles of b's rows.
-
-    A tile holds at most TILE_FLOATS scores.  Ties break to the smallest
-    index: first occurrence within a tile, strict improvement across tiles.
-    """
-    k = a.shape[0]
-    tile = max(1, TILE_FLOATS // k)
-    rows = np.arange(k)
-    best_index = np.zeros(k, dtype=np.int64)
-    best = np.full(k, -np.inf)
-    for lo in range(0, b.shape[0], tile):
-        scores = a @ b[lo:lo + tile].T
-        index = scores.argmax(axis=1)
-        value = scores[rows, index]
-        better = value > best
-        best_index[better] = index[better] + lo
-        best[better] = value[better]
-    return best_index, best
-
-
 def _row_angles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """angle_between for each row pair; a zero row of y gives 0.0, as in run_trial."""
     ny = np.linalg.norm(y, axis=1)
@@ -356,6 +341,9 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
     decoded = []
     xs = np.empty((trials, n)) if vectors else None
     zs = np.empty((trials, n)) if vectors else None
+    helper = ScreenedSearch(cb.base_points)
+    if exhaustive:
+        candidates = ScreenedSearch(rotations.reshape(n_messages, n * n))
 
     for lo in range(0, trials, CHUNK_TRIALS):
         hi = min(lo + CHUNK_TRIALS, trials)
@@ -368,33 +356,39 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
             if not exhaustive:
                 u[j] = rng.random(2)
         z *= sigma
-        rot = rotations[ms] if exhaustive else cb.rotations(ms)
 
-        # Helper: the base point closest in angle to R^T z.
-        t, best = _tiled_argmax(np.einsum("kji,kj->ki", rot, z), cb.base_points)
+        # Helper: the base point closest in angle to w = R^T z.
+        if exhaustive:
+            rot = rotations[ms]
+            w = np.einsum("kji,kj->ki", rot, z)
+        else:
+            reflectors = cb.reflectors(ms)
+            w = reflectors.transpose_apply(z)
+        t, best = helper.argmax(w)
         nz = np.linalg.norm(z, axis=1)
         cos = np.divide(best, scale * nz, out=np.ones(len(nz)), where=nz > 0)
         helper_angle[lo:hi] = np.arccos(np.clip(cos, -1.0, 1.0))
         help_index[lo:hi] = t
-
-        # Transmit x = R b_t; receive y = x + z.
         bt = cb.base_points[t]
-        x = np.einsum("kij,kj->ki", rot, bt)
-        y = x + z
-        decode_angle[lo:hi] = _row_angles(x, y)
         noise_energy[lo:hi] = np.einsum("ki,ki->k", z, z)
-        if vectors:
-            xs[lo:hi], zs[lo:hi] = x, z
 
         if exhaustive:
+            # Transmit x = R b_t; receive y = x + z.
+            x = np.einsum("kij,kj->ki", rot, bt)
+            y = x + z
+            decode_angle[lo:hi] = _row_angles(x, y)
             # Score of m' is (R_m' b_t) . y = vec(R_m') . vec(y b_t^T).
-            w = (y[:, :, None] * bt[:, None, :]).reshape(hi - lo, n * n)
-            found, _ = _tiled_argmax(w, rotations.reshape(n_messages, n * n))
+            found, _ = candidates.argmax((y[:, :, None] * bt[:, None, :]).reshape(hi - lo, n * n))
             decoded.extend(found.tolist())
         else:
+            # angle(x, x + z) = angle(b_t, b_t + R^T z): R is never formed.
+            decode_angle[lo:hi] = _row_angles(bt, bt + w)
+            x = reflectors.apply(bt) if vectors else None
             p_err = _analytic_error_probability(n, decode_angle[lo:hi], n_messages - 1)
             for rng, m, (u_err, u_wrong), p in zip(rngs, ms, u.tolist(), p_err.tolist()):
                 decoded.append(_wrong_message(rng, m, u_wrong, n_messages) if u_err < p else m)
+        if vectors:
+            xs[lo:hi], zs[lo:hi] = x, z
 
     return TrialColumns(
         message=messages,
@@ -474,9 +468,9 @@ def simulate(cfg: SchemeConfig, keep_records=False, diagnostics=False,
     corr_sum = math.nan
     profile = None
     if diagnostics:
-        from .converse import empirical_correlations
+        from .converse import correlation_profile
 
-        profile = empirical_correlations(list(zip(cols.x, cols.z)))
+        profile = correlation_profile(cols.x, cols.z)
         corr_sum = float(np.sum(profile.per_index_rho ** 2))
 
     return summarize(

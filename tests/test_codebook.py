@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gausshelp import search
 from gausshelp.capacity import ChannelParams
+from gausshelp.geometry import theta0 as theta0_of
 from gausshelp.codebook import (
     CodebookSizeError,
     HelperCodebook,
@@ -14,6 +16,7 @@ from gausshelp.codebook import (
     derive_seeds,
     dump_codebook,
     generators,
+    haar_reflectors,
     haar_rotation,
     haar_rotations,
     load_codebook,
@@ -129,7 +132,34 @@ class TestHaarRotation:
         assert abs(np.mean(coords**2) - 1.0 / n) < 3.0 * se_sq
 
 
+class TestHaarReflectors:
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_products_match_the_rotation_stack(self, n):
+        seeds = derive_seeds(11, range(9))
+        rot = haar_rotations(n, seeds)
+        refl = haar_reflectors(n, seeds)
+        z = np.random.default_rng(n).standard_normal((9, n))
+        assert np.max(np.abs(refl.transpose_apply(z) - np.einsum("kji,kj->ki", rot, z))) < 1e-13
+        assert np.max(np.abs(refl.apply(z) - np.einsum("kij,kj->ki", rot, z))) < 1e-13
+
+    def test_codebook_reflectors_are_its_rotations(self):
+        cb = build_base_codebook(6, CH, 0.5, 0.1, seed=3)
+        messages = [0, 5, 2**70]
+        refl, rot = cb.reflectors(messages), cb.rotations(messages)
+        for j, e in enumerate(np.eye(6)):
+            column = refl.apply(np.tile(e, (3, 1)))
+            assert np.max(np.abs(column - rot[:, :, j])) < 1e-14
+        with pytest.raises(ValueError):
+            cb.reflectors([-1])
+
+
 class TestBuildBaseCodebook:
+    def test_in_place_scaling_is_bitwise_the_product(self):
+        cb = build_base_codebook(8, CH, 0.5, 0.1, seed=9)
+        rng = np.random.default_rng(derive_seed(9, 0))
+        want = sample_sphere(8, cb.help_size, rng) * math.sqrt(8 * CH.power)
+        assert np.array_equal(cb.base_points, want)
+
     def test_sizes_and_norms(self):
         cb = build_base_codebook(8, CH, 0.25, 0.1, seed=1)
         assert cb.help_size == 4
@@ -229,7 +259,7 @@ class TestCoveringDeficiency:
         assert est.ci_low <= est.fraction <= est.ci_high
 
     def test_union_bound(self):
-        from gausshelp.geometry import cap_ratio_exact, theta0 as theta0_of
+        from gausshelp.geometry import cap_ratio_exact
 
         cb = build_base_codebook(8, CH, 0.5, 0.1, seed=5)
         t0 = theta0_of(0.5, 0.1)
@@ -248,6 +278,22 @@ class TestCoveringDeficiency:
         miss_base = np.count_nonzero((dirs @ unit_base.T).max(axis=1) < math.cos(t0))
         miss_msg = np.count_nonzero(((dirs @ rot.T) @ unit_msg.T).max(axis=1) < math.cos(t0))
         assert miss_base == miss_msg
+
+    @pytest.mark.parametrize("message", [None, 3])
+    def test_tiled_scoring_equals_the_untiled_reference(self, monkeypatch, message):
+        cb = build_base_codebook(8, CH, 0.75, 0.1, seed=12)  # 64 points
+        t0 = theta0_of(0.75, 0.1)
+        # 7 codebook rows per tile for a block of 1000 probes: the tiles split the codebook.
+        monkeypatch.setattr(search, "TILE_FLOATS", 7 * 1000)
+        est = covering_deficiency(cb, t0, probes=2500, seed=13, message=message, chunk=1000)
+        pts = cb.base_points if message is None else message_codebook(cb, message)
+        unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        rng = np.random.default_rng(13)
+        misses = sum(int(np.count_nonzero((sample_sphere(8, block, rng) @ unit.T).max(axis=1)
+                                          < math.cos(t0)))
+                     for block in (1000, 1000, 500))
+        assert 0 < misses < 2500
+        assert (est.misses, est.probes) == (misses, 2500)
 
     def test_probe_count_validated(self):
         cb = _manual_circle_codebook([0.0])

@@ -9,6 +9,7 @@ from gausshelp.converse import (
     check_budget,
     converse_rate_bound,
     correlation_budget,
+    correlation_profile,
     empirical_correlations,
     estimator_slack,
 )
@@ -74,6 +75,18 @@ class TestEmpiricalCorrelations:
         prof = empirical_correlations(records)
         assert prof.per_index_rho[0] == 0.0
         assert prof.per_index_rho[1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_array_form_equals_the_pair_form(self):
+        rng = np.random.default_rng(6)
+        records = self._records(rng, 300, 4, 0.3)
+        xs, zs = (np.stack([r[i] for r in records]) for i in (0, 1))
+        prof = correlation_profile(xs, zs)
+        assert np.array_equal(prof.per_index_rho, empirical_correlations(records).per_index_rho)
+        assert prof.trials == 300
+        with pytest.raises(ValueError):
+            correlation_profile(xs[:1], zs[:1])
+        with pytest.raises(ValueError):
+            correlation_profile(xs, zs[:, :3])
 
     def test_needs_two_records(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,10 @@ import pytest
 
 from gausshelp.capacity import ChannelParams, capacity_cognizant
 from gausshelp.feedback import FeedbackConfig
+from gausshelp import harness
 from gausshelp.harness import (
     CSV_COLUMNS,
+    WORKERS_ENV,
     ConfigError,
     SweepSpec,
     cell_config,
@@ -149,6 +151,37 @@ class TestSweep:
         emit_csv(run_sweep(spec, workers=1), a, zero_walltime=True)
         emit_csv(run_sweep(spec, workers=3), b, zero_walltime=True)
         assert a.getvalue() == b.getvalue()
+
+    def test_default_workers_follow_the_cpu_affinity(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        spec = SweepSpec(snr=(3.0,), helper_rate=(0.5,), blocklength=(8, 12),
+                         rate_fraction=(0.5,), trials=5, base_seed=2)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        run_sweep(spec)  # pinned to 2 of 64 CPUs: 2 workers
+        monkeypatch.setenv(WORKERS_ENV, "3")
+        run_sweep(spec)
+        run_sweep(spec, workers=4)
+        monkeypatch.delenv(WORKERS_ENV)
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        run_sweep(spec)  # no affinity call on this OS: the CPU count
+        assert pools == [2, 3, 4, 64]
 
     def test_oversized_cell_skipped(self, caplog):
         spec = SweepSpec(snr=(3.0,), helper_rate=(0.5, 4.0), blocklength=(12,),
