@@ -22,7 +22,6 @@ from .codebook import (
     derive_seed,
     derive_seeds,
     generators,
-    haar_reflectors,
     haar_rotation,
     haar_rotations,
     message_codebook,
@@ -47,7 +46,7 @@ from .geometry import (
 )
 from .harness import SweepSpec, emit_csv, parse_config, run_sweep
 from .results import SimSummary, TrialRecord, wilson_interval
-from .scheme import SchemeConfig, config_from_rates, decode, helper_select, run_trial, \
-    simulate, transmit
+from .scheme import STREAM_CONTRACT, SchemeConfig, config_from_rates, decode, helper_select, \
+    run_trial, simulate, transmit
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,7 +9,6 @@ codebook's base seed, so the whole pipeline is a pure function of its seeds.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,23 +129,6 @@ def generators(seeds) -> list:
     return [np.random.Generator(np.random.PCG64(_SeedState(s))) for s in states]
 
 
-def _gaussian_stack(n: int, seeds) -> np.ndarray:
-    """An IID standard-normal n x n matrix from each seed's own generator, stacked."""
-    if n < 2:
-        raise ValueError(f"rotation dimension must be at least 2, got {n}")
-    g = np.empty((len(seeds), n, n))
-    for row, rng in zip(g, generators(seeds)):
-        rng.standard_normal(out=row)
-    return g
-
-
-def _diagonal_signs(r: np.ndarray) -> np.ndarray:
-    # sign(diag R) per matrix, with 0 counted as positive.
-    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    d[d == 0] = 1.0
-    return d
-
-
 def haar_rotations(n: int, seeds) -> np.ndarray:
     """Haar-uniform n x n orthogonal matrices, one per seed, as a (len(seeds), n, n) stack.
 
@@ -155,48 +137,16 @@ def haar_rotations(n: int, seeds) -> np.ndarray:
     and the Q factor Haar-distributed.  The QR runs once over the whole stack;
     each matrix is bitwise the one a single-seed call gives.
     """
-    q, r = np.linalg.qr(_gaussian_stack(n, seeds))
-    return q * _diagonal_signs(r)[:, None, :]
-
-
-@dataclass(frozen=True)
-class HaarReflectors:
-    """The rotations R = Q D of haar_rotations, kept as their Householder reflectors.
-
-    Q = H_0 H_1 ... H_{n-1} with H_i = I - tau_i v_i v_i^T, where v_i is
-    zero before entry i, one at it, and LAPACK geqrf's reflector below it;
-    D = diag(sign).  Applying R or R^T to a vector takes n rank-one steps,
-    so Q is never formed (no orgqr).
-    """
-
-    v: np.ndarray  # (k, n, n): row i of matrix j holds v_i from entry i on
-    tau: np.ndarray  # (k, n)
-    sign: np.ndarray  # (k, n): the diagonal of D
-
-    def _reflect(self, w: np.ndarray, order) -> np.ndarray:
-        for i in order:
-            vi, wi = self.v[:, i, i:], w[:, i:]
-            s = np.einsum("kj,kj->k", vi, wi) * self.tau[:, i]
-            wi -= s[:, None] * vi
-        return w
-
-    def transpose_apply(self, z: np.ndarray) -> np.ndarray:
-        """R_j^T z_j for each row j of z: D H_{n-1} ... H_0 z."""
-        return self._reflect(z.copy(), range(self.v.shape[1])) * self.sign
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """R_j x_j for each row j of x: H_0 ... H_{n-1} D x."""
-        return self._reflect(x * self.sign, reversed(range(self.v.shape[1])))
-
-
-def haar_reflectors(n: int, seeds) -> HaarReflectors:
-    """haar_rotations(n, seeds) as reflectors: the same draw, geqrf and sign(diag R)."""
-    h, tau = np.linalg.qr(_gaussian_stack(n, seeds), mode="raw")
-    v = np.ascontiguousarray(h)  # numpy returns geqrf's output transposed: v_i in row i
-    sign = _diagonal_signs(v)
-    diag = np.arange(n)
-    v[:, diag, diag] = 1.0
-    return HaarReflectors(v, tau, sign)
+    if n < 2:
+        raise ValueError(f"rotation dimension must be at least 2, got {n}")
+    g = np.empty((len(seeds), n, n))
+    for row, rng in zip(g, generators(seeds)):
+        rng.standard_normal(out=row)
+    q, r = np.linalg.qr(g)
+    # sign(diag R) per matrix, with 0 counted as positive.
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    d[d == 0] = 1.0
+    return q * d[:, None, :]
 
 
 def haar_rotation(n: int, seed: int) -> np.ndarray:
@@ -229,16 +179,9 @@ class HelperCodebook:
 
     def rotations(self, messages) -> np.ndarray:
         """Stacked rotations of several messages, (len(messages), n, n)."""
-        return haar_rotations(self.blocklength, self._seeds(messages))
-
-    def reflectors(self, messages) -> HaarReflectors:
-        """The same rotations as rotations(messages), kept as Householder reflectors."""
-        return haar_reflectors(self.blocklength, self._seeds(messages))
-
-    def _seeds(self, messages) -> np.ndarray:
         if any(m < 0 for m in messages):
             raise ValueError(f"message indices must be nonnegative, got {min(messages)}")
-        return derive_seeds(self.rotation_seed_base, messages)
+        return haar_rotations(self.blocklength, derive_seeds(self.rotation_seed_base, messages))
 
 
 def build_base_codebook(n: int, ch: ChannelParams, rh: float, eps: float, seed: int) -> HelperCodebook:
@@ -321,31 +264,3 @@ def covering_deficiency(
     lo, hi = wilson_interval(misses, probes)
     return DeficiencyEstimate(misses / probes, lo, hi, probes, misses)
 
-
-_DUMP_MAGIC = b"GHCB"
-_DUMP_HEADER = struct.Struct("<4sIdQQ")  # magic, n, P, help_size, rotation seed
-
-
-def dump_codebook(cb: HelperCodebook, path) -> None:
-    """Write the codebook for reproducibility audits.
-
-    Layout: magic 'GHCB'; then little-endian header (n as uint32, P as
-    float64, help_size as uint64, rotation_seed_base as uint64); then the
-    base points row-major as float64.
-    """
-    with open(path, "wb") as fh:
-        fh.write(_DUMP_HEADER.pack(_DUMP_MAGIC, cb.blocklength, cb.power,
-                                   cb.help_size, cb.rotation_seed_base))
-        fh.write(np.ascontiguousarray(cb.base_points, dtype="<f8").tobytes())
-
-
-def load_codebook(path) -> HelperCodebook:
-    with open(path, "rb") as fh:
-        magic, n, power, help_size, seed_base = _DUMP_HEADER.unpack(fh.read(_DUMP_HEADER.size))
-        if magic != _DUMP_MAGIC:
-            raise ValueError(f"not a codebook dump: bad magic {magic!r}")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != help_size * n:
-        raise ValueError(f"truncated codebook dump: expected {help_size * n} floats, got {data.size}")
-    pts = data.reshape(help_size, n).astype(float)
-    return HelperCodebook(n, power, help_size, pts, seed_base)

@@ -168,10 +168,7 @@ def parse_config(text: str):
             rate = _parse_number("rate_bits", seen["rate_bits"][1], seen["rate_bits"][0], float)
             if rate <= 0:
                 raise ConfigError("rate_bits must be positive")
-        cell_eps = eps if eps is not None else (0.1 * rh if rh > 0 else 0.0)
-        cfg = config_from_rates(
-            blocklength[0], rate, rh, ch, seed, eps=cell_eps, trials=trials
-        )
+        cfg = config_from_rates(blocklength[0], rate, rh, ch, seed, eps=eps, trials=trials)
         if scheme == "feedback":
             return FeedbackConfig(inner=cfg), diagnostics
         return cfg, diagnostics
@@ -202,11 +199,10 @@ def cell_config(spec: SweepSpec, i_snr: int, i_rh: int, i_n: int, i_frac: int):
     frac = spec.rate_fraction[i_frac]
     ch = ChannelParams.from_snr(snr)
     rate = frac * capacity_cognizant(ch, rh)
-    eps = spec.eps if spec.eps is not None else (0.1 * rh if rh > 0 else 0.0)
     seed = spec.base_seed
     for coord in (i_snr, i_rh, i_n, i_frac):
         seed = derive_seed(seed, coord)
-    cfg = config_from_rates(n, rate, rh, ch, seed, eps=eps, trials=spec.trials)
+    cfg = config_from_rates(n, rate, rh, ch, seed, eps=spec.eps, trials=spec.trials)
     if spec.scheme == "feedback":
         return FeedbackConfig(inner=cfg)
     return cfg

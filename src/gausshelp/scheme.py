@@ -13,21 +13,23 @@ sphere, so given the decode angle alpha the probability that some competitor
 lands closer is 1 - (1 - c)^(M-1) with c the cap ratio at alpha.  The two
 decode routes are cross-checked against each other in the test suite.
 
-`simulate` runs its trials through one chunked engine (`run_trials`): per
-chunk of CHUNK_TRIALS trials it factors the rotations with one batched QR,
-scores every trial's noise against the base codebook with one tiled GEMM,
-and decodes exhaustively with one tiled GEMM over the rotation stack.  Both
-searches go through search.ScreenedSearch, which scores in float32 under a
-rigorous error bound and rescans in float64 only the rows the bound cannot
-decide, so its indices are exactly those of a float64 scan.  The analytic
-route never forms a rotation: it applies R^T to the noise through the QR's
-Householder reflectors (codebook.HaarReflectors) and, since rotations keep
-angles, takes the decode angle as angle(b_t, b_t + R^T z); R b_t is formed
-only when the input vectors are requested.  Each trial keeps its own random
-streams, so the engine reproduces `run_trial`, the per-trial reference
-implementation, trial for trial:
+`simulate` runs its trials through one chunked engine (`run_trials`) on
+stream contract STREAM_CONTRACT = 2.  The noise z is isotropic and
+independent of message m's rotation R_m, so w = R_m^T z is N(0, sigma^2 I)
+whatever the message; the engine draws w, the noise in the message's frame,
+instead of z.  The help index and angle (closest base point to w), the decode
+angle angle(b_t, b_t + w) and the noise energy |w|^2 then need no rotation.
+R_m is applied only where a result lives in the channel frame: the
+exhaustive decoder's y = R_m (b_t + w), from the candidate rotation stack,
+and the diagnostic vectors x = R_m b_t and z = R_m w.  Per chunk of
+CHUNK_TRIALS trials the helper search is one tiled GEMM against the base
+codebook and exhaustive decoding one tiled GEMM over the rotation stack, both
+through search.ScreenedSearch, which scores in float32 under a rigorous error
+bound and rescans in float64 only the rows the bound cannot decide.  Each
+trial keeps its own random streams, so the engine reproduces `run_trial`, the
+per-trial reference implementation, trial for trial:
 
-* trial i draws its noise from default_rng(derive_seed(noise_seed, i)), then
+* trial i draws w from default_rng(derive_seed(noise_seed, i)), then
   (analytic route) two uniforms from the same generator: the error draw and
   the wrong-message draw.  When M - 1 exceeds 2^53, the values a uniform
   double resolves, the wrong message is instead drawn uniformly by rejection
@@ -68,6 +70,9 @@ EXHAUSTIVE_HARD_LIMIT = 1 << 24
 CHUNK_TRIALS = 128
 
 _DECODERS = ("auto", "exhaustive", "analytic")
+
+# Version of the per-trial random streams documented in the module docstring.
+STREAM_CONTRACT = 2
 
 
 @dataclass(frozen=True)
@@ -217,14 +222,17 @@ def run_trial(cfg: SchemeConfig, cb: HelperCodebook, m: int, trial_seed: int,
               rotations=None, return_vectors=False):
     """One transmission: sample noise, select help, transmit, decode.
 
-    Deterministic given (cfg, cb, m, trial_seed).  `rotations` optionally
-    carries the precomputed candidate rotations for the exhaustive decoder.
+    Deterministic given (cfg, cb, m, trial_seed).  The noise is drawn in the
+    message's frame and rotated into the channel's, z = R_m w (stream
+    contract 2).  `rotations` optionally carries the precomputed candidate
+    rotations for the exhaustive decoder.
     """
     rng = np.random.default_rng(trial_seed)
     n = cfg.blocklength
-    z = rng.standard_normal(n) * math.sqrt(cfg.channel.noise_var)
+    w = rng.standard_normal(n) * math.sqrt(cfg.channel.noise_var)
 
     rot = cb.rotation(m)
+    z = rot @ w
     t, helper_angle = helper_select(cb, m, z, rotation=rot)
     x = transmit(cb, m, t, rotation=rot)
     y = x + z
@@ -348,47 +356,41 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
     for lo in range(0, trials, CHUNK_TRIALS):
         hi = min(lo + CHUNK_TRIALS, trials)
         ms = messages[lo:hi]
-        z = np.empty((hi - lo, n))
+        w = np.empty((hi - lo, n))
         u = np.empty((hi - lo, 2))
         rngs = generators(derive_seeds(cfg.noise_seed, range(lo, hi)))
         for j, rng in enumerate(rngs):
-            rng.standard_normal(out=z[j])
+            rng.standard_normal(out=w[j])
             if not exhaustive:
                 u[j] = rng.random(2)
-        z *= sigma
+        w *= sigma
 
-        # Helper: the base point closest in angle to w = R^T z.
-        if exhaustive:
-            rot = rotations[ms]
-            w = np.einsum("kji,kj->ki", rot, z)
-        else:
-            reflectors = cb.reflectors(ms)
-            w = reflectors.transpose_apply(z)
+        # Everything below is in message m's frame: the base codebook and w.
         t, best = helper.argmax(w)
-        nz = np.linalg.norm(z, axis=1)
-        cos = np.divide(best, scale * nz, out=np.ones(len(nz)), where=nz > 0)
+        noise_energy[lo:hi] = np.einsum("ki,ki->k", w, w)
+        nw = np.sqrt(noise_energy[lo:hi])
+        cos = np.divide(best, scale * nw, out=np.ones(len(nw)), where=nw > 0)
         helper_angle[lo:hi] = np.arccos(np.clip(cos, -1.0, 1.0))
         help_index[lo:hi] = t
         bt = cb.base_points[t]
-        noise_energy[lo:hi] = np.einsum("ki,ki->k", z, z)
+        decode_angle[lo:hi] = _row_angles(bt, bt + w)
 
+        # R_m only for results in the channel frame.
+        if exhaustive or vectors:
+            rot = rotations[ms] if exhaustive else cb.rotations(ms)
+        if vectors:
+            xs[lo:hi] = np.einsum("kij,kj->ki", rot, bt)
+            zs[lo:hi] = np.einsum("kij,kj->ki", rot, w)
         if exhaustive:
-            # Transmit x = R b_t; receive y = x + z.
-            x = np.einsum("kij,kj->ki", rot, bt)
-            y = x + z
-            decode_angle[lo:hi] = _row_angles(x, y)
-            # Score of m' is (R_m' b_t) . y = vec(R_m') . vec(y b_t^T).
+            # Receive y = R_m (b_t + w); the score of m' is
+            # (R_m' b_t) . y = vec(R_m') . vec(y b_t^T).
+            y = np.einsum("kij,kj->ki", rot, bt + w)
             found, _ = candidates.argmax((y[:, :, None] * bt[:, None, :]).reshape(hi - lo, n * n))
             decoded.extend(found.tolist())
         else:
-            # angle(x, x + z) = angle(b_t, b_t + R^T z): R is never formed.
-            decode_angle[lo:hi] = _row_angles(bt, bt + w)
-            x = reflectors.apply(bt) if vectors else None
             p_err = _analytic_error_probability(n, decode_angle[lo:hi], n_messages - 1)
             for rng, m, (u_err, u_wrong), p in zip(rngs, ms, u.tolist(), p_err.tolist()):
                 decoded.append(_wrong_message(rng, m, u_wrong, n_messages) if u_err < p else m)
-        if vectors:
-            xs[lo:hi], zs[lo:hi] = x, z
 
     return TrialColumns(
         message=messages,
@@ -453,9 +455,16 @@ def simulate(cfg: SchemeConfig, keep_records=False, diagnostics=False,
 
     `messages` overrides the equiprobable message draw (used to replay a
     specific message sequence); `diagnostics` additionally estimates the
-    per-index input/noise correlations across trials.
+    per-index input/noise correlations across trials.  The diagnostic input
+    and noise vectors, 2 * trials * n floats, are refused before anything is
+    drawn when they would exceed the codebook size cap (MAX_CODEBOOK_FLOATS).
     """
     t_start = time.perf_counter()
+    if diagnostics and 2 * cfg.trials * cfg.blocklength > MAX_CODEBOOK_FLOATS:
+        raise CodebookSizeError(
+            f"diagnostic vectors of {cfg.trials} trials in dimension {cfg.blocklength} "
+            "exceed the size cap"
+        )
     cb = build_codebook(cfg)
     rotations = candidate_rotations(cfg, cb)
     if messages is None:

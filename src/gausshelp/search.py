@@ -73,6 +73,31 @@ def _tile_rows(k: int) -> int:
     return max(1, TILE_FLOATS // k)
 
 
+def _best_two(a: np.ndarray, b: np.ndarray):
+    """Row-wise argmax, max and runner-up of a @ b.T over tiles of b's rows.
+
+    Scores stay in the operands' common dtype.  Ties break to the smallest index;
+    a runner-up equal to the max marks a tie.
+    """
+    k = a.shape[0]
+    rows = np.arange(k)
+    index = np.zeros(k, dtype=np.int64)
+    best = np.full(k, -np.inf, dtype=np.result_type(a, b))
+    second = np.full_like(best, -np.inf)
+    tile = _tile_rows(k)
+    for lo in range(0, b.shape[0], tile):
+        scores = a @ b[lo:lo + tile].T
+        i = scores.argmax(axis=1)
+        v = scores[rows, i]
+        scores[rows, i] = -np.inf
+        runner_up = scores.max(axis=1)
+        better = v > best
+        second = np.where(better, np.maximum(best, runner_up), np.maximum(second, v))
+        index[better] = i[better] + lo
+        best[better] = v[better]
+    return index, best, second
+
+
 def _argmax_f64(a: np.ndarray, b: np.ndarray, top: float | None = None):
     """Row-wise argmax and max of a @ b.T in float64, over tiles of b's rows.
 
@@ -91,21 +116,7 @@ def _argmax_f64(a: np.ndarray, b: np.ndarray, top: float | None = None):
     computed if not given.
     """
     k, d = a.shape
-    tile = _tile_rows(k)
-    rows = np.arange(k)
-    best_index = np.zeros(k, dtype=np.int64)
-    best = np.full(k, -np.inf)
-    second = np.full(k, -np.inf)
-    for lo in range(0, b.shape[0], tile):
-        scores = a @ b[lo:lo + tile].T
-        index = scores.argmax(axis=1)
-        value = scores[rows, index]
-        scores[rows, index] = -np.inf
-        runner_up = scores.max(axis=1, initial=-np.inf)
-        better = value > best
-        second = np.where(better, np.maximum(best, runner_up), np.maximum(second, value))
-        best_index[better] = index[better] + lo
-        best[better] = value[better]
+    best_index, best, second = _best_two(a, b)
     if top is None:
         top = float(_row_norms(b).max(initial=0.0))
     norms = _row_norms(a)
@@ -116,6 +127,7 @@ def _argmax_f64(a: np.ndarray, b: np.ndarray, top: float | None = None):
     if near.size:
         threshold = (best[near] - slack[near])[:, None]
         cand_row, cand_col = [], []
+        tile = _tile_rows(k)
         for lo in range(0, b.shape[0], tile):
             r, j = np.nonzero(a[near] @ b[lo:lo + tile].T >= threshold)
             cand_row.append(r)
@@ -159,21 +171,5 @@ class ScreenedSearch:
 
     def _screen(self, unit: np.ndarray):
         """float32 argmax of unit @ b32.T per row, and its lead over the runner-up."""
-        k = unit.shape[0]
-        a32 = unit.astype(np.float32)
-        rows = np.arange(k)
-        index = np.zeros(k, dtype=np.int64)
-        best = np.full(k, -np.inf, dtype=np.float32)
-        second = np.full(k, -np.inf, dtype=np.float32)
-        tile = _tile_rows(k)
-        for lo in range(0, self.b32.shape[0], tile):
-            scores = a32 @ self.b32[lo:lo + tile].T
-            i = scores.argmax(axis=1)
-            v = scores[rows, i]
-            scores[rows, i] = -np.inf
-            runner_up = scores.max(axis=1)
-            better = v > best
-            second = np.where(better, np.maximum(best, runner_up), np.maximum(second, v))
-            index[better] = i[better] + lo
-            best[better] = v[better]
+        index, best, second = _best_two(unit.astype(np.float32), self.b32)
         return index, best.astype(np.float64) - second

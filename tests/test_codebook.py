@@ -14,12 +14,9 @@ from gausshelp.codebook import (
     covering_deficiency,
     derive_seed,
     derive_seeds,
-    dump_codebook,
     generators,
-    haar_reflectors,
     haar_rotation,
     haar_rotations,
-    load_codebook,
     message_codebook,
     sample_sphere,
 )
@@ -121,6 +118,14 @@ class TestHaarRotation:
             q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
             assert np.array_equal(rot, q * np.where(np.diag(r) < 0, -1.0, 1.0))
 
+    def test_codebook_rotations_are_its_per_message_rotations(self):
+        cb = build_base_codebook(6, CH, 0.5, 0.1, seed=3)
+        messages = [0, 5, 2**70]
+        for m, rot in zip(messages, cb.rotations(messages)):
+            assert np.array_equal(rot, cb.rotation(m))
+        with pytest.raises(ValueError):
+            cb.rotations([-1])
+
     def test_image_of_basis_vector_is_uniform(self):
         # first coordinate of R e1 should match the uniform-on-sphere moments
         n, trials = 16, 3000
@@ -130,27 +135,6 @@ class TestHaarRotation:
         var_sq = 2.0 * (n - 1) / (n * n * (n + 2))  # Var[u1^2] on the sphere
         se_sq = math.sqrt(var_sq / trials)
         assert abs(np.mean(coords**2) - 1.0 / n) < 3.0 * se_sq
-
-
-class TestHaarReflectors:
-    @pytest.mark.parametrize("n", range(2, 41))
-    def test_products_match_the_rotation_stack(self, n):
-        seeds = derive_seeds(11, range(9))
-        rot = haar_rotations(n, seeds)
-        refl = haar_reflectors(n, seeds)
-        z = np.random.default_rng(n).standard_normal((9, n))
-        assert np.max(np.abs(refl.transpose_apply(z) - np.einsum("kji,kj->ki", rot, z))) < 1e-13
-        assert np.max(np.abs(refl.apply(z) - np.einsum("kij,kj->ki", rot, z))) < 1e-13
-
-    def test_codebook_reflectors_are_its_rotations(self):
-        cb = build_base_codebook(6, CH, 0.5, 0.1, seed=3)
-        messages = [0, 5, 2**70]
-        refl, rot = cb.reflectors(messages), cb.rotations(messages)
-        for j, e in enumerate(np.eye(6)):
-            column = refl.apply(np.tile(e, (3, 1)))
-            assert np.max(np.abs(column - rot[:, :, j])) < 1e-14
-        with pytest.raises(ValueError):
-            cb.reflectors([-1])
 
 
 class TestBuildBaseCodebook:
@@ -300,21 +284,3 @@ class TestCoveringDeficiency:
         with pytest.raises(ValueError):
             covering_deficiency(cb, 1.0, probes=0, seed=0)
 
-
-class TestDump:
-    def test_roundtrip(self, tmp_path):
-        cb = build_base_codebook(8, CH, 0.5, 0.1, seed=44)
-        path = tmp_path / "codebook.bin"
-        dump_codebook(cb, path)
-        back = load_codebook(path)
-        assert back.blocklength == cb.blocklength
-        assert back.power == cb.power
-        assert back.help_size == cb.help_size
-        assert back.rotation_seed_base == cb.rotation_seed_base
-        assert np.array_equal(back.base_points, cb.base_points)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a codebook dump at all, certainly")
-        with pytest.raises(ValueError):
-            load_codebook(path)

@@ -108,6 +108,15 @@ def test_oversized_rotation_stack_fails_fast():
     assert isinstance(_run_cell_safe((cfg, False)), CodebookSizeError)
 
 
+def test_oversized_diagnostic_vectors_fail_fast():
+    # 2 * 10^6 trials * 1024 floats would take about 16 GB; refused before
+    # anything is drawn, and a sweep turns the refusal into a skipped cell
+    cfg = config_from_rates(1024, 1.0, 0.0, CH, seed=1, trials=10**6)
+    with pytest.raises(CodebookSizeError, match="diagnostic vectors"):
+        simulate(cfg, diagnostics=True)
+    assert isinstance(_run_cell_safe((cfg, True)), CodebookSizeError)
+
+
 def test_golden_sweep_csv(tmp_path):
     """`gausshelp sweep --repro` on a cognizant and a feedback grid, byte for byte."""
     out = io.BytesIO()

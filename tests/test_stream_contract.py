@@ -1,0 +1,111 @@
+"""Stream contract 2 against the construction it replaced, in law.
+
+Contract 1 drew the noise z in the channel frame and undid message m's
+rotation, w = R_m^T z.  Contract 2 draws w directly.  Both give w ~
+N(0, sigma^2 I), so every per-trial outcome has the same law; the tests here
+rebuild contract 1 from explicit rotations and compare the two samples, and
+check that the analytic route of contract 2 forms no rotation at all.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from scipy.stats import ks_2samp
+
+from gausshelp import codebook
+from gausshelp.capacity import ChannelParams
+from gausshelp.codebook import derive_seed, derive_seeds, haar_rotations
+from gausshelp.geometry import cap_ratio_exact
+from gausshelp.results import wilson_interval
+from gausshelp.scheme import (
+    build_codebook,
+    candidate_rotations,
+    config_from_rates,
+    draw_messages,
+    exhaustive_route,
+    simulate,
+)
+
+CH = ChannelParams.from_snr(3.0)
+TRIALS = 4000
+
+
+def _angles(x, y):
+    cos = np.einsum("ki,ki->k", x, y) / (np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1))
+    return np.arccos(np.clip(cos, -1.0, 1.0))
+
+
+def contract_v1(cfg):
+    """Helper angle, decode angle, miss and error per trial, drawn the contract-1 way.
+
+    Trial i draws z, then (analytic route) the error uniform, from
+    default_rng(derive_seed(noise_seed, i)); w = R_m^T z with R_m from
+    explicit haar_rotations.
+    """
+    cb = build_codebook(cfg)
+    n, trials = cfg.blocklength, cfg.trials
+    n_messages = 1 << cfg.message_bits
+    messages = draw_messages(cfg)
+    sigma = np.sqrt(cfg.channel.noise_var)
+    z = np.empty((trials, n))
+    u_err = np.empty(trials)
+    for i, seed in enumerate(derive_seeds(cfg.noise_seed, range(trials))):
+        rng = np.random.default_rng(int(seed))
+        z[i] = rng.standard_normal(n) * sigma
+        u_err[i] = rng.random()
+    rot = haar_rotations(n, derive_seeds(cb.rotation_seed_base, messages))
+    w = np.einsum("kji,kj->ki", rot, z)
+
+    cos = (w @ cb.base_points.T) / (np.sqrt(n * cb.power) * np.linalg.norm(z, axis=1))[:, None]
+    t = cos.argmax(axis=1)
+    helper_angle = np.arccos(np.clip(cos[np.arange(trials), t], -1.0, 1.0))
+    x = np.einsum("kij,kj->ki", rot, cb.base_points[t])
+    y = x + z
+    decode_angle = _angles(x, y)
+    if exhaustive_route(cfg):
+        stack = candidate_rotations(cfg, cb)
+        decoded = np.array([int(np.argmax((stack @ cb.base_points[ti]) @ yi))
+                            for ti, yi in zip(t, y)])
+        error = decoded != np.array(messages)
+    else:
+        c = cap_ratio_exact(n, decode_angle)
+        error = u_err < -np.expm1((n_messages - 1) * np.log1p(-c))
+    return helper_angle, decode_angle, helper_angle > cfg.theta0_rad, error
+
+
+def assert_rates_agree(count_a, count_b, trials):
+    lo_a, hi_a = wilson_interval(int(count_a), trials)
+    lo_b, hi_b = wilson_interval(int(count_b), trials)
+    assert lo_a <= hi_b and lo_b <= hi_a, (count_a, count_b)
+
+
+@pytest.mark.parametrize("n, rate, seed", [(16, 1.2, 21), (10, 0.9, 22)],
+                         ids=["analytic-n16", "exhaustive-n10"])
+def test_v2_has_the_law_of_v1(n, rate, seed):
+    cfg = config_from_rates(n, rate, 0.5, CH, seed=seed, eps=0.1, trials=TRIALS)
+    assert exhaustive_route(cfg) == (n == 10)
+    v2 = simulate(cfg, keep_records=True).records
+    # an independent noise stream, so the two samples are independent
+    helper_angle, decode_angle, miss, error = contract_v1(
+        replace(cfg, noise_seed=derive_seed(cfg.noise_seed, 1)))
+
+    assert ks_2samp([r.helper_angle for r in v2], helper_angle).pvalue > 0.01
+    assert ks_2samp([r.decode_angle for r in v2], decode_angle).pvalue > 0.01
+    assert_rates_agree(sum(r.covering_miss for r in v2), miss.sum(), TRIALS)
+    assert_rates_agree(sum(r.error for r in v2), error.sum(), TRIALS)
+    assert 0 < error.sum() < TRIALS
+
+
+def test_analytic_route_forms_no_rotation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a rotation was formed")
+
+    monkeypatch.setattr(codebook, "haar_rotations", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    cfg = config_from_rates(16, 1.2, 0.5, CH, seed=21, eps=0.1, trials=300)
+    assert not exhaustive_route(cfg)
+    assert simulate(cfg).trials == 300
+    # the diagnostic vectors live in the channel frame, so they need R_m
+    with pytest.raises(RuntimeError, match="rotation was formed"):
+        simulate(cfg, diagnostics=True)
