@@ -137,6 +137,51 @@ class TestHaarRotation:
         assert abs(np.mean(coords**2) - 1.0 / n) < 3.0 * se_sq
 
 
+def _reflector_apply(n, seeds, x, transpose):
+    """R_j x_j (or R_j^T x_j) for each row j, with R = Q D kept as Householder reflectors.
+
+    An independent construction of haar_rotations: the same draw, LAPACK
+    geqrf's reflectors H_i = I - tau_i v_i v_i^T (Q = H_0 ... H_{n-1}) and
+    D = sign(diag R), applied in n rank-one steps without forming Q.
+    """
+    g = np.empty((len(seeds), n, n))
+    for row, rng in zip(g, generators(seeds)):
+        rng.standard_normal(out=row)
+    h, tau = np.linalg.qr(g, mode="raw")
+    v = np.ascontiguousarray(h)  # numpy returns geqrf's output transposed: v_i in row i
+    diag = np.arange(n)
+    sign = np.where(v[:, diag, diag] < 0, -1.0, 1.0)
+    v[:, diag, diag] = 1.0
+    w = x.copy() if transpose else x * sign
+    for i in range(n) if transpose else reversed(range(n)):
+        vi, wi = v[:, i, i:], w[:, i:]
+        wi -= (np.einsum("kj,kj->k", vi, wi) * tau[:, i])[:, None] * vi
+    return w * sign if transpose else w
+
+
+class TestHaarReflectors:
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_products_match_the_rotation_stack(self, n):
+        seeds = derive_seeds(11, range(9))
+        rot = haar_rotations(n, seeds)
+        z = np.random.default_rng(n).standard_normal((9, n))
+        refl_t = _reflector_apply(n, seeds, z, transpose=True)
+        refl = _reflector_apply(n, seeds, z, transpose=False)
+        assert np.max(np.abs(refl_t - np.einsum("kji,kj->ki", rot, z))) < 1e-13
+        assert np.max(np.abs(refl - np.einsum("kij,kj->ki", rot, z))) < 1e-13
+
+    def test_codebook_reflectors_are_its_rotations(self):
+        cb = build_base_codebook(6, CH, 0.5, 0.1, seed=3)
+        messages = [0, 5, 2**70]
+        seeds = derive_seeds(cb.rotation_seed_base, messages)
+        rot = cb.rotations(messages)
+        for j, e in enumerate(np.eye(6)):
+            column = _reflector_apply(6, seeds, np.tile(e, (3, 1)), transpose=False)
+            assert np.max(np.abs(column - rot[:, :, j])) < 1e-14
+        with pytest.raises(ValueError):
+            cb.rotations([-1])
+
+
 class TestBuildBaseCodebook:
     def test_in_place_scaling_is_bitwise_the_product(self):
         cb = build_base_codebook(8, CH, 0.5, 0.1, seed=9)
