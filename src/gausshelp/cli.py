@@ -72,6 +72,8 @@ def cli(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "workers", None) is not None and args.workers < 1:
+            parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     if args.command is None:

@@ -16,7 +16,10 @@ Config grammar (line oriented, ``key = value``, ``#`` comments)::
 All single values yield one SchemeConfig; any list yields a SweepSpec over
 the grid.  Every cell's seed is derived from (base seed, cell coordinates),
 so any cell is individually reproducible and results do not depend on
-scheduling or worker count.
+scheduling or worker count.  A worker pool receives the cells longest-first
+by `cell_work`, so the costliest cell does not start last and run alone
+(Graham's LPT rule); results and skip warnings are put back in sweep order,
+so the output does not depend on the dispatch order.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .capacity import ChannelParams, capacity_cognizant
 from .codebook import CodebookSizeError, derive_seed
 from .feedback import FeedbackConfig, QuantizationBoundaryError, simulate_feedback
 from .results import SimSummary
-from .scheme import SchemeConfig, config_from_rates, simulate
+from .scheme import SchemeConfig, config_from_rates, exhaustive_route, simulate
 
 log = logging.getLogger(__name__)
 
@@ -215,6 +218,26 @@ def run_cell(cfg, diagnostics=False) -> SimSummary:
     return simulate(cfg, diagnostics=diagnostics)
 
 
+def cell_work(cfg, diagnostics=False) -> int:
+    """Estimated work of one cell in flops-like units, from its config alone.
+
+    The helper search (trials * 2^helper_bits * n), for exhaustive decoding
+    the rotation stack (2^message_bits * n^3) and the candidate scan
+    (trials * 2^message_bits * n^2), and for diagnostics the per-trial
+    rotations (trials * n^3).  Python ints, so a cell too large to run, which
+    will be skipped, still has an exact estimate.
+    """
+    feedback = isinstance(cfg, FeedbackConfig)
+    inner = cfg.inner if feedback else cfg
+    n, trials = inner.blocklength, inner.trials
+    work = trials * (1 << inner.helper_bits) * n
+    if exhaustive_route(inner):
+        work += (1 << inner.message_bits) * n ** 2 * (n + trials)
+    if diagnostics and not feedback:
+        work += trials * n ** 3
+    return work
+
+
 def _run_cell_safe(args):
     cfg, diagnostics = args
     try:
@@ -235,8 +258,16 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
 
     Cells whose resources exceed the caps, or whose feedback run hits a
     quantization boundary, are skipped (with a logged reason); the sweep
-    continues.
+    continues.  With more than one worker the pool receives the cells in
+    order of decreasing `cell_work`; the summaries and the skip warnings
+    still come in sweep order, so the output is the same for every worker
+    count.
     """
+    if workers is None:
+        raw = os.environ.get(WORKERS_ENV, "0")  # 0: the default
+        if not (raw.isascii() and raw.isdigit()):
+            raise ValueError(f"{WORKERS_ENV} must be an integer >= 0, got {raw!r}")
+        workers = int(raw) or _usable_cpus()
     cells = []
     for i_snr in range(len(spec.snr)):
         for i_rh in range(len(spec.helper_rate)):
@@ -245,11 +276,12 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
                     cells.append((cell_config(spec, i_snr, i_rh, i_n, i_frac),
                                   spec.diagnostics))
 
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, 0)) or _usable_cpus()
     if workers > 1 and len(cells) > 1:
+        order = sorted(range(len(cells)), key=lambda i: -cell_work(*cells[i]))
+        outcomes = [None] * len(cells)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell_safe, cells))
+            for i, outcome in zip(order, pool.map(_run_cell_safe, [cells[i] for i in order])):
+                outcomes[i] = outcome
     else:
         outcomes = [_run_cell_safe(c) for c in cells]
 

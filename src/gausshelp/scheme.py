@@ -455,12 +455,14 @@ def simulate(cfg: SchemeConfig, keep_records=False, diagnostics=False,
 
     `messages` overrides the equiprobable message draw (used to replay a
     specific message sequence); `diagnostics` additionally estimates the
-    per-index input/noise correlations across trials.  The diagnostic input
-    and noise vectors, 2 * trials * n floats, are refused before anything is
-    drawn when they would exceed the codebook size cap (MAX_CODEBOOK_FLOATS).
+    per-index input/noise correlations across trials.  Diagnostics peak at
+    5 * trials * n floats: the input and noise vectors, then the centred
+    copies of both and a product in converse.correlation_profile.  A run
+    whose peak would exceed the codebook size cap (MAX_CODEBOOK_FLOATS) is
+    refused before anything is drawn.
     """
     t_start = time.perf_counter()
-    if diagnostics and 2 * cfg.trials * cfg.blocklength > MAX_CODEBOOK_FLOATS:
+    if diagnostics and 5 * cfg.trials * cfg.blocklength > MAX_CODEBOOK_FLOATS:
         raise CodebookSizeError(
             f"diagnostic vectors of {cfg.trials} trials in dimension {cfg.blocklength} "
             "exceed the size cap"

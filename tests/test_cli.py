@@ -5,7 +5,7 @@ import pytest
 from gausshelp.capacity import ChannelParams, capacity_cognizant
 from gausshelp.cli import cli
 from gausshelp.geometry import achievable_rate_threshold, cap_ratio_exact
-from gausshelp.harness import CSV_COLUMNS
+from gausshelp.harness import CSV_COLUMNS, WORKERS_ENV
 
 SINGLE_CONFIG = """
 snr = 3
@@ -129,6 +129,23 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert lines[1].split(",")[1] == "12"
         assert lines[2].split(",")[1] == "16"
+
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_workers_below_one_is_a_usage_error(self, capsys, tmp_path, workers):
+        path = tmp_path / "grid.conf"
+        path.write_text(SWEEP_CONFIG)
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path), "--workers", workers)
+        assert code == 1
+        assert "--workers" in err and out == ""
+
+    @pytest.mark.parametrize("raw", ["abc", "-2"])
+    def test_bad_workers_env_names_the_variable(self, capsys, tmp_path, monkeypatch, raw):
+        path = tmp_path / "grid.conf"
+        path.write_text(SWEEP_CONFIG)
+        monkeypatch.setenv(WORKERS_ENV, raw)
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 1
+        assert WORKERS_ENV in err and repr(raw) in err and out == ""
 
     def test_accepts_single_config(self, capsys, tmp_path):
         path = tmp_path / "run.conf"

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gausshelp import scheme
 from gausshelp.capacity import ChannelParams
 from gausshelp.cli import cli
 from gausshelp.codebook import CodebookSizeError, derive_seed
@@ -115,6 +116,20 @@ def test_oversized_diagnostic_vectors_fail_fast():
     with pytest.raises(CodebookSizeError, match="diagnostic vectors"):
         simulate(cfg, diagnostics=True)
     assert isinstance(_run_cell_safe((cfg, True)), CodebookSizeError)
+
+
+def test_diagnostics_cap_counts_the_correlation_peak(monkeypatch):
+    # 200 trials at n = 16 under a cap of 10^4 floats: the vectors alone
+    # (2 * 200 * 16 = 6400) fit, the peak with correlation_profile's centred
+    # copies and product (5 * 200 * 16 = 16000) does not.  Refused before the
+    # codebook is built, and nothing large is allocated either way.
+    def drawn(cfg):
+        raise AssertionError("drew before the size check")
+
+    monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", 10_000)
+    monkeypatch.setattr(scheme, "build_codebook", drawn)
+    with pytest.raises(CodebookSizeError, match="diagnostic vectors"):
+        simulate(analytic_config(200), diagnostics=True)
 
 
 def test_golden_sweep_csv(tmp_path):

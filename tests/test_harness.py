@@ -12,6 +12,7 @@ from gausshelp.harness import (
     ConfigError,
     SweepSpec,
     cell_config,
+    cell_work,
     emit_csv,
     parse_config,
     run_cell,
@@ -183,23 +184,90 @@ class TestSweep:
         run_sweep(spec)  # no affinity call on this OS: the CPU count
         assert pools == [2, 3, 4, 64]
 
+    def test_env_workers_must_be_a_nonnegative_integer(self, monkeypatch):
+        spec = SweepSpec(snr=(3.0,), helper_rate=(0.5,), blocklength=(8,),
+                         rate_fraction=(0.5,), trials=5, base_seed=2)
+        for raw in ("abc", "-2", "1.5", ""):
+            monkeypatch.setenv(WORKERS_ENV, raw)
+            with pytest.raises(ValueError, match=WORKERS_ENV):
+                run_sweep(spec)
+        monkeypatch.setenv(WORKERS_ENV, "0")  # 0: the default
+        assert len(run_sweep(spec)) == 1
+
+    def test_pool_receives_cells_longest_first(self, monkeypatch):
+        received = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                received.extend(items)
+                return map(fn, items)
+
+        spec = SweepSpec(snr=(1.0, 3.0), helper_rate=(0.5,), blocklength=(8, 12),
+                         rate_fraction=(0.4, 0.7), trials=5, base_seed=4, scheme="feedback")
+        serial = io.StringIO()
+        emit_csv(run_sweep(spec, workers=1), serial, zero_walltime=True)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        pooled = io.StringIO()
+        emit_csv(run_sweep(spec, workers=2), pooled, zero_walltime=True)
+        work = [cell_work(*cell) for cell in received]
+        assert len(work) == 8
+        assert work == sorted(work, reverse=True) and work[0] > work[-1]
+        assert pooled.getvalue() == serial.getvalue()  # summaries back in sweep order
+
+    def test_feedback_sweep_grid_ranks_the_4096_message_cell_first(self):
+        # the benchmark's feedback-sweep grid: the n = 16 exhaustive cell with
+        # 2^12 messages is 11th of 12 in sweep order
+        spec = SweepSpec(snr=(1.0, 3.0), helper_rate=(0.5,), blocklength=(8, 12, 16),
+                         rate_fraction=(0.4, 0.7), trials=300, base_seed=7, scheme="feedback")
+        cells = [cell_config(spec, i_snr, 0, i_n, i_frac)
+                 for i_snr in range(2) for i_n in range(3) for i_frac in range(2)]
+        first = max(cells, key=cell_work)
+        assert cells.index(first) == 10
+        assert (first.inner.blocklength, first.inner.message_bits) == (16, 12)
+
+    def test_pooled_skips_are_logged_in_sweep_order(self, caplog):
+        # 2^48 and 2^64 helper points: both cells skipped, and the costlier
+        # n = 16 one goes to the pool first
+        spec = SweepSpec(snr=(3.0,), helper_rate=(0.5, 4.0), blocklength=(12, 16),
+                         rate_fraction=(0.5,), trials=20, base_seed=1)
+        with caplog.at_level("WARNING"):
+            summaries = run_sweep(spec, workers=2)
+        assert [s.blocklength for s in summaries] == [12, 16]
+        skips = [rec.message for rec in caplog.records if "skipped" in rec.message]
+        assert len(skips) == 2  # each with its own cell's reason
+        assert "n=12" in skips[0] and f"{1 << 48} points in dimension 12" in skips[0]
+        assert "n=16" in skips[1] and f"{1 << 64} points in dimension 16" in skips[1]
+
     def test_oversized_cell_skipped(self, caplog):
         spec = SweepSpec(snr=(3.0,), helper_rate=(0.5, 4.0), blocklength=(12,),
                          rate_fraction=(0.5,), trials=20, base_seed=1)
-        with caplog.at_level("WARNING"):
-            summaries = run_sweep(spec, workers=1)
-        assert len(summaries) == 1  # the 2^48-point codebook cell is dropped
-        assert any("skipped" in rec.message for rec in caplog.records)
+        for workers in (1, 2):
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                summaries = run_sweep(spec, workers=workers)
+            assert len(summaries) == 1  # the 2^48-point codebook cell is dropped
+            assert any("skipped" in rec.message for rec in caplog.records)
 
     def test_quantization_boundary_cell_skipped(self, caplog):
         # 52 message bits at n = 48: the time-zero identity fails in floating point
         spec = SweepSpec(snr=(3.0,), helper_rate=(0.25,), blocklength=(12, 48),
                          rate_fraction=(0.7,), trials=300, base_seed=1, scheme="feedback")
-        with caplog.at_level("WARNING"):
-            summaries = run_sweep(spec, workers=1)
-        assert [s.blocklength for s in summaries] == [12]
-        (skip,) = [rec.message for rec in caplog.records if "skipped" in rec.message]
-        assert "n=48" in skip and "QuantizationBoundaryError" in skip and "trial" in skip
+        for workers in (1, 2):
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                summaries = run_sweep(spec, workers=workers)
+            assert [s.blocklength for s in summaries] == [12]
+            (skip,) = [rec.message for rec in caplog.records if "skipped" in rec.message]
+            assert "n=48" in skip and "QuantizationBoundaryError" in skip and "trial" in skip
 
     def test_cell_rate_tracks_capacity(self):
         spec, _ = parse_config(SWEEP)
