@@ -36,6 +36,38 @@ def correlation_budget(n: int, rh: float) -> float:
     return n * (1.0 - 2.0 ** (-2.0 * rh))
 
 
+class CorrelationSums:
+    """Running per-index sums of x, z, x^2, z^2 and x*z: a profile in O(n) memory.
+
+    Rows are shifted by the first row added (Chan, Golub & LeVeque 1979), so
+    a large common offset does not cancel catastrophically.
+    """
+
+    def __init__(self):
+        self.trials, self.sums, self.shift = 0, 0.0, None
+
+    def add(self, xs: np.ndarray, zs: np.ndarray) -> None:
+        """Add the (trials, n) inputs xs and noises zs, one row per trial."""
+        if self.trials == 0:
+            self.shift = xs[:1].copy(), zs[:1].copy()
+        xs, zs = xs - self.shift[0], zs - self.shift[1]
+        self.sums += np.stack([xs, zs, xs * xs, zs * zs, xs * zs]).sum(axis=1)
+        self.trials += len(xs)
+
+    def profile(self) -> CorrelationProfile:
+        """Per-index sample correlation coefficients of the trials added."""
+        if self.trials < 2:
+            raise ValueError(f"need at least 2 trials, got {self.trials}")
+        mean_x, mean_z, mean_xx, mean_zz, mean_xz = self.sums / self.trials
+        var_x = mean_xx - mean_x * mean_x
+        var_z = mean_zz - mean_z * mean_z
+        cov = mean_xz - mean_x * mean_z
+        rho = np.zeros(len(cov))
+        ok = (var_x > _VAR_FLOOR) & (var_z > _VAR_FLOOR)
+        rho[ok] = np.clip(cov[ok] / np.sqrt(var_x[ok] * var_z[ok]), -1.0, 1.0)
+        return CorrelationProfile(per_index_rho=rho, trials=self.trials)
+
+
 def empirical_correlations(records) -> CorrelationProfile:
     """Per-index sample correlation coefficients from (x, z) vector pairs."""
     if len(records) < 2:
@@ -46,19 +78,11 @@ def empirical_correlations(records) -> CorrelationProfile:
 
 def correlation_profile(xs: np.ndarray, zs: np.ndarray) -> CorrelationProfile:
     """Per-index sample correlation coefficients from stacked (trials, n) inputs and noises."""
-    if len(xs) < 2:
-        raise ValueError(f"need at least 2 trials, got {len(xs)}")
     if xs.shape != zs.shape:
         raise ValueError(f"inconsistent record shapes {xs.shape} vs {zs.shape}")
-    xc = xs - xs.mean(axis=0)
-    zc = zs - zs.mean(axis=0)
-    var_x = (xc * xc).mean(axis=0)
-    var_z = (zc * zc).mean(axis=0)
-    cov = (xc * zc).mean(axis=0)
-    rho = np.zeros(xs.shape[1])
-    ok = (var_x > _VAR_FLOOR) & (var_z > _VAR_FLOOR)
-    rho[ok] = np.clip(cov[ok] / np.sqrt(var_x[ok] * var_z[ok]), -1.0, 1.0)
-    return CorrelationProfile(per_index_rho=rho, trials=len(xs))
+    sums = CorrelationSums()
+    sums.add(xs, zs)
+    return sums.profile()
 
 
 def converse_rate_bound(ch: ChannelParams, rh: float) -> float:

@@ -11,7 +11,7 @@ Config grammar (line oriented, ``key = value``, ``#`` comments)::
     trials           = 10000        # default 10000
     seed             = 1            # base seed, default 1
     scheme           = cognizant    # or feedback
-    diagnostics      = off          # or on
+    diagnostics      = off          # or on (cognizant only, trials >= 2)
 
 All single values yield one SchemeConfig; any list yields a SweepSpec over
 the grid.  Every cell's seed is derived from (base seed, cell coordinates),
@@ -56,6 +56,16 @@ class ConfigError(ValueError):
     """A config file failed to parse or violated a constraint."""
 
 
+def _check_run(trials: int, scheme: str, diagnostics: bool) -> None:
+    """Refuse a trial count or a diagnostics request that no run can honour."""
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
+    if diagnostics and scheme == "feedback":
+        raise ConfigError("diagnostics = on needs scheme = cognizant, got scheme = feedback")
+    if diagnostics and trials < 2:
+        raise ConfigError(f"diagnostics = on needs trials of at least 2, got trials = {trials}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid of experiment cells over (snr, helper rate, blocklength, rate fraction)."""
@@ -76,6 +86,7 @@ class SweepSpec:
                 raise ConfigError(f"{name} values must be nonempty")
         if any(f <= 0 for f in self.rate_fraction):
             raise ConfigError("rate_fraction values must be positive")
+        _check_run(self.trials, self.scheme, self.diagnostics)
 
 
 _LIST_KEYS = ("snr", "helper_rate_bits", "blocklength", "rate_fraction")
@@ -163,6 +174,7 @@ def parse_config(text: str):
         rate_fraction is None or len(rate_fraction) == 1
     )
     if single:
+        _check_run(trials, scheme, diagnostics)
         rh = helper_rate[0]
         ch = ChannelParams.from_snr(snr[0])
         if rate_fraction is not None:
@@ -214,6 +226,8 @@ def cell_config(spec: SweepSpec, i_snr: int, i_rh: int, i_n: int, i_frac: int):
 def run_cell(cfg, diagnostics=False) -> SimSummary:
     """Run one experiment cell (module-level so worker processes can pickle it)."""
     if isinstance(cfg, FeedbackConfig):
+        if diagnostics:
+            raise ValueError("correlation diagnostics need the cognizant scheme")
         return simulate_feedback(cfg)
     return simulate(cfg, diagnostics=diagnostics)
 
@@ -227,13 +241,12 @@ def cell_work(cfg, diagnostics=False) -> int:
     rotations (trials * n^3).  Python ints, so a cell too large to run, which
     will be skipped, still has an exact estimate.
     """
-    feedback = isinstance(cfg, FeedbackConfig)
-    inner = cfg.inner if feedback else cfg
+    inner = cfg.inner if isinstance(cfg, FeedbackConfig) else cfg
     n, trials = inner.blocklength, inner.trials
     work = trials * (1 << inner.helper_bits) * n
     if exhaustive_route(inner):
         work += (1 << inner.message_bits) * n ** 2 * (n + trials)
-    if diagnostics and not feedback:
+    if diagnostics:
         work += trials * n ** 3
     return work
 

@@ -10,7 +10,7 @@ import numpy as np
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95):
+def wilson_interval(successes: int, trials: int):
     """Wilson score confidence interval for a binomial proportion.
 
     Clamped so that ci_low <= successes/trials <= ci_high holds exactly: the
@@ -22,10 +22,10 @@ def wilson_interval(successes: int, trials: int, z: float = Z95):
     if trials == 0:
         return (math.nan, math.nan)
     p = successes / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = p + z2 / (2.0 * trials)
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
+    half = Z95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
     return (min(p, max(0.0, (center - half) / denom)),
             max(p, min(1.0, (center + half) / denom)))
 
@@ -49,8 +49,7 @@ class TrialColumns:
     """Per-trial outcomes of a run, one column per TrialRecord field.
 
     Messages and decoded messages are lists of Python ints (message spaces
-    may be wider than 64 bits); the rest are numpy arrays.  `x` and `z` hold
-    the stacked input and noise vectors when they were requested.
+    may be wider than 64 bits); the rest are numpy arrays.
     """
 
     message: list
@@ -61,8 +60,6 @@ class TrialColumns:
     covering_miss: np.ndarray
     decoded: list
     error: np.ndarray
-    x: np.ndarray | None = None
-    z: np.ndarray | None = None
 
     def records(self) -> list[TrialRecord]:
         columns = [getattr(self, f.name) for f in fields(TrialRecord)]

@@ -21,7 +21,7 @@ instead of z.  The help index and angle (closest base point to w), the decode
 angle angle(b_t, b_t + w) and the noise energy |w|^2 then need no rotation.
 R_m is applied only where a result lives in the channel frame: the
 exhaustive decoder's y = R_m (b_t + w), from the candidate rotation stack,
-and the diagnostic vectors x = R_m b_t and z = R_m w.  Per chunk of
+and the diagnostics' x = R_m b_t and z = R_m w, summed per index.  Per chunk of
 CHUNK_TRIALS trials the helper search is one tiled GEMM against the base
 codebook and exhaustive decoding one tiled GEMM over the rotation stack, both
 through search.ScreenedSearch, which scores in float32 under a rigorous error
@@ -55,6 +55,7 @@ import numpy as np
 from .capacity import ChannelParams, capacity_cognizant
 from .codebook import (MAX_CODEBOOK_FLOATS, CodebookSizeError, HelperCodebook,
                        build_base_codebook, derive_seed, derive_seeds, generators)
+from .converse import CorrelationSums
 from .geometry import (COS_CLAMP_TOL, achievable_rate_threshold, angle_between,
                        cap_ratio_exact, theta0)
 from .results import SimSummary, TrialColumns, TrialRecord, wilson_interval
@@ -127,7 +128,7 @@ class SchemeConfig:
 
 
 def config_from_rates(n, rate_bits, helper_rate_bits, channel, seed,
-                      eps=None, trials=10000, decoder="auto") -> SchemeConfig:
+                      eps=None, trials=10000) -> SchemeConfig:
     """Convenience constructor: integer bit counts and sub-seeds from one base seed."""
     if eps is None:
         eps = 0.1 * helper_rate_bits
@@ -141,7 +142,6 @@ def config_from_rates(n, rate_bits, helper_rate_bits, channel, seed,
         noise_seed=derive_seed(seed, 2),
         message_seed=derive_seed(seed, 3),
         trials=trials,
-        decoder=decoder,
         base_seed=seed,
     )
 
@@ -330,12 +330,12 @@ def _row_angles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
-               vectors=False) -> TrialColumns:
+               correlations: CorrelationSums | None = None) -> TrialColumns:
     """Trial i sends messages[i]; the batched equivalent of run_trial per trial.
 
     Runs CHUNK_TRIALS trials at a time on the per-trial streams documented in
-    the module docstring.  `rotations` is candidate_rotations(cfg, cb).  With
-    `vectors`, the columns also carry the stacked input and noise vectors.
+    the module docstring.  `rotations` is candidate_rotations(cfg, cb).  Each
+    chunk's inputs and noises, if wanted, are added to `correlations`, not kept.
     """
     messages = list(messages)
     trials, n = len(messages), cfg.blocklength
@@ -347,8 +347,6 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
     help_index = np.empty(trials, dtype=np.int64)
     helper_angle, decode_angle, noise_energy = np.empty(trials), np.empty(trials), np.empty(trials)
     decoded = []
-    xs = np.empty((trials, n)) if vectors else None
-    zs = np.empty((trials, n)) if vectors else None
     helper = ScreenedSearch(cb.base_points)
     if exhaustive:
         candidates = ScreenedSearch(rotations.reshape(n_messages, n * n))
@@ -376,11 +374,10 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
         decode_angle[lo:hi] = _row_angles(bt, bt + w)
 
         # R_m only for results in the channel frame.
-        if exhaustive or vectors:
+        if exhaustive or correlations is not None:
             rot = rotations[ms] if exhaustive else cb.rotations(ms)
-        if vectors:
-            xs[lo:hi] = np.einsum("kij,kj->ki", rot, bt)
-            zs[lo:hi] = np.einsum("kij,kj->ki", rot, w)
+        if correlations is not None:
+            correlations.add(np.einsum("kij,kj->ki", rot, bt), np.einsum("kij,kj->ki", rot, w))
         if exhaustive:
             # Receive y = R_m (b_t + w); the score of m' is
             # (R_m' b_t) . y = vec(R_m') . vec(y b_t^T).
@@ -401,14 +398,11 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
         covering_miss=helper_angle > cfg.theta0_rad,
         decoded=decoded,
         error=np.fromiter((d != m for d, m in zip(decoded, messages)), bool, trials),
-        x=xs,
-        z=zs,
     )
 
 
 def summarize(cfg: SchemeConfig, cols: TrialColumns, wall_time_s, scheme="cognizant",
-              corr_sum=math.nan, corr_profile=None, keep_records=False,
-              boundary_events=0) -> SimSummary:
+              corr_profile=None, keep_records=False, boundary_events=0) -> SimSummary:
     """Aggregate trial columns into a SimSummary (exact integer accounting)."""
     trials = len(cols.error)
     errors = int(np.count_nonzero(cols.error))
@@ -437,7 +431,7 @@ def summarize(cfg: SchemeConfig, cols: TrialColumns, wall_time_s, scheme="cogniz
         ci_high=hi,
         mean_helper_angle=float(np.mean(cols.helper_angle)),
         mean_decode_angle=float(np.mean(cols.decode_angle)),
-        corr_sum=corr_sum,
+        corr_sum=float(np.sum(corr_profile.per_index_rho ** 2)) if corr_profile else math.nan,
         corr_budget=cfg.blocklength * (1.0 - 2.0 ** (-2.0 * rh)),
         capacity_bits=capacity_cognizant(ch, rh),
         threshold_bits=threshold,
@@ -455,18 +449,10 @@ def simulate(cfg: SchemeConfig, keep_records=False, diagnostics=False,
 
     `messages` overrides the equiprobable message draw (used to replay a
     specific message sequence); `diagnostics` additionally estimates the
-    per-index input/noise correlations across trials.  Diagnostics peak at
-    5 * trials * n floats: the input and noise vectors, then the centred
-    copies of both and a product in converse.correlation_profile.  A run
-    whose peak would exceed the codebook size cap (MAX_CODEBOOK_FLOATS) is
-    refused before anything is drawn.
+    per-index input/noise correlations across trials, from running sums that
+    take O(n) memory whatever the trial count.
     """
     t_start = time.perf_counter()
-    if diagnostics and 5 * cfg.trials * cfg.blocklength > MAX_CODEBOOK_FLOATS:
-        raise CodebookSizeError(
-            f"diagnostic vectors of {cfg.trials} trials in dimension {cfg.blocklength} "
-            "exceed the size cap"
-        )
     cb = build_codebook(cfg)
     rotations = candidate_rotations(cfg, cb)
     if messages is None:
@@ -474,17 +460,9 @@ def simulate(cfg: SchemeConfig, keep_records=False, diagnostics=False,
     elif len(messages) != cfg.trials:
         raise ValueError(f"need {cfg.trials} messages, got {len(messages)}")
 
-    cols = run_trials(cfg, cb, messages, rotations, vectors=diagnostics)
-
-    corr_sum = math.nan
-    profile = None
-    if diagnostics:
-        from .converse import correlation_profile
-
-        profile = correlation_profile(cols.x, cols.z)
-        corr_sum = float(np.sum(profile.per_index_rho ** 2))
-
+    sums = CorrelationSums() if diagnostics else None
+    cols = run_trials(cfg, cb, messages, rotations, sums)
     return summarize(
         cfg, cols, time.perf_counter() - t_start,
-        corr_sum=corr_sum, corr_profile=profile, keep_records=keep_records,
+        corr_profile=sums.profile() if diagnostics else None, keep_records=keep_records,
     )

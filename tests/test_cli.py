@@ -116,6 +116,22 @@ class TestSimulateCommand:
         assert code == 2
         assert "sweep" in err
 
+    def test_feedback_diagnostics_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "fb.conf"
+        path.write_text(SINGLE_CONFIG + "scheme = feedback\ndiagnostics = on\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 2
+        assert "config error" in err and "scheme" in err and "diagnostics" in err
+        assert out == ""
+
+    def test_zero_trials_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "zero.conf"
+        path.write_text(SINGLE_CONFIG.replace("trials = 30", "trials = 0"))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 2
+        assert "config error" in err and "trials" in err
+        assert out == ""
+
 
 class TestSweepCommand:
     def test_two_rows(self, capsys, tmp_path):
@@ -153,6 +169,26 @@ class TestSweepCommand:
         code, out, _ = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 0
         assert len(out.strip().split("\n")) == 2
+
+    @pytest.mark.parametrize("extra, named", [
+        ("scheme = feedback\ndiagnostics = on\n", ("scheme", "diagnostics")),
+        ("diagnostics = on\n", ("trials", "diagnostics")),
+    ])
+    def test_grid_that_cannot_run_exits_two(self, capsys, tmp_path, extra, named):
+        path = tmp_path / "grid.conf"
+        path.write_text(SWEEP_CONFIG.replace("trials = 20", "trials = 1") + extra)
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path), "--workers", "1")
+        assert code == 2
+        assert "config error" in err and all(key in err for key in named)
+        assert out == ""
+
+    def test_zero_trials_grid_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "grid.conf"
+        path.write_text(SWEEP_CONFIG.replace("trials = 20", "trials = 0"))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path), "--workers", "1")
+        assert code == 2
+        assert "config error" in err and "trials" in err
+        assert out == ""
 
 
 class TestDiagnoseCommand:

@@ -6,6 +6,7 @@ import pytest
 from gausshelp.capacity import ChannelParams, capacity_cognizant
 from gausshelp.converse import (
     CorrelationProfile,
+    CorrelationSums,
     check_budget,
     converse_rate_bound,
     correlation_budget,
@@ -87,6 +88,22 @@ class TestEmpiricalCorrelations:
             correlation_profile(xs[:1], zs[:1])
         with pytest.raises(ValueError):
             correlation_profile(xs, zs[:, :3])
+
+    def test_large_common_offset(self):
+        # At an offset of 1e8 the unshifted one-pass sums lose every digit of
+        # the variance; whole and in engine-sized blocks, the profile must
+        # match the two-pass formula
+        rng = np.random.default_rng(7)
+        zs = rng.standard_normal((2000, 4))
+        xs = 1e8 + 0.5 * zs + rng.standard_normal((2000, 4))
+        xc, zc = xs - xs.mean(axis=0), zs - zs.mean(axis=0)
+        want = (xc * zc).sum(axis=0) / np.sqrt((xc * xc).sum(axis=0) * (zc * zc).sum(axis=0))
+        sums = CorrelationSums()
+        for lo in range(0, len(xs), 128):
+            sums.add(xs[lo:lo + 128], zs[lo:lo + 128])
+        for prof in (correlation_profile(xs, zs), sums.profile()):
+            assert prof.trials == 2000
+            assert np.allclose(prof.per_index_rho, want, rtol=0, atol=1e-12)
 
     def test_needs_two_records(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -64,7 +65,7 @@ class TestEngineMatchesRunTrial:
     def test_cognizant(self, make, trials):
         cfg = make(trials)
         # correlation diagnostics need at least two trials
-        diagnostics = make is analytic_config and trials > 1
+        diagnostics = trials > 1
         s = simulate(cfg, keep_records=True, diagnostics=diagnostics)
         cb = build_codebook(cfg)
         rotations = candidate_rotations(cfg, cb)
@@ -109,27 +110,40 @@ def test_oversized_rotation_stack_fails_fast():
     assert isinstance(_run_cell_safe((cfg, False)), CodebookSizeError)
 
 
-def test_oversized_diagnostic_vectors_fail_fast():
-    # 2 * 10^6 trials * 1024 floats would take about 16 GB; refused before
-    # anything is drawn, and a sweep turns the refusal into a skipped cell
-    cfg = config_from_rates(1024, 1.0, 0.0, CH, seed=1, trials=10**6)
-    with pytest.raises(CodebookSizeError, match="diagnostic vectors"):
-        simulate(cfg, diagnostics=True)
-    assert isinstance(_run_cell_safe((cfg, True)), CodebookSizeError)
-
-
-def test_diagnostics_cap_counts_the_correlation_peak(monkeypatch):
-    # 200 trials at n = 16 under a cap of 10^4 floats: the vectors alone
-    # (2 * 200 * 16 = 6400) fit, the peak with correlation_profile's centred
-    # copies and product (5 * 200 * 16 = 16000) does not.  Refused before the
-    # codebook is built, and nothing large is allocated either way.
-    def drawn(cfg):
-        raise AssertionError("drew before the size check")
-
+def test_diagnostics_run_under_a_small_size_cap(monkeypatch):
+    # 200 trials at n = 16 under a cap of 10^4 floats: no trials x n array is
+    # kept, so the cap does not apply, and the profile from running sums
+    # matches the one from the reference's stored vectors
     monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", 10_000)
-    monkeypatch.setattr(scheme, "build_codebook", drawn)
-    with pytest.raises(CodebookSizeError, match="diagnostic vectors"):
-        simulate(analytic_config(200), diagnostics=True)
+    cfg = analytic_config(200)
+    s = simulate(cfg, keep_records=True, diagnostics=True)
+    cb = build_codebook(cfg)
+    pairs = [run_trial(cfg, cb, rec.message, derive_seed(cfg.noise_seed, i),
+                       return_vectors=True)[1:] for i, rec in enumerate(s.records)]
+    want = empirical_correlations(pairs)
+    assert s.corr_profile.trials == want.trials == 200
+    assert np.allclose(s.corr_profile.per_index_rho, want.per_index_rho, rtol=0, atol=1e-12)
+
+
+def test_diagnostics_memory_does_not_grow_with_trials():
+    # The extra peak that diagnostics add (the per-chunk rotations and
+    # vectors) is the same at 512 and 8192 trials; one stored trials x n
+    # array would add 8 * 7680 * 32 bytes, about 2 MB, between the two.
+    n, few, many = 32, 512, 8192
+
+    def extra_peak(trials):
+        cfg = config_from_rates(n, 1.2, 0.25, CH, seed=31, eps=0.1, trials=trials)
+        peaks = []
+        for diagnostics in (True, False):
+            tracemalloc.start()
+            try:
+                simulate(cfg, diagnostics=diagnostics)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks[0] - peaks[1]
+
+    assert extra_peak(many) - extra_peak(few) < 8 * (many - few) * n / 2
 
 
 def test_golden_sweep_csv(tmp_path):

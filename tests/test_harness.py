@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import pytest
 
@@ -121,6 +122,39 @@ class TestParseErrors:
     def test_nonpositive_snr(self):
         with pytest.raises(ConfigError, match="snr"):
             parse_config(MINIMAL.replace("snr = 3", "snr = -1"))
+
+    @pytest.mark.parametrize("text", [MINIMAL, SWEEP], ids=["single", "grid"])
+    def test_feedback_diagnostics_refused(self, text):
+        with pytest.raises(ConfigError, match="diagnostics.*scheme"):
+            parse_config(text + "scheme = feedback\ndiagnostics = on\n")
+
+    @pytest.mark.parametrize("text", [MINIMAL, SWEEP], ids=["single", "grid"])
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_refused(self, text, trials):
+        with pytest.raises(ConfigError, match="trials"):
+            parse_config(re.sub(r"trials = \d+", f"trials = {trials}", text))
+
+    @pytest.mark.parametrize("text", [MINIMAL, SWEEP], ids=["single", "grid"])
+    def test_diagnostics_need_two_trials(self, text):
+        text = re.sub(r"trials = \d+", "trials = 1", text)
+        with pytest.raises(ConfigError, match="diagnostics.*trials"):
+            parse_config(text + "diagnostics = on\n")
+        assert parse_config(text)[0] is not None  # one trial without diagnostics runs
+
+    def test_sweep_spec_refuses_what_cannot_run(self):
+        grid = dict(snr=(3.0,), helper_rate=(0.5,), blocklength=(12,), rate_fraction=(0.7,),
+                    base_seed=5)
+        with pytest.raises(ConfigError, match="diagnostics.*scheme"):
+            SweepSpec(trials=50, scheme="feedback", diagnostics=True, **grid)
+        with pytest.raises(ConfigError, match="trials"):
+            SweepSpec(trials=0, **grid)
+        with pytest.raises(ConfigError, match="diagnostics.*trials"):
+            SweepSpec(trials=1, diagnostics=True, **grid)
+
+    def test_run_cell_refuses_feedback_diagnostics(self):
+        cfg, _ = parse_config(MINIMAL + "scheme = feedback\n")
+        with pytest.raises(ValueError, match="cognizant"):
+            run_cell(cfg, diagnostics=True)
 
 
 class TestSweep:

@@ -22,8 +22,8 @@ from gausshelp.scheme import (
 CH = ChannelParams.from_snr(3.0)
 
 
-def small_config(n=12, rate=0.9, rh=0.5, eps=0.1, seed=3, trials=200, **kw):
-    return config_from_rates(n, rate, rh, CH, seed, eps=eps, trials=trials, **kw)
+def small_config(n=12, rate=0.9, rh=0.5, eps=0.1, seed=3, trials=200):
+    return config_from_rates(n, rate, rh, CH, seed, eps=eps, trials=trials)
 
 
 class TestConfig:
@@ -39,7 +39,7 @@ class TestConfig:
 
     def test_unknown_decoder(self):
         with pytest.raises(ValueError):
-            small_config(decoder="magic")
+            replace(small_config(), decoder="magic")
 
     def test_zero_helper_theta0_is_pi(self):
         cfg = config_from_rates(8, 1.0, 0.0, CH, seed=1, eps=None, trials=10)

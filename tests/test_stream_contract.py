@@ -106,6 +106,6 @@ def test_analytic_route_forms_no_rotation(monkeypatch):
     cfg = config_from_rates(16, 1.2, 0.5, CH, seed=21, eps=0.1, trials=300)
     assert not exhaustive_route(cfg)
     assert simulate(cfg).trials == 300
-    # the diagnostic vectors live in the channel frame, so they need R_m
+    # the diagnostics' x and z live in the channel frame, so they need R_m
     with pytest.raises(RuntimeError, match="rotation was formed"):
         simulate(cfg, diagnostics=True)
