@@ -13,7 +13,7 @@ from .capacity import ChannelParams, capacity_cognizant, capacity_oblivious_feed
     capacity_oblivious_nofeedback
 from .converse import check_budget, estimator_slack
 from .geometry import achievable_rate_threshold, cap_rate_exponent, cap_ratio_exact
-from .harness import ConfigError, SweepSpec, emit_csv, parse_config, run_cell, run_sweep
+from .harness import CELL_SKIPS, ConfigError, SweepSpec, emit_csv, parse_config, run_cell, run_sweep
 from .scheme import config_from_rates, simulate
 
 
@@ -146,6 +146,9 @@ def cli(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except CELL_SKIPS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
     return 1

@@ -5,7 +5,8 @@ the input; the feedback link reveals the time-zero noise to the encoder, whose
 quantization (an integer in the message set, computable by the helper from
 the noise alone) is then conveyed over slots 1..n with the message-cognizant
 inner scheme.  Modular reconstruction at the receiver makes the outer error
-event coincide exactly with the inner one.
+event coincide exactly with the inner one.  The real-unit maps below are the
+reference; `simulate_feedback` applies them exactly, in integer units.
 """
 
 from __future__ import annotations
@@ -33,13 +34,9 @@ from .scheme import run_trial  # noqa: F401
 # Offset separating the time-zero noise stream from the inner trial streams.
 _Z0_STREAM_OFFSET = 1 << 32
 
-# Scaled values closer than this to an integer are counted as boundary events:
-# near the quantization boundary the floor identity can flip in floating point.
-BOUNDARY_TOL = 1e-9
-
 
 class QuantizationBoundaryError(ArithmeticError):
-    """The outer/inner error-event identity failed (floating-point boundary hit)."""
+    """The outer/inner error-event identity failed (a correctness check; never expected)."""
 
 
 @dataclass(frozen=True)
@@ -91,59 +88,48 @@ def reconstruct(y0: float, m_prime_hat: int, message_bits: int, power: float) ->
     return math.floor(y0 * scale - m_prime_hat) % size
 
 
-def _boundary_gap(value: float) -> float:
-    return abs(value - round(value))
-
-
 def simulate_feedback(cfg: FeedbackConfig, keep_records=False) -> "SimSummary":
     """Run the length-(n+1) feedback scheme for cfg.trials blocks.
 
     A pre/post transform over the cognizant engine: the time-zero draw turns
     each outer message m into the inner message m' (the quantized noise), the
     engine runs the inner scheme on m', and reconstruction maps its decision
-    back.  Per trial the outer error event is checked to equal the inner one;
-    a violation (only possible through floating-point boundary effects, which
-    are also counted) raises, naming the first failing trial, instead of
-    being silently absorbed.
+    back.  In units of sqrt(P)/2^mb the received y0 is m + zeta, zeta =
+    z0 * 2^mb/sqrt(P); with q = floor(zeta), m' is q mod 2^mb and the
+    receiver's floor(m + zeta - m'_hat) is the integer m - m'_hat + q, so no
+    float straddles a quantization boundary.  The outer error event is
+    checked to equal the inner one per trial; a violation raises.
     """
     t_start = time.perf_counter()
     inner = cfg.inner
-    mb = cfg.message_bits
-    power = cfg.channel.power
+    size = 1 << cfg.message_bits
     sigma = math.sqrt(cfg.channel.noise_var)
-    scale = (1 << mb) / math.sqrt(power)
+    scale = size / math.sqrt(cfg.channel.power)  # the float inner_message forms
 
     cb = build_codebook(inner)
     rotations = candidate_rotations(inner, cb)
     messages = draw_messages(inner)
 
-    z0s, y0s, m_primes, boundary = [], [], [], []
+    z0s = []
     for lo in range(0, len(messages), CHUNK_TRIALS):
         hi = min(lo + CHUNK_TRIALS, len(messages))
         seeds = derive_seeds(inner.noise_seed, range(_Z0_STREAM_OFFSET + lo, _Z0_STREAM_OFFSET + hi))
         z0s.extend(float(rng.standard_normal()) * sigma for rng in generators(seeds))
-    for m, z0 in zip(messages, z0s):
-        y0 = encode_time_zero(m, mb, power) + z0
-        y0s.append(y0)
-        m_primes.append(inner_message(z0, mb, power))
-        boundary.append(_boundary_gap(z0 * scale) < BOUNDARY_TOL
-                        or _boundary_gap(y0 * scale) < BOUNDARY_TOL)
+    qs = [math.floor(z0 * scale) for z0 in z0s]
 
-    cols = run_trials(inner, cb, m_primes, rotations)
+    cols = run_trials(inner, cb, [q % size for q in qs], rotations)
 
-    m_hats = [reconstruct(y0, d, mb, power) for y0, d in zip(y0s, cols.decoded)]
+    m_hats = [(m - d + q) % size for m, d, q in zip(messages, cols.decoded, qs)]
     outer_error = np.array([m_hat != m for m_hat, m in zip(m_hats, messages)], dtype=bool)
     mismatch = np.flatnonzero(outer_error != cols.error)
     if mismatch.size:
         i = int(mismatch[0])
         raise QuantizationBoundaryError(
             f"trial {i}: outer error {outer_error[i]} != inner error {cols.error[i]} "
-            f"(z0={z0s[i]!r}, boundary events so far: {sum(boundary[:i + 1])})"
+            f"(z0={z0s[i]!r})"
         )
 
     cols = replace(cols, message=messages, decoded=m_hats, error=outer_error,
                    noise_energy=cols.noise_energy + np.square(z0s))
-    return summarize(
-        inner, cols, time.perf_counter() - t_start,
-        scheme="feedback", keep_records=keep_records, boundary_events=sum(boundary),
-    )
+    return summarize(inner, cols, time.perf_counter() - t_start,
+                     scheme="feedback", keep_records=keep_records)

@@ -96,9 +96,12 @@ _ALL_KEYS = set(_LIST_KEYS) | set(_SCALAR_KEYS)
 
 def _parse_number(key, raw, lineno, cast):
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: value {raw!r} for {key!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"line {lineno}: value {raw!r} for {key!r} is not finite")
+    return value
 
 
 def parse_config(text: str):
@@ -269,12 +272,12 @@ def _usable_cpus() -> int:
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
     """One SimSummary per grid cell, in sweep order, independent of worker count.
 
-    Cells whose resources exceed the caps, or whose feedback run hits a
-    quantization boundary, are skipped (with a logged reason); the sweep
-    continues.  With more than one worker the pool receives the cells in
-    order of decreasing `cell_work`; the summaries and the skip warnings
-    still come in sweep order, so the output is the same for every worker
-    count.
+    Cells whose resources exceed the caps, or whose feedback run fails the
+    outer = inner error-event check (which the exact time-zero map keeps from
+    firing), are skipped with a logged reason; the sweep continues.  With
+    more than one worker the pool receives the cells in order of decreasing
+    `cell_work`; the summaries and the skip warnings still come in sweep
+    order, so the output is the same for every worker count.
     """
     if workers is None:
         raw = os.environ.get(WORKERS_ENV, "0")  # 0: the default

@@ -211,11 +211,13 @@ def exhaustive_route(cfg: SchemeConfig) -> bool:
 def _analytic_error_probability(n: int, decode_angle, n_competitors: int):
     """P(some of n_competitors IID uniform sphere points beats the true codeword).
 
-    decode_angle may be an array of angles.
+    decode_angle may be an array of angles.  The exponent N log1p(-c) is
+    formed in log space, so N may exceed the float range.
     """
     c = cap_ratio_exact(n, decode_angle)
-    with np.errstate(divide="ignore"):
-        return np.where(c >= 1.0, 1.0, -np.expm1(float(n_competitors) * np.log1p(-c)))
+    with np.errstate(divide="ignore", over="ignore"):
+        exponent = math.log(n_competitors) + np.log(-np.log1p(-c))
+        return np.where(c >= 1.0, 1.0, -np.expm1(-np.exp(exponent)))
 
 
 def run_trial(cfg: SchemeConfig, cb: HelperCodebook, m: int, trial_seed: int,
@@ -402,7 +404,7 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
 
 
 def summarize(cfg: SchemeConfig, cols: TrialColumns, wall_time_s, scheme="cognizant",
-              corr_profile=None, keep_records=False, boundary_events=0) -> SimSummary:
+              corr_profile=None, keep_records=False) -> SimSummary:
     """Aggregate trial columns into a SimSummary (exact integer accounting)."""
     trials = len(cols.error)
     errors = int(np.count_nonzero(cols.error))
@@ -437,7 +439,6 @@ def summarize(cfg: SchemeConfig, cols: TrialColumns, wall_time_s, scheme="cogniz
         threshold_bits=threshold,
         seed=cfg.base_seed if cfg.base_seed is not None else cfg.codebook_seed,
         wall_time_s=wall_time_s,
-        boundary_events=boundary_events,
         records=cols.records() if keep_records else None,
         corr_profile=corr_profile,
     )

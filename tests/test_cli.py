@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from gausshelp import harness
 from gausshelp.capacity import ChannelParams, capacity_cognizant
 from gausshelp.cli import cli
+from gausshelp.feedback import QuantizationBoundaryError
 from gausshelp.geometry import achievable_rate_threshold, cap_ratio_exact
 from gausshelp.harness import CSV_COLUMNS, WORKERS_ENV
 
@@ -130,6 +132,56 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 2
         assert "config error" in err and "trials" in err
+        assert out == ""
+
+    def test_more_than_1023_message_bits(self, capsys, tmp_path):
+        # 2^1024 - 1 competitors: the analytic law no longer converts them to a float
+        path = tmp_path / "wide.conf"
+        path.write_text("snr = 3\nhelper_rate_bits = 0\nblocklength = 1024\n"
+                        "rate_bits = 1\ntrials = 2\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 0, err
+        header, row = out.strip().split("\n")
+        assert header == CSV_COLUMNS
+        assert row.startswith("cognizant,1024,1,0,3,0,2,")
+
+    @pytest.mark.parametrize("key, value, replaces", [
+        (key, value, replaces)
+        for key, replaces in [("snr", "snr = 3"), ("helper_rate_bits", "helper_rate_bits = 0.5"),
+                              ("rate_bits", "rate_bits = 1.2"), ("rate_fraction", "rate_bits = 1.2")]
+        for value in ("inf", "nan")
+    ])
+    def test_non_finite_value_exits_two(self, capsys, tmp_path, key, value, replaces):
+        path = tmp_path / "run.conf"
+        path.write_text(SINGLE_CONFIG.replace(replaces, f"{key} = {value}"))
+        lineno = SINGLE_CONFIG.splitlines().index(replaces) + 1
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 2
+        assert err == f"config error: line {lineno}: value {value!r} for {key!r} is not finite\n"
+        assert out == ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+class TestRefusedCell:
+    def test_codebook_size(self, capsys, tmp_path, command):
+        # 2^48 helper points at n = 12
+        path = tmp_path / "run.conf"
+        path.write_text(SINGLE_CONFIG.replace("helper_rate_bits = 0.5", "helper_rate_bits = 4"))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 1
+        assert err.startswith("error: CodebookSizeError: codebook of 281474976710656 points")
+        assert out == ""
+
+    def test_quantization_boundary(self, capsys, tmp_path, monkeypatch, command):
+        def fail(cfg):
+            raise QuantizationBoundaryError("trial 0: outer error True != inner error False")
+
+        monkeypatch.setattr(harness, "simulate_feedback", fail)
+        path = tmp_path / "run.conf"
+        path.write_text(SINGLE_CONFIG + "scheme = feedback\n")
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 1
+        assert err == "error: QuantizationBoundaryError: trial 0: outer error True != inner error False\n"
         assert out == ""
 
 

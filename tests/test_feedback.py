@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gausshelp import feedback
 from gausshelp.capacity import ChannelParams
 from gausshelp.feedback import (
     FeedbackConfig,
@@ -11,7 +14,8 @@ from gausshelp.feedback import (
     reconstruct,
     simulate_feedback,
 )
-from gausshelp.scheme import config_from_rates, simulate
+from gausshelp.harness import SweepSpec, cell_config
+from gausshelp.scheme import SchemeConfig, config_from_rates, run_trials, simulate
 
 CH = ChannelParams.from_snr(3.0)
 
@@ -135,3 +139,57 @@ class TestSimulateFeedback:
         mean_energy = np.mean([r.noise_energy for r in s.records])
         se = math.sqrt(2.0 * (n + 1)) / math.sqrt(len(s.records))
         assert abs(mean_energy - (n + 1)) < 4.0 * se
+
+
+class TestIntegerTimeZeroMap:
+    """simulate_feedback's time-zero map in units of sqrt(P)/2^mb, at any width."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mb=st.integers(1, 200), snr=st.floats(0.1, 100.0), seed=st.integers(0, 2**31),
+           offsets=st.lists(st.one_of(st.just(0), st.integers(1, 2**200)),
+                            min_size=1, max_size=8))
+    def test_receiver_returns_m_iff_inner_decision_is_right(self, mb, snr, seed, offsets):
+        # The engine's inner decisions are replaced by m' + offset (mod 2^mb):
+        # the outer decision must be m exactly when the inner one is m'.
+        size = 1 << mb
+        inner = SchemeConfig(blocklength=4, message_bits=mb, helper_bits=0, eps=0.0,
+                             channel=ChannelParams.from_snr(snr), codebook_seed=seed,
+                             noise_seed=seed + 1, message_seed=seed + 2,
+                             trials=len(offsets), decoder="analytic")
+        seen = {}
+
+        def decide(cfg, cb, m_primes, rotations):
+            cols = run_trials(cfg, cb, m_primes, rotations)
+            decoded = [(mp + off) % size for mp, off in zip(m_primes, offsets)]
+            seen.update(m_primes=list(m_primes), decoded=decoded)
+            return replace(cols, decoded=decoded,
+                           error=np.array([d != mp for d, mp in zip(decoded, m_primes)]))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(feedback, "run_trials", decide)
+            s = simulate_feedback(FeedbackConfig(inner=inner), keep_records=True)
+        for rec, m_prime, d in zip(s.records, seen["m_primes"], seen["decoded"]):
+            assert 0 <= m_prime < size and 0 <= rec.decoded < size
+            assert (rec.decoded == rec.message) == (d == m_prime)
+            assert rec.error == (d != m_prime)
+
+    @pytest.mark.parametrize("i_n, bits", [(1, 52), (2, 69)])
+    def test_wide_cells_keep_the_identity(self, monkeypatch, i_n, bits):
+        # The n = 48 and n = 64 cells failed the identity at trials 6 and 0
+        # when the map was a float round trip.
+        spec = SweepSpec(snr=(3.0,), helper_rate=(0.25,), blocklength=(12, 48, 64),
+                         rate_fraction=(0.7,), trials=300, base_seed=1, scheme="feedback")
+        cfg = cell_config(spec, 0, 0, i_n, 0)
+        assert cfg.message_bits == bits
+        inner_errors = []
+
+        def spy(*args):
+            cols = run_trials(*args)
+            inner_errors.extend(cols.error.tolist())
+            return cols
+
+        monkeypatch.setattr(feedback, "run_trials", spy)
+        s = simulate_feedback(cfg, keep_records=True)
+        assert s.trials == 300 and s.boundary_events == 0
+        assert [rec.error for rec in s.records] == inner_errors
+        assert s.errors == sum(inner_errors)

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from gausshelp.capacity import ChannelParams, capacity_cognizant
-from gausshelp.feedback import FeedbackConfig
+from gausshelp.feedback import FeedbackConfig, QuantizationBoundaryError, simulate_feedback
 from gausshelp import harness
 from gausshelp.harness import (
     CSV_COLUMNS,
@@ -291,17 +291,33 @@ class TestSweep:
             assert len(summaries) == 1  # the 2^48-point codebook cell is dropped
             assert any("skipped" in rec.message for rec in caplog.records)
 
-    def test_quantization_boundary_cell_skipped(self, caplog):
-        # 52 message bits at n = 48: the time-zero identity fails in floating point
+    def test_wide_feedback_cell_runs(self, caplog):
+        # 52 message bits at n = 48: once skipped for a float time-zero map
         spec = SweepSpec(snr=(3.0,), helper_rate=(0.25,), blocklength=(12, 48),
                          rate_fraction=(0.7,), trials=300, base_seed=1, scheme="feedback")
         for workers in (1, 2):
             caplog.clear()
             with caplog.at_level("WARNING"):
                 summaries = run_sweep(spec, workers=workers)
-            assert [s.blocklength for s in summaries] == [12]
-            (skip,) = [rec.message for rec in caplog.records if "skipped" in rec.message]
-            assert "n=48" in skip and "QuantizationBoundaryError" in skip and "trial" in skip
+            assert [s.blocklength for s in summaries] == [12, 48]
+            assert [s.boundary_events for s in summaries] == [0, 0]
+            assert not [rec for rec in caplog.records if "skipped" in rec.message]
+
+    def test_quantization_boundary_cell_skipped(self, caplog, monkeypatch):
+        # the identity check cannot fire on the real map, so it is forced here
+        def fail_wide(cfg):
+            if cfg.inner.blocklength == 48:
+                raise QuantizationBoundaryError("trial 6: outer error True != inner error False")
+            return simulate_feedback(cfg)
+
+        monkeypatch.setattr(harness, "simulate_feedback", fail_wide)
+        spec = SweepSpec(snr=(3.0,), helper_rate=(0.25,), blocklength=(12, 48),
+                         rate_fraction=(0.7,), trials=30, base_seed=1, scheme="feedback")
+        with caplog.at_level("WARNING"):
+            summaries = run_sweep(spec, workers=1)
+        assert [s.blocklength for s in summaries] == [12]
+        (skip,) = [rec.message for rec in caplog.records if "skipped" in rec.message]
+        assert "n=48" in skip and "QuantizationBoundaryError" in skip and "trial 6" in skip
 
     def test_cell_rate_tracks_capacity(self):
         spec, _ = parse_config(SWEEP)

@@ -6,8 +6,10 @@ import pytest
 
 from gausshelp.capacity import ChannelParams
 from gausshelp.codebook import HelperCodebook, build_base_codebook, derive_seed, haar_rotation
+from gausshelp.geometry import cap_ratio_exact
 from gausshelp.scheme import (
     SchemeConfig,
+    _analytic_error_probability,
     build_codebook,
     config_from_rates,
     decode,
@@ -253,6 +255,27 @@ class TestSimulate:
             covered = [math.cos(r.helper_angle) for r in s.records if not r.covering_miss]
             assert min(covered) >= math.cos(cfg.theta0_rad) - 1e-12
         assert all(b > a for a, b in zip(means, means[1:]))
+
+
+class TestAnalyticErrorProbability:
+    ANGLES = np.linspace(0.0, math.pi, 401)
+
+    @pytest.mark.parametrize("competitors", [1, 2, 4095, 2**40, 2**62])
+    def test_matches_float_exponent(self, competitors):
+        c = cap_ratio_exact(16, self.ANGLES)
+        with np.errstate(divide="ignore"):
+            direct = -np.expm1(float(competitors) * np.log1p(-c))
+        got = _analytic_error_probability(16, self.ANGLES, competitors)
+        assert np.allclose(got, direct, rtol=1e-12, atol=1e-15)
+        assert got[0] == 0.0 and got[-1] == 1.0
+
+    def test_competitors_beyond_float_range(self):
+        # 2^1024 - 1 and 2^2000 competitors: no OverflowError, p stays in [0, 1]
+        for competitors in (2**1024 - 1, 2**2000):
+            p = _analytic_error_probability(1024, self.ANGLES, competitors)
+            assert np.all((p >= 0.0) & (p <= 1.0))
+            assert p[0] == 0.0 and p[-1] == 1.0
+        assert _analytic_error_probability(16, 1.0, 2**2000) == 1.0
 
 
 def bytes_loop_messages(cfg):
