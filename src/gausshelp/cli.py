@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Subcommands: capacity, threshold, cap-area, simulate, sweep, diagnose.
-Exit codes: 0 success, 1 usage error, 2 config error.
+Exit codes: 0 success, 1 usage error, 2 config error (a config, or a
+diagnose request, that no run can honour).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .capacity import ChannelParams, capacity_cognizant, capacity_oblivious_feed
 from .converse import check_budget, estimator_slack
 from .geometry import achievable_rate_threshold, cap_rate_exponent, cap_ratio_exact
 from .harness import CELL_SKIPS, ConfigError, SweepSpec, emit_csv, parse_config, run_cell, run_sweep
-from .scheme import config_from_rates, simulate
+from .scheme import config_from_rates, set_engine_threads, simulate
 
 
 def _build_parser():
@@ -47,7 +48,10 @@ def _build_parser():
         p.add_argument("--repro", action="store_true",
                        help="zero the wall_time_s column for byte-identical output")
         if name == "sweep":
-            p.add_argument("--workers", type=int, help="worker processes (default: env/usable CPUs)")
+            p.add_argument("--workers", type=int,
+                           help="CPUs to use: worker processes with one engine thread each, "
+                                "or engine threads for a single cell (default: "
+                                "GAUSSHELP_WORKERS, else the usable CPUs)")
 
     p = sub.add_parser("diagnose", help="run a cognizant simulation with correlation auditing")
     p.add_argument("--snr", type=float, required=True)
@@ -120,11 +124,17 @@ def cli(argv=None) -> int:
                 if isinstance(parsed, SweepSpec):
                     summaries = run_sweep(parsed, workers=args.workers)
                 else:
-                    summaries = [run_cell(parsed, diagnostics)]
+                    previous = set_engine_threads(args.workers)
+                    try:
+                        summaries = [run_cell(parsed, diagnostics)]
+                    finally:
+                        set_engine_threads(previous)
             _emit(summaries, args)
             return 0
 
         if args.command == "diagnose":
+            if args.trials < 2:
+                raise ConfigError(f"diagnose needs --trials of at least 2, got {args.trials}")
             ch = ChannelParams.from_snr(args.snr)
             rate = args.rate_fraction * capacity_cognizant(ch, args.rh)
             cfg = config_from_rates(args.n, rate, args.rh, ch, args.seed,

@@ -34,9 +34,16 @@ from .scheme import run_trial  # noqa: F401
 # Offset separating the time-zero noise stream from the inner trial streams.
 _Z0_STREAM_OFFSET = 1 << 32
 
+# Widest message set of the time-zero map: 2^mb / sqrt(P) must be a finite double.
+MAX_FEEDBACK_BITS = 1023
+
 
 class QuantizationBoundaryError(ArithmeticError):
     """The outer/inner error-event identity failed (a correctness check; never expected)."""
+
+
+class TimeZeroRangeError(OverflowError):
+    """The time-zero map's scale, or a scaled noise, is not a finite double."""
 
 
 @dataclass(frozen=True)
@@ -98,13 +105,23 @@ def simulate_feedback(cfg: FeedbackConfig, keep_records=False) -> "SimSummary":
     z0 * 2^mb/sqrt(P); with q = floor(zeta), m' is q mod 2^mb and the
     receiver's floor(m + zeta - m'_hat) is the integer m - m'_hat + q, so no
     float straddles a quantization boundary.  The outer error event is
-    checked to equal the inner one per trial; a violation raises.
+    checked to equal the inner one per trial; a violation raises.  A cell
+    whose 2^mb / sqrt(P) is not a finite double (more than MAX_FEEDBACK_BITS
+    message bits) is refused with TimeZeroRangeError before anything is drawn.
     """
     t_start = time.perf_counter()
     inner = cfg.inner
-    size = 1 << cfg.message_bits
+    mb = cfg.message_bits
+    size = 1 << mb
+    # The float inner_message forms; past 1023 bits 2^mb itself is no double.
+    scale = size / math.sqrt(cfg.channel.power) if mb <= MAX_FEEDBACK_BITS else math.inf
+    if not math.isfinite(scale):
+        raise TimeZeroRangeError(
+            f"{mb} message bits at power {cfg.channel.power!r}: the time-zero map needs "
+            f"2^message_bits / sqrt(P) to be a finite double (at most "
+            f"{MAX_FEEDBACK_BITS} message bits)"
+        )
     sigma = math.sqrt(cfg.channel.noise_var)
-    scale = size / math.sqrt(cfg.channel.power)  # the float inner_message forms
 
     cb = build_codebook(inner)
     rotations = candidate_rotations(inner, cb)
@@ -115,7 +132,12 @@ def simulate_feedback(cfg: FeedbackConfig, keep_records=False) -> "SimSummary":
         hi = min(lo + CHUNK_TRIALS, len(messages))
         seeds = derive_seeds(inner.noise_seed, range(_Z0_STREAM_OFFSET + lo, _Z0_STREAM_OFFSET + hi))
         z0s.extend(float(rng.standard_normal()) * sigma for rng in generators(seeds))
-    qs = [math.floor(z0 * scale) for z0 in z0s]
+    zetas = [z0 * scale for z0 in z0s]
+    for i, zeta in enumerate(zetas):
+        if not math.isfinite(zeta):
+            raise TimeZeroRangeError(f"trial {i}: z0 * 2^{mb} / sqrt(P) = {zeta!r} "
+                                     f"is not a finite double (z0={z0s[i]!r})")
+    qs = [math.floor(zeta) for zeta in zetas]
 
     cols = run_trials(inner, cb, [q % size for q in qs], rotations)
 

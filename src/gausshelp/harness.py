@@ -16,7 +16,11 @@ Config grammar (line oriented, ``key = value``, ``#`` comments)::
 All single values yield one SchemeConfig; any list yields a SweepSpec over
 the grid.  Every cell's seed is derived from (base seed, cell coordinates),
 so any cell is individually reproducible and results do not depend on
-scheduling or worker count.  A worker pool receives the cells longest-first
+scheduling or worker count.  The worker count (`--workers`, else
+GAUSSHELP_WORKERS if non-zero, else the usable CPUs; scheme.resolve_workers)
+bounds the CPUs a sweep uses: a pool of that many processes, each running its
+engine on one thread, or, on the serial path (one worker or one cell), one
+engine on that many threads.  A worker pool receives the cells longest-first
 by `cell_work`, so the costliest cell does not start last and run alone
 (Graham's LPT rule); results and skip warnings are put back in sweep order,
 so the output does not depend on the dispatch order.
@@ -26,19 +30,19 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .capacity import ChannelParams, capacity_cognizant
 from .codebook import CodebookSizeError, derive_seed
-from .feedback import FeedbackConfig, QuantizationBoundaryError, simulate_feedback
+from .feedback import (FeedbackConfig, QuantizationBoundaryError, TimeZeroRangeError,
+                       simulate_feedback)
 from .results import SimSummary
-from .scheme import SchemeConfig, config_from_rates, exhaustive_route, simulate
+from .scheme import (SchemeConfig, config_from_rates, exhaustive_route, resolve_workers,
+                     set_engine_threads, simulate)
+from .scheme import WORKERS_ENV  # noqa: F401  (the variable run_sweep reads)
 
 log = logging.getLogger(__name__)
-
-WORKERS_ENV = "GAUSSHELP_WORKERS"
 
 CSV_COLUMNS = (
     "scheme,n,rate_bits,helper_rate_bits,snr,eps,trials,errors,covering_misses,"
@@ -49,7 +53,7 @@ CSV_COLUMNS = (
 
 
 # Failures that skip one sweep cell (with a logged reason) instead of the sweep.
-CELL_SKIPS = (CodebookSizeError, QuantizationBoundaryError)
+CELL_SKIPS = (CodebookSizeError, QuantizationBoundaryError, TimeZeroRangeError)
 
 
 class ConfigError(ValueError):
@@ -262,28 +266,20 @@ def _run_cell_safe(args):
         return exc
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
     """One SimSummary per grid cell, in sweep order, independent of worker count.
 
-    Cells whose resources exceed the caps, or whose feedback run fails the
-    outer = inner error-event check (which the exact time-zero map keeps from
-    firing), are skipped with a logged reason; the sweep continues.  With
-    more than one worker the pool receives the cells in order of decreasing
-    `cell_work`; the summaries and the skip warnings still come in sweep
-    order, so the output is the same for every worker count.
+    Cells whose resources exceed the caps, feedback cells too wide for the
+    time-zero map, or feedback runs that fail the outer = inner error-event
+    check (which the exact time-zero map keeps from firing), are skipped with
+    a logged reason; the sweep continues.  With more than one worker the pool
+    receives the cells in order of decreasing `cell_work`, and each worker
+    runs its engine on one thread; otherwise the engine runs on `workers`
+    threads.  The summaries and the skip warnings come in sweep order, so the
+    output is the same for every worker count.
     """
     if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "0")  # 0: the default
-        if not (raw.isascii() and raw.isdigit()):
-            raise ValueError(f"{WORKERS_ENV} must be an integer >= 0, got {raw!r}")
-        workers = int(raw) or _usable_cpus()
+        workers = resolve_workers()
     cells = []
     for i_snr in range(len(spec.snr)):
         for i_rh in range(len(spec.helper_rate)):
@@ -295,11 +291,17 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
     if workers > 1 and len(cells) > 1:
         order = sorted(range(len(cells)), key=lambda i: -cell_work(*cells[i]))
         outcomes = [None] * len(cells)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Each worker runs its engine on one thread: workers CPUs in all.
+        with ProcessPoolExecutor(max_workers=workers, initializer=set_engine_threads,
+                                 initargs=(1,)) as pool:
             for i, outcome in zip(order, pool.map(_run_cell_safe, [cells[i] for i in order])):
                 outcomes[i] = outcome
     else:
-        outcomes = [_run_cell_safe(c) for c in cells]
+        previous = set_engine_threads(workers)
+        try:
+            outcomes = [_run_cell_safe(c) for c in cells]
+        finally:
+            set_engine_threads(previous)
 
     summaries = []
     for (cfg, _), outcome in zip(cells, outcomes):

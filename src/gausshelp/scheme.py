@@ -41,13 +41,26 @@ per-trial reference implementation, trial for trial:
 The engine builds these generators a chunk at a time (codebook.derive_seeds
 and codebook.generators), each bitwise equal to its default_rng; run_trial
 keeps calling default_rng, so the replay checks one against the other.
+
+Chunks are independent, so the engine runs them on up to engine_threads()
+threads (GAUSSHELP_WORKERS if non-zero, else the usable CPUs; a sweep's
+worker processes use one each).  The helper search's GEMMs and reductions
+release the GIL and overlap; the per-trial generator loops hold it and do
+not, so a cell with a small helper codebook (THREAD_MIN_WORK) runs on one
+thread.  Each chunk writes its own rows of the columns; the calling thread
+takes the chunks' decisions in chunk order and forms the diagnostics'
+rotations, x and z there, in the same order, so no result depends on the
+thread count and the diagnostics' memory is the serial loop's.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +87,20 @@ _DECODERS = ("auto", "exhaustive", "analytic")
 
 # Version of the per-trial random streams documented in the module docstring.
 STREAM_CONTRACT = 2
+
+# Bound on the CPUs gausshelp uses: sweep worker processes or engine threads.
+WORKERS_ENV = "GAUSSHELP_WORKERS"
+
+# Engine threads fixed by set_engine_threads; None: resolve_workers().
+_engine_threads = None
+
+# Least helper-search work per trial, 2^helper_bits * n, for which run_trials
+# runs its chunks on threads.  The search's GEMM and reductions release the
+# GIL; below this size the per-trial loops that hold it dominate a chunk.  On
+# a 2-vCPU host two threads measured up to 40% slower at n = 16 to 26 with
+# R_h 0.5 (diagnostics or not) and at n = 8 and 10 on the exhaustive route
+# with R_h 0.25, and the benchmark's n = 12 exhaustive cell ran 5% slower.
+THREAD_MIN_WORK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -331,6 +358,62 @@ def _row_angles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def resolve_workers() -> int:
+    """CPUs gausshelp may use: GAUSSHELP_WORKERS if non-zero, else the usable CPUs."""
+    raw = os.environ.get(WORKERS_ENV, "0")  # 0: the default
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"{WORKERS_ENV} must be an integer >= 0, got {raw!r}")
+    return int(raw) or _usable_cpus()
+
+
+def set_engine_threads(threads: int | None) -> int | None:
+    """Fix the threads run_trials uses in this process (None: resolve_workers()).
+
+    Returns the previous setting, so that a caller can restore it.
+    """
+    global _engine_threads
+    previous, _engine_threads = _engine_threads, threads
+    return previous
+
+
+def engine_threads() -> int:
+    """Threads run_trials uses: the count set_engine_threads fixed, else resolve_workers()."""
+    return _engine_threads or resolve_workers()
+
+
+def _in_order(fn, items, threads: int, take) -> None:
+    """take(fn(item)) for every item, in order, with fn on up to `threads` threads.
+
+    At most threads + 1 calls are in flight, so the results waiting to be
+    taken stay bounded.  The pool lives for this call only (a module-level
+    pool would not survive the fork into a sweep worker); with one thread or
+    one item none is built.  An exception in fn cancels the calls not yet started and
+    propagates once the running ones have finished.
+    """
+    if threads < 2 or len(items) < 2:
+        for item in items:
+            take(fn(item))
+        return
+    pool = ThreadPoolExecutor(min(threads, len(items)))
+    try:
+        window = deque()
+        for item in items:
+            window.append(pool.submit(fn, item))
+            if len(window) > threads:
+                take(window.popleft().result())
+        for future in window:
+            take(future.result())
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
                correlations: CorrelationSums | None = None) -> TrialColumns:
     """Trial i sends messages[i]; the batched equivalent of run_trial per trial.
@@ -338,6 +421,12 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
     Runs CHUNK_TRIALS trials at a time on the per-trial streams documented in
     the module docstring.  `rotations` is candidate_rotations(cfg, cb).  Each
     chunk's inputs and noises, if wanted, are added to `correlations`, not kept.
+    Chunks run on engine_threads() threads when the helper search is large
+    enough to pay (THREAD_MIN_WORK); each writes only its own rows.  The
+    calling thread takes their decisions in chunk order and, for diagnostics,
+    forms their rotations and adds x and z to the sums in that order, so every
+    result is that of the serial loop, bitwise, and one stack of rotations is
+    alive at a time.
     """
     messages = list(messages)
     trials, n = len(messages), cfg.blocklength
@@ -353,7 +442,8 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
     if exhaustive:
         candidates = ScreenedSearch(rotations.reshape(n_messages, n * n))
 
-    for lo in range(0, trials, CHUNK_TRIALS):
+    def chunk(lo):
+        """Fill rows lo:hi of the columns; return their messages, decisions, b_t and w."""
         hi = min(lo + CHUNK_TRIALS, trials)
         ms = messages[lo:hi]
         w = np.empty((hi - lo, n))
@@ -375,21 +465,31 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
         bt = cb.base_points[t]
         decode_angle[lo:hi] = _row_angles(bt, bt + w)
 
-        # R_m only for results in the channel frame.
-        if exhaustive or correlations is not None:
-            rot = rotations[ms] if exhaustive else cb.rotations(ms)
-        if correlations is not None:
-            correlations.add(np.einsum("kij,kj->ki", rot, bt), np.einsum("kij,kj->ki", rot, w))
         if exhaustive:
-            # Receive y = R_m (b_t + w); the score of m' is
-            # (R_m' b_t) . y = vec(R_m') . vec(y b_t^T).
-            y = np.einsum("kij,kj->ki", rot, bt + w)
+            # Receive y = R_m (b_t + w), R_m from the candidate stack; the score
+            # of m' is (R_m' b_t) . y = vec(R_m') . vec(y b_t^T).
+            y = np.einsum("kij,kj->ki", rotations[ms], bt + w)
             found, _ = candidates.argmax((y[:, :, None] * bt[:, None, :]).reshape(hi - lo, n * n))
-            decoded.extend(found.tolist())
+            found = found.tolist()
         else:
             p_err = _analytic_error_probability(n, decode_angle[lo:hi], n_messages - 1)
-            for rng, m, (u_err, u_wrong), p in zip(rngs, ms, u.tolist(), p_err.tolist()):
-                decoded.append(_wrong_message(rng, m, u_wrong, n_messages) if u_err < p else m)
+            found = [_wrong_message(rng, m, u_wrong, n_messages) if u_err < p else m
+                     for rng, m, (u_err, u_wrong), p in zip(rngs, ms, u.tolist(), p_err.tolist())]
+        return ms, found, bt, w
+
+    def take(result):
+        ms, found, bt, w = result
+        decoded.extend(found)
+        if correlations is not None:
+            # The diagnostics' x = R_m b_t and z = R_m w, in the channel frame.
+            # Their rotations are formed here, a chunk at a time in chunk order,
+            # so a run holds one stack of them, as the serial loop does.
+            rot = rotations[ms] if exhaustive else cb.rotations(ms)
+            correlations.add(np.einsum("kij,kj->ki", rot, bt), np.einsum("kij,kj->ki", rot, w))
+
+    threads = engine_threads()
+    _in_order(chunk, range(0, trials, CHUNK_TRIALS),
+              threads if (1 << cfg.helper_bits) * n >= THREAD_MIN_WORK else 1, take)
 
     return TrialColumns(
         message=messages,

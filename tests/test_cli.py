@@ -2,12 +2,12 @@ import math
 
 import pytest
 
-from gausshelp import harness
+from gausshelp import harness, scheme
 from gausshelp.capacity import ChannelParams, capacity_cognizant
 from gausshelp.cli import cli
 from gausshelp.feedback import QuantizationBoundaryError
 from gausshelp.geometry import achievable_rate_threshold, cap_ratio_exact
-from gausshelp.harness import CSV_COLUMNS, WORKERS_ENV
+from gausshelp.harness import CSV_COLUMNS, WORKERS_ENV, run_cell
 
 SINGLE_CONFIG = """
 snr = 3
@@ -23,6 +23,16 @@ helper_rate_bits = 0.5
 blocklength = 12, 16
 rate_fraction = 0.6
 trials = 20
+"""
+
+# 1024 message bits: 2^1024 / sqrt(P) is not a double.
+WIDE_FEEDBACK_CONFIG = """
+snr = 3
+helper_rate_bits = 0
+blocklength = 1024
+rate_bits = 1
+trials = 2
+scheme = feedback
 """
 
 
@@ -184,6 +194,16 @@ class TestRefusedCell:
         assert err == "error: QuantizationBoundaryError: trial 0: outer error True != inner error False\n"
         assert out == ""
 
+    def test_feedback_wider_than_1023_bits(self, capsys, tmp_path, command):
+        path = tmp_path / "run.conf"
+        path.write_text(WIDE_FEEDBACK_CONFIG)
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 1
+        assert err == ("error: TimeZeroRangeError: 1024 message bits at power 3.0: the "
+                       "time-zero map needs 2^message_bits / sqrt(P) to be a finite double "
+                       "(at most 1023 message bits)\n")
+        assert out == ""
+
 
 class TestSweepCommand:
     def test_two_rows(self, capsys, tmp_path):
@@ -214,6 +234,36 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 1
         assert WORKERS_ENV in err and repr(raw) in err and out == ""
+
+    def test_too_wide_feedback_cell_is_skipped(self, capsys, tmp_path, caplog):
+        path = tmp_path / "grid.conf"
+        path.write_text(WIDE_FEEDBACK_CONFIG.replace("blocklength = 1024", "blocklength = 8, 1024")
+                        .replace("rate_bits = 1", "rate_fraction = 1.01"))
+        with caplog.at_level("WARNING"):
+            code, out, _ = run_cli(capsys, "sweep", "--config", str(path), "--workers", "1",
+                                   "--repro")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert len(lines) == 2 and lines[1].startswith("feedback,8,")
+        (skip,) = [rec.message for rec in caplog.records if "skipped" in rec.message]
+        assert "n=1024" in skip and "at most 1023 message bits" in skip
+
+    def test_workers_bound_the_engine_of_a_single_config(self, capsys, tmp_path, monkeypatch):
+        threads = []
+
+        def recording_run_cell(cfg, diagnostics):
+            threads.append(scheme.engine_threads())
+            return run_cell(cfg, diagnostics)
+
+        monkeypatch.setattr("gausshelp.cli.run_cell", recording_run_cell)
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        path = tmp_path / "run.conf"
+        path.write_text(SINGLE_CONFIG)
+        for argv in (["--workers", "3"], []):
+            code, out, _ = run_cli(capsys, "sweep", "--config", str(path), *argv)
+            assert code == 0 and len(out.strip().split("\n")) == 2
+        assert threads == [3, 2]
+        assert scheme.engine_threads() == 2  # restored after the run
 
     def test_accepts_single_config(self, capsys, tmp_path):
         path = tmp_path / "run.conf"
@@ -252,6 +302,19 @@ class TestDiagnoseCommand:
         assert int(lines["trials"]) == 200
         assert float(lines["corr_budget"]) == pytest.approx(12 * 0.5, abs=1e-9)
         assert lines["within_budget"] in ("yes", "NO")
+
+
+    @pytest.mark.parametrize("trials", ["1", "0", "-5"])
+    def test_fewer_than_two_trials_refused_before_running(self, capsys, monkeypatch, trials):
+        def fail(*args, **kwargs):
+            raise AssertionError("diagnose ran a simulation")
+
+        monkeypatch.setattr("gausshelp.cli.simulate", fail)
+        code, out, err = run_cli(capsys, "diagnose", "--snr", "3", "--rh", "0.5",
+                                 "--n", "12", "--trials", trials)
+        assert code == 2
+        assert err == f"config error: diagnose needs --trials of at least 2, got {trials}\n"
+        assert out == ""
 
 
 class TestTopLevel:

@@ -1,7 +1,11 @@
 """The chunked trial engine against the per-trial reference, and its pinned output."""
 
+import dataclasses
 import io
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +17,7 @@ from gausshelp import scheme
 from gausshelp.capacity import ChannelParams
 from gausshelp.cli import cli
 from gausshelp.codebook import CodebookSizeError, derive_seed
-from gausshelp.converse import empirical_correlations
+from gausshelp.converse import CorrelationSums, empirical_correlations
 from gausshelp.feedback import (
     _Z0_STREAM_OFFSET,
     FeedbackConfig,
@@ -37,6 +41,8 @@ CH = ChannelParams.from_snr(3.0)
 DATA = Path(__file__).parent / "data"
 # Trial counts around the chunk edge.
 EDGE_TRIALS = (1, CHUNK_TRIALS - 1, CHUNK_TRIALS + 1)
+# ... and one that leaves several chunks in flight on every thread count.
+THREADED_TRIALS = EDGE_TRIALS + (5 * CHUNK_TRIALS + 3,)
 
 
 def analytic_config(trials):
@@ -155,3 +161,214 @@ def test_golden_sweep_csv(tmp_path):
                     "--repro", "--workers", "1"]) == 0
         out.write(path.read_bytes())
     assert out.getvalue() == (DATA / "golden_sweep.csv").read_bytes()
+
+
+def feedback_config(trials):
+    return FeedbackConfig(inner=config_from_rates(12, 0.9, 0.5, CH, seed=23, eps=0.1,
+                                                  trials=trials))
+
+
+def bits(value):
+    """A value's exact bit pattern: floats and arrays as bytes, the rest as is."""
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return value
+
+
+def summary_bits(s):
+    fields = {f.name: bits(getattr(s, f.name)) for f in dataclasses.fields(s)
+              if f.name not in ("wall_time_s", "records", "corr_profile")}
+    records = [tuple(bits(v) for v in dataclasses.astuple(r)) for r in s.records]
+    rho = None if s.corr_profile is None else bits(s.corr_profile.per_index_rho)
+    return fields, records, rho
+
+
+def columns_bits(cols):
+    return {f.name: bits(getattr(cols, f.name)) for f in dataclasses.fields(cols)}
+
+
+# The engine's thread gate; the threading tests below lower it to 0 so that
+# their small cells run threaded.
+MIN_WORK = scheme.THREAD_MIN_WORK
+
+
+class TestEngineThreads:
+    """Chunks on 1, 2 or 3 threads give bitwise the same results."""
+
+    @pytest.fixture(autouse=True)
+    def thread_small_cells(self, monkeypatch):
+        monkeypatch.setattr(scheme, "THREAD_MIN_WORK", 0)
+
+    @pytest.mark.parametrize("trials", THREADED_TRIALS)
+    def test_results_do_not_depend_on_the_thread_count(self, monkeypatch, trials):
+        def run_all():
+            cfg, exh = analytic_config(trials), exhaustive_config(trials)
+            sums = CorrelationSums()
+            cb = build_codebook(cfg)
+            cols = scheme.run_trials(cfg, cb, scheme.draw_messages(cfg), None,
+                                     sums if trials > 1 else None)
+            return (columns_bits(cols), sums.sums if trials > 1 else None,
+                    summary_bits(simulate(cfg, keep_records=True, diagnostics=trials > 1)),
+                    summary_bits(simulate(exh, keep_records=True)),
+                    summary_bits(simulate_feedback(feedback_config(trials), keep_records=True)))
+
+        runs = {}
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(scheme, "resolve_workers", lambda: threads)
+            assert scheme.engine_threads() == threads
+            runs[threads] = run_all()
+        for threads in (2, 3):
+            cols, sums, *summaries = runs[threads]
+            want_cols, want_sums, *want_summaries = runs[1]
+            assert cols == want_cols
+            if trials > 1:
+                assert sums.tobytes() == want_sums.tobytes()
+            assert summaries == want_summaries
+
+    def test_more_threads_than_cores_with_a_short_switch_interval(self, monkeypatch):
+        # 8 threads switching every microsecond over 10 chunks that write into
+        # the shared columns: a lost or misplaced row would change a column.
+        cfg = exhaustive_config(10 * CHUNK_TRIALS - 7)
+        cb = build_codebook(cfg)
+        rotations = candidate_rotations(cfg, cb)
+        messages = scheme.draw_messages(cfg)
+
+        def run(threads):
+            monkeypatch.setattr(scheme, "resolve_workers", lambda: threads)
+            sums = CorrelationSums()
+            cols = scheme.run_trials(cfg, cb, messages, rotations, sums)
+            return columns_bits(cols), sums.sums.tobytes()
+
+        want = run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.monotonic()
+            got = run(8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert time.monotonic() - started < 60
+
+    def test_results_are_taken_in_chunk_order_on_the_calling_thread(self, monkeypatch):
+        # The first chunk is held back, so later chunks finish before it; the
+        # running sums must still see the chunks in order, from this thread.
+        cfg = analytic_config(4 * CHUNK_TRIALS + 5)
+        cb = build_codebook(cfg)
+        messages = scheme.draw_messages(cfg)
+        derive_seeds = scheme.derive_seeds
+
+        def slow_first(base, indices):
+            if indices[0] == 0:
+                time.sleep(0.2)
+            return derive_seeds(base, indices)
+
+        def record(threads):
+            added = []
+            add = CorrelationSums.add
+
+            def recording_add(self, xs, zs):
+                added.append((threading.get_ident(), xs.tobytes(), zs.tobytes()))
+                add(self, xs, zs)
+
+            monkeypatch.setattr(scheme, "resolve_workers", lambda: threads)
+            monkeypatch.setattr(CorrelationSums, "add", recording_add)
+            cols = scheme.run_trials(cfg, cb, messages, None, CorrelationSums())
+            monkeypatch.setattr(CorrelationSums, "add", add)
+            return added, cols.decoded
+
+        monkeypatch.setattr(scheme, "derive_seeds", slow_first)
+        serial, decoded = record(1)
+        me = threading.get_ident()
+        for threads in (2, 3):
+            added, threaded_decoded = record(threads)
+            assert [a[0] for a in added] == [me] * len(serial)
+            assert [a[1:] for a in added] == [a[1:] for a in serial]
+            assert threaded_decoded == decoded
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_a_failing_chunk_propagates_and_leaves_no_thread(self, monkeypatch, threads):
+        # Chunk 3 of 10 raises on its thread: the error comes out unchanged,
+        # the chunks not yet started are cancelled (at most threads + 1 were
+        # in flight), and the pool's threads are gone when run_trials returns.
+        cfg = analytic_config(10 * CHUNK_TRIALS)
+        derive_seeds = scheme.derive_seeds
+        calls = []
+
+        def failing(base, indices):
+            calls.append(indices[0])
+            if indices[0] == 2 * CHUNK_TRIALS:
+                raise RuntimeError("chunk 3 failed")
+            return derive_seeds(base, indices)
+
+        monkeypatch.setattr(scheme, "resolve_workers", lambda: threads)
+        monkeypatch.setattr(scheme, "derive_seeds", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^chunk 3 failed$"):
+            simulate(cfg, diagnostics=True)
+        assert threading.active_count() == before
+        assert 3 <= len(calls) <= 3 + threads
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_in_order_bounds_the_calls_in_flight(self, threads):
+        lock = threading.Lock()
+        started, taken, peak = [], [], [0]
+
+        def fn(item):
+            with lock:
+                started.append(item)
+                peak[0] = max(peak[0], len(started) - len(taken))
+            time.sleep(0.002 * (item % 3))
+            return item * item
+
+        scheme._in_order(fn, range(20), threads, taken.append)
+        assert taken == [i * i for i in range(20)]
+        assert peak[0] <= threads + 1
+
+    def test_pool_only_for_several_chunks_threads_and_enough_work(self, monkeypatch):
+        pools = []
+        pool = scheme.ThreadPoolExecutor
+
+        def counting_pool(*args):
+            pools.append(args)
+            return pool(*args)
+
+        monkeypatch.setattr(scheme, "ThreadPoolExecutor", counting_pool)
+        monkeypatch.setattr(scheme, "resolve_workers", lambda: 4)
+        simulate(analytic_config(CHUNK_TRIALS), diagnostics=True)  # one chunk
+        monkeypatch.setattr(scheme, "resolve_workers", lambda: 1)
+        simulate(analytic_config(3 * CHUNK_TRIALS), diagnostics=True)  # one thread
+        assert pools == []
+        # The real gate on the helper search, 2^helper_bits * n per trial:
+        # 2^8 * 16 and 2^5 * 10 run serially, 2^14 * 28 on threads.
+        monkeypatch.setattr(scheme, "THREAD_MIN_WORK", MIN_WORK)
+        monkeypatch.setattr(scheme, "resolve_workers", lambda: 4)
+        simulate(analytic_config(3 * CHUNK_TRIALS), diagnostics=True)
+        simulate(exhaustive_config(3 * CHUNK_TRIALS))
+        assert pools == []
+        wide = config_from_rates(28, 1.2, 0.5, CH, seed=24, eps=0.1, trials=2 * CHUNK_TRIALS)
+        simulate(wide)
+        assert pools == [(2,)]  # two chunks on min(4, 2) threads
+
+    def test_threaded_diagnostics_memory_does_not_grow_with_trials(self, monkeypatch):
+        # As test_diagnostics_memory_does_not_grow_with_trials, on 2 threads:
+        # the rotations are formed on the calling thread one chunk at a time,
+        # so the threads add no per-chunk stack of them.
+        monkeypatch.setattr(scheme, "resolve_workers", lambda: 2)
+        n, few, many = 32, 512, 8192
+
+        def extra_peak(trials):
+            cfg = config_from_rates(n, 1.2, 0.25, CH, seed=31, eps=0.1, trials=trials)
+            peaks = []
+            for diagnostics in (True, False):
+                tracemalloc.start()
+                try:
+                    simulate(cfg, diagnostics=diagnostics)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return peaks[0] - peaks[1]
+
+        assert extra_peak(many) - extra_peak(few) < 8 * (many - few) * n / 2

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from gausshelp import feedback
 from gausshelp.capacity import ChannelParams
 from gausshelp.feedback import (
+    MAX_FEEDBACK_BITS,
     FeedbackConfig,
+    TimeZeroRangeError,
     encode_time_zero,
     inner_message,
     reconstruct,
@@ -193,3 +195,42 @@ class TestIntegerTimeZeroMap:
         assert s.trials == 300 and s.boundary_events == 0
         assert [rec.error for rec in s.records] == inner_errors
         assert s.errors == sum(inner_errors)
+
+
+class TestTimeZeroRange:
+    """Cells the float time-zero map cannot take are refused, never crash."""
+
+    @staticmethod
+    def wide_config(bits, snr=3.0):
+        return FeedbackConfig(inner=config_from_rates(
+            bits, 1.0, 0.0, ChannelParams.from_snr(snr), seed=5, eps=0.0, trials=2))
+
+    @pytest.mark.parametrize("bits, snr", [(MAX_FEEDBACK_BITS + 1, 3.0), (1500, 3.0),
+                                           (MAX_FEEDBACK_BITS, 0.1)])
+    def test_refused_before_anything_is_drawn(self, monkeypatch, bits, snr):
+        # past 1023 bits 2^mb is no double; at 1023 bits and P = 0.1,
+        # 2^mb / sqrt(P) overflows to inf
+        def drawn(*args, **kwargs):
+            raise AssertionError("the cell drew something")
+
+        for name in ("build_codebook", "draw_messages", "generators"):
+            monkeypatch.setattr(feedback, name, drawn)
+        cfg = self.wide_config(bits, snr)
+        assert cfg.message_bits == bits
+        with pytest.raises(TimeZeroRangeError, match=f"^{bits} message bits at power .*"
+                                                     r"\(at most 1023 message bits\)$"):
+            simulate_feedback(cfg)
+
+    def test_overflowing_noise_is_refused(self, monkeypatch):
+        # At 1023 bits and P = 3, z0 * 2^mb / sqrt(P) overflows once |z0| > 2 sqrt(P)
+        class BigNoise:
+            def standard_normal(self):
+                return 4.0
+
+        monkeypatch.setattr(feedback, "generators", lambda seeds: [BigNoise() for _ in seeds])
+        with pytest.raises(TimeZeroRangeError, match="^trial 0: .* is not a finite double"):
+            simulate_feedback(self.wide_config(MAX_FEEDBACK_BITS))
+
+    def test_widest_cell_runs(self):
+        s = simulate_feedback(self.wide_config(MAX_FEEDBACK_BITS))
+        assert s.trials == 2 and s.boundary_events == 0

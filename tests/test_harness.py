@@ -1,6 +1,9 @@
 import io
 import math
+import multiprocessing
+import os
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +22,7 @@ from gausshelp.harness import (
     run_cell,
     run_sweep,
 )
+from gausshelp import scheme
 from gausshelp.scheme import SchemeConfig, simulate
 
 MINIMAL = """
@@ -191,7 +195,7 @@ class TestSweep:
         pools = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 pools.append(max_workers)
 
             def __enter__(self):
@@ -206,15 +210,15 @@ class TestSweep:
         spec = SweepSpec(snr=(3.0,), helper_rate=(0.5,), blocklength=(8, 12),
                          rate_fraction=(0.5,), trials=5, base_seed=2)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
         monkeypatch.delenv(WORKERS_ENV, raising=False)
         run_sweep(spec)  # pinned to 2 of 64 CPUs: 2 workers
         monkeypatch.setenv(WORKERS_ENV, "3")
         run_sweep(spec)
         run_sweep(spec, workers=4)
         monkeypatch.delenv(WORKERS_ENV)
-        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        monkeypatch.delattr(os, "sched_getaffinity")
         run_sweep(spec)  # no affinity call on this OS: the CPU count
         assert pools == [2, 3, 4, 64]
 
@@ -232,7 +236,7 @@ class TestSweep:
         received = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 pass
 
             def __enter__(self):
@@ -318,6 +322,36 @@ class TestSweep:
         assert [s.blocklength for s in summaries] == [12]
         (skip,) = [rec.message for rec in caplog.records if "skipped" in rec.message]
         assert "n=48" in skip and "QuantizationBoundaryError" in skip and "trial 6" in skip
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched run_cell reaches the workers only through fork")
+    def test_pool_workers_run_the_engine_on_one_thread(self, monkeypatch):
+        # Each cell reports the engine thread count from where it runs.  A set
+        # GAUSSHELP_WORKERS that a worker would otherwise resolve to is ignored.
+        spec = SweepSpec(snr=(3.0,), helper_rate=(0.5,), blocklength=(8, 12),
+                         rate_fraction=(0.5,), trials=5, base_seed=2)
+        one_cell = replace(spec, blocklength=(8,))
+        monkeypatch.setattr(harness, "run_cell", lambda cfg, diagnostics: scheme.engine_threads())
+        monkeypatch.setenv(WORKERS_ENV, "4")
+        assert run_sweep(spec, workers=2) == [1, 1]  # two worker processes
+        assert run_sweep(spec, workers=1) == [1, 1]  # serial: the resolved count
+        assert run_sweep(one_cell, workers=3) == [3]
+        assert run_sweep(one_cell) == [4]
+        assert scheme.engine_threads() == 4  # the serial path restores the setting
+
+    def test_too_wide_feedback_cell_skipped(self, caplog):
+        # 1035 message bits at n = 1024: 2^1035 is no double, so the time-zero
+        # map refuses the cell before drawing anything; the n = 8 cell runs
+        spec = SweepSpec(snr=(3.0,), helper_rate=(0.0,), blocklength=(8, 1024),
+                         rate_fraction=(1.01,), trials=2, base_seed=1, scheme="feedback")
+        for workers in (1, 2):
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                summaries = run_sweep(spec, workers=workers)
+            assert [s.blocklength for s in summaries] == [8]
+            (skip,) = [rec.message for rec in caplog.records if "skipped" in rec.message]
+            assert "n=1024" in skip and "TimeZeroRangeError" in skip
+            assert "1035 message bits" in skip and "at most 1023 message bits" in skip
 
     def test_cell_rate_tracks_capacity(self):
         spec, _ = parse_config(SWEEP)
