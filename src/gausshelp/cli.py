@@ -8,6 +8,7 @@ diagnose request, that no run can honour).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .capacity import ChannelParams, capacity_cognizant, capacity_oblivious_feedback, \
@@ -15,7 +16,7 @@ from .capacity import ChannelParams, capacity_cognizant, capacity_oblivious_feed
 from .converse import check_budget, estimator_slack
 from .geometry import achievable_rate_threshold, cap_rate_exponent, cap_ratio_exact
 from .harness import CELL_SKIPS, ConfigError, SweepSpec, emit_csv, parse_config, run_cell, run_sweep
-from .scheme import config_from_rates, set_engine_threads, simulate
+from .scheme import config_from_rates, simulate
 
 
 def _build_parser():
@@ -114,27 +115,23 @@ def cli(argv=None) -> int:
                 print(f"config error: {exc}", file=sys.stderr)
                 return 2
             parsed, diagnostics = parse_config(text)
-            if args.command == "simulate":
-                if isinstance(parsed, SweepSpec):
+            if isinstance(parsed, SweepSpec):
+                if args.command == "simulate":
                     print("config error: simulate needs a single-valued config "
                           "(use the sweep subcommand for grids)", file=sys.stderr)
                     return 2
-                summaries = [run_cell(parsed, diagnostics)]
+                summaries = run_sweep(parsed, workers=args.workers)
             else:
-                if isinstance(parsed, SweepSpec):
-                    summaries = run_sweep(parsed, workers=args.workers)
-                else:
-                    previous = set_engine_threads(args.workers)
-                    try:
-                        summaries = [run_cell(parsed, diagnostics)]
-                    finally:
-                        set_engine_threads(previous)
+                summaries = [run_cell(parsed, diagnostics, getattr(args, "workers", None))]
             _emit(summaries, args)
             return 0
 
         if args.command == "diagnose":
             if args.trials < 2:
                 raise ConfigError(f"diagnose needs --trials of at least 2, got {args.trials}")
+            if not 0 < args.rate_fraction < math.inf:
+                raise ConfigError("diagnose needs a finite positive --rate-fraction, "
+                                  f"got {args.rate_fraction}")
             ch = ChannelParams.from_snr(args.snr)
             rate = args.rate_fraction * capacity_cognizant(ch, args.rh)
             cfg = config_from_rates(args.n, rate, args.rh, ch, args.seed,

@@ -95,7 +95,7 @@ def reconstruct(y0: float, m_prime_hat: int, message_bits: int, power: float) ->
     return math.floor(y0 * scale - m_prime_hat) % size
 
 
-def simulate_feedback(cfg: FeedbackConfig, keep_records=False) -> "SimSummary":
+def simulate_feedback(cfg: FeedbackConfig, keep_records=False, threads=None) -> "SimSummary":
     """Run the length-(n+1) feedback scheme for cfg.trials blocks.
 
     A pre/post transform over the cognizant engine: the time-zero draw turns
@@ -108,6 +108,7 @@ def simulate_feedback(cfg: FeedbackConfig, keep_records=False) -> "SimSummary":
     checked to equal the inner one per trial; a violation raises.  A cell
     whose 2^mb / sqrt(P) is not a finite double (more than MAX_FEEDBACK_BITS
     message bits) is refused with TimeZeroRangeError before anything is drawn.
+    `threads` bounds the engine's threads, as in scheme.simulate.
     """
     t_start = time.perf_counter()
     inner = cfg.inner
@@ -139,7 +140,7 @@ def simulate_feedback(cfg: FeedbackConfig, keep_records=False) -> "SimSummary":
                                      f"is not a finite double (z0={z0s[i]!r})")
     qs = [math.floor(zeta) for zeta in zetas]
 
-    cols = run_trials(inner, cb, [q % size for q in qs], rotations)
+    cols = run_trials(inner, cb, [q % size for q in qs], rotations, threads=threads)
 
     m_hats = [(m - d + q) % size for m, d, q in zip(messages, cols.decoded, qs)]
     outer_error = np.array([m_hat != m for m_hat, m in zip(m_hats, messages)], dtype=bool)

@@ -5,7 +5,7 @@ Config grammar (line oriented, ``key = value``, ``#`` comments)::
     snr              = 3            # or a comma list for sweeps
     helper_rate_bits = 0.5          # or a comma list
     blocklength      = 24           # or a comma list
-    rate_fraction    = 0.7          # R as fraction of cognizant capacity; list ok
+    rate_fraction    = 0.7          # R as fraction of cognizant capacity (> 0); list ok
     rate_bits        = 1.2          # absolute R; single runs only
     eps              = 0.05         # default 0.1 * helper_rate_bits
     trials           = 10000        # default 10000
@@ -18,10 +18,12 @@ the grid.  Every cell's seed is derived from (base seed, cell coordinates),
 so any cell is individually reproducible and results do not depend on
 scheduling or worker count.  The worker count (`--workers`, else
 GAUSSHELP_WORKERS if non-zero, else the usable CPUs; scheme.resolve_workers)
-bounds the CPUs a sweep uses: a pool of that many processes, each running its
-engine on one thread, or, on the serial path (one worker or one cell), one
-engine on that many threads.  A worker pool receives the cells longest-first
-by `cell_work`, so the costliest cell does not start last and run alone
+bounds the CPUs a sweep uses.  With more than one worker and more than one
+cell, a pool of min(workers, cells) processes runs the cells, each on one
+engine thread; otherwise the cells run one after another, each on `workers`
+engine threads.  The count is passed down as run_cell's `threads` argument;
+no module holds it.  A worker pool receives the cells longest-first by
+`cell_work`, so the costliest cell does not start last and run alone
 (Graham's LPT rule); results and skip warnings are put back in sweep order,
 so the output does not depend on the dispatch order.
 """
@@ -32,15 +34,14 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from .capacity import ChannelParams, capacity_cognizant
 from .codebook import CodebookSizeError, derive_seed
 from .feedback import (FeedbackConfig, QuantizationBoundaryError, TimeZeroRangeError,
                        simulate_feedback)
 from .results import SimSummary
-from .scheme import (SchemeConfig, config_from_rates, exhaustive_route, resolve_workers,
-                     set_engine_threads, simulate)
-from .scheme import WORKERS_ENV  # noqa: F401  (the variable run_sweep reads)
+from .scheme import SchemeConfig, config_from_rates, exhaustive_route, resolve_workers, simulate
 
 log = logging.getLogger(__name__)
 
@@ -185,6 +186,8 @@ def parse_config(text: str):
         rh = helper_rate[0]
         ch = ChannelParams.from_snr(snr[0])
         if rate_fraction is not None:
+            if rate_fraction[0] <= 0:
+                raise ConfigError("rate_fraction must be positive")
             rate = rate_fraction[0] * capacity_cognizant(ch, rh)
         else:
             rate = _parse_number("rate_bits", seen["rate_bits"][1], seen["rate_bits"][0], float)
@@ -230,13 +233,16 @@ def cell_config(spec: SweepSpec, i_snr: int, i_rh: int, i_n: int, i_frac: int):
     return cfg
 
 
-def run_cell(cfg, diagnostics=False) -> SimSummary:
-    """Run one experiment cell (module-level so worker processes can pickle it)."""
+def run_cell(cfg, diagnostics=False, threads=None) -> SimSummary:
+    """Run one experiment cell on up to `threads` engine threads (None: resolve_workers()).
+
+    Module-level so worker processes can pickle it.
+    """
     if isinstance(cfg, FeedbackConfig):
         if diagnostics:
             raise ValueError("correlation diagnostics need the cognizant scheme")
-        return simulate_feedback(cfg)
-    return simulate(cfg, diagnostics=diagnostics)
+        return simulate_feedback(cfg, threads=threads)
+    return simulate(cfg, diagnostics=diagnostics, threads=threads)
 
 
 def cell_work(cfg, diagnostics=False) -> int:
@@ -258,10 +264,10 @@ def cell_work(cfg, diagnostics=False) -> int:
     return work
 
 
-def _run_cell_safe(args):
-    cfg, diagnostics = args
+def _run_cell_safe(cell, threads=None):
+    cfg, diagnostics = cell
     try:
-        return run_cell(cfg, diagnostics)
+        return run_cell(cfg, diagnostics, threads)
     except CELL_SKIPS as exc:
         return exc
 
@@ -272,11 +278,11 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
     Cells whose resources exceed the caps, feedback cells too wide for the
     time-zero map, or feedback runs that fail the outer = inner error-event
     check (which the exact time-zero map keeps from firing), are skipped with
-    a logged reason; the sweep continues.  With more than one worker the pool
-    receives the cells in order of decreasing `cell_work`, and each worker
-    runs its engine on one thread; otherwise the engine runs on `workers`
-    threads.  The summaries and the skip warnings come in sweep order, so the
-    output is the same for every worker count.
+    a logged reason; the sweep continues.  With more than one worker a pool of
+    at most one process per cell receives the cells in order of decreasing
+    `cell_work`, and each cell runs its engine on one thread; otherwise each
+    runs it on `workers` threads.  The summaries and the skip warnings come in
+    sweep order, so the output is the same for every worker count.
     """
     if workers is None:
         workers = resolve_workers()
@@ -291,17 +297,14 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
     if workers > 1 and len(cells) > 1:
         order = sorted(range(len(cells)), key=lambda i: -cell_work(*cells[i]))
         outcomes = [None] * len(cells)
-        # Each worker runs its engine on one thread: workers CPUs in all.
-        with ProcessPoolExecutor(max_workers=workers, initializer=set_engine_threads,
-                                 initargs=(1,)) as pool:
-            for i, outcome in zip(order, pool.map(_run_cell_safe, [cells[i] for i in order])):
+        # Each cell runs its engine on one thread: at most workers CPUs in all.
+        # With fork, every process of the pool starts at the first submit.
+        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
+            run = partial(_run_cell_safe, threads=1)
+            for i, outcome in zip(order, pool.map(run, [cells[i] for i in order])):
                 outcomes[i] = outcome
     else:
-        previous = set_engine_threads(workers)
-        try:
-            outcomes = [_run_cell_safe(c) for c in cells]
-        finally:
-            set_engine_threads(previous)
+        outcomes = [_run_cell_safe(c, workers) for c in cells]
 
     summaries = []
     for (cfg, _), outcome in zip(cells, outcomes):

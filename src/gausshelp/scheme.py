@@ -42,15 +42,17 @@ The engine builds these generators a chunk at a time (codebook.derive_seeds
 and codebook.generators), each bitwise equal to its default_rng; run_trial
 keeps calling default_rng, so the replay checks one against the other.
 
-Chunks are independent, so the engine runs them on up to engine_threads()
-threads (GAUSSHELP_WORKERS if non-zero, else the usable CPUs; a sweep's
-worker processes use one each).  The helper search's GEMMs and reductions
-release the GIL and overlap; the per-trial generator loops hold it and do
-not, so a cell with a small helper codebook (THREAD_MIN_WORK) runs on one
-thread.  Each chunk writes its own rows of the columns; the calling thread
-takes the chunks' decisions in chunk order and forms the diagnostics'
-rotations, x and z there, in the same order, so no result depends on the
-thread count and the diagnostics' memory is the serial loop's.
+Chunks are independent, so the engine runs them on up to `threads` threads,
+an argument of run_trials and simulate resolved per call (None:
+resolve_workers(), that is GAUSSHELP_WORKERS if non-zero, else the usable
+CPUs; a sweep's worker processes pass 1), so no module holds a thread count.
+The helper search's GEMMs and reductions release the GIL and overlap; the
+per-trial generator loops hold it and do not, so a cell with a small helper
+codebook (THREAD_MIN_WORK) runs on one thread.  Each chunk writes its own rows
+of the columns; the calling thread takes the chunks' decisions in chunk order
+and forms the diagnostics' rotations, x and z there, in the same order, so no
+result depends on the thread count and the diagnostics' memory is the serial
+loop's.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ import numpy as np
 from .capacity import ChannelParams, capacity_cognizant
 from .codebook import (MAX_CODEBOOK_FLOATS, CodebookSizeError, HelperCodebook,
                        build_base_codebook, derive_seed, derive_seeds, generators)
-from .converse import CorrelationSums
+from .converse import CorrelationSums, correlation_budget
 from .geometry import (COS_CLAMP_TOL, achievable_rate_threshold, angle_between,
                        cap_ratio_exact, theta0)
 from .results import SimSummary, TrialColumns, TrialRecord, wilson_interval
@@ -90,9 +92,6 @@ STREAM_CONTRACT = 2
 
 # Bound on the CPUs gausshelp uses: sweep worker processes or engine threads.
 WORKERS_ENV = "GAUSSHELP_WORKERS"
-
-# Engine threads fixed by set_engine_threads; None: resolve_workers().
-_engine_threads = None
 
 # Least helper-search work per trial, 2^helper_bits * n, for which run_trials
 # runs its chunks on threads.  The search's GEMM and reductions release the
@@ -373,21 +372,6 @@ def resolve_workers() -> int:
     return int(raw) or _usable_cpus()
 
 
-def set_engine_threads(threads: int | None) -> int | None:
-    """Fix the threads run_trials uses in this process (None: resolve_workers()).
-
-    Returns the previous setting, so that a caller can restore it.
-    """
-    global _engine_threads
-    previous, _engine_threads = _engine_threads, threads
-    return previous
-
-
-def engine_threads() -> int:
-    """Threads run_trials uses: the count set_engine_threads fixed, else resolve_workers()."""
-    return _engine_threads or resolve_workers()
-
-
 def _in_order(fn, items, threads: int, take) -> None:
     """take(fn(item)) for every item, in order, with fn on up to `threads` threads.
 
@@ -415,18 +399,18 @@ def _in_order(fn, items, threads: int, take) -> None:
 
 
 def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
-               correlations: CorrelationSums | None = None) -> TrialColumns:
+               correlations: CorrelationSums | None = None, threads=None) -> TrialColumns:
     """Trial i sends messages[i]; the batched equivalent of run_trial per trial.
 
     Runs CHUNK_TRIALS trials at a time on the per-trial streams documented in
     the module docstring.  `rotations` is candidate_rotations(cfg, cb).  Each
     chunk's inputs and noises, if wanted, are added to `correlations`, not kept.
-    Chunks run on engine_threads() threads when the helper search is large
-    enough to pay (THREAD_MIN_WORK); each writes only its own rows.  The
-    calling thread takes their decisions in chunk order and, for diagnostics,
-    forms their rotations and adds x and z to the sums in that order, so every
-    result is that of the serial loop, bitwise, and one stack of rotations is
-    alive at a time.
+    Chunks run on `threads` threads (None: resolve_workers()) when the helper
+    search is large enough to pay (THREAD_MIN_WORK); each writes only its own
+    rows.  The calling thread takes their decisions in chunk order and, for
+    diagnostics, forms their rotations and adds x and z to the sums in that
+    order, so every result is that of the serial loop, bitwise, and one stack
+    of rotations is alive at a time.
     """
     messages = list(messages)
     trials, n = len(messages), cfg.blocklength
@@ -487,7 +471,7 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
             rot = rotations[ms] if exhaustive else cb.rotations(ms)
             correlations.add(np.einsum("kij,kj->ki", rot, bt), np.einsum("kij,kj->ki", rot, w))
 
-    threads = engine_threads()
+    threads = threads or resolve_workers()
     _in_order(chunk, range(0, trials, CHUNK_TRIALS),
               threads if (1 << cfg.helper_bits) * n >= THREAD_MIN_WORK else 1, take)
 
@@ -534,7 +518,7 @@ def summarize(cfg: SchemeConfig, cols: TrialColumns, wall_time_s, scheme="cogniz
         mean_helper_angle=float(np.mean(cols.helper_angle)),
         mean_decode_angle=float(np.mean(cols.decode_angle)),
         corr_sum=float(np.sum(corr_profile.per_index_rho ** 2)) if corr_profile else math.nan,
-        corr_budget=cfg.blocklength * (1.0 - 2.0 ** (-2.0 * rh)),
+        corr_budget=correlation_budget(cfg.blocklength, rh),
         capacity_bits=capacity_cognizant(ch, rh),
         threshold_bits=threshold,
         seed=cfg.base_seed if cfg.base_seed is not None else cfg.codebook_seed,
@@ -545,13 +529,14 @@ def summarize(cfg: SchemeConfig, cols: TrialColumns, wall_time_s, scheme="cogniz
 
 
 def simulate(cfg: SchemeConfig, keep_records=False, diagnostics=False,
-             messages=None) -> SimSummary:
+             messages=None, threads=None) -> SimSummary:
     """Run cfg.trials independent transmissions and aggregate the outcome.
 
     `messages` overrides the equiprobable message draw (used to replay a
     specific message sequence); `diagnostics` additionally estimates the
     per-index input/noise correlations across trials, from running sums that
-    take O(n) memory whatever the trial count.
+    take O(n) memory whatever the trial count.  `threads` bounds the engine's
+    threads (None: resolve_workers()); no result depends on it.
     """
     t_start = time.perf_counter()
     cb = build_codebook(cfg)
@@ -562,7 +547,7 @@ def simulate(cfg: SchemeConfig, keep_records=False, diagnostics=False,
         raise ValueError(f"need {cfg.trials} messages, got {len(messages)}")
 
     sums = CorrelationSums() if diagnostics else None
-    cols = run_trials(cfg, cb, messages, rotations, sums)
+    cols = run_trials(cfg, cb, messages, rotations, sums, threads)
     return summarize(
         cfg, cols, time.perf_counter() - t_start,
         corr_profile=sums.profile() if diagnostics else None, keep_records=keep_records,

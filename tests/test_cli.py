@@ -7,7 +7,8 @@ from gausshelp.capacity import ChannelParams, capacity_cognizant
 from gausshelp.cli import cli
 from gausshelp.feedback import QuantizationBoundaryError
 from gausshelp.geometry import achievable_rate_threshold, cap_ratio_exact
-from gausshelp.harness import CSV_COLUMNS, WORKERS_ENV, run_cell
+from gausshelp.harness import CSV_COLUMNS
+from gausshelp.scheme import WORKERS_ENV
 
 SINGLE_CONFIG = """
 snr = 3
@@ -136,6 +137,16 @@ class TestSimulateCommand:
         assert "config error" in err and "scheme" in err and "diagnostics" in err
         assert out == ""
 
+    @pytest.mark.parametrize("fraction", ["0", "-0.5"])
+    def test_nonpositive_rate_fraction_exits_two(self, capsys, tmp_path, fraction):
+        # once run silently as a cell of one message bit
+        path = tmp_path / "run.conf"
+        path.write_text(SINGLE_CONFIG.replace("rate_bits = 1.2", f"rate_fraction = {fraction}"))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 2
+        assert err == "config error: rate_fraction must be positive\n"
+        assert out == ""
+
     def test_zero_trials_exits_two(self, capsys, tmp_path):
         path = tmp_path / "zero.conf"
         path.write_text(SINGLE_CONFIG.replace("trials = 30", "trials = 0"))
@@ -183,7 +194,7 @@ class TestRefusedCell:
         assert out == ""
 
     def test_quantization_boundary(self, capsys, tmp_path, monkeypatch, command):
-        def fail(cfg):
+        def fail(cfg, threads=None):
             raise QuantizationBoundaryError("trial 0: outer error True != inner error False")
 
         monkeypatch.setattr(harness, "simulate_feedback", fail)
@@ -249,21 +260,24 @@ class TestSweepCommand:
         assert "n=1024" in skip and "at most 1023 message bits" in skip
 
     def test_workers_bound_the_engine_of_a_single_config(self, capsys, tmp_path, monkeypatch):
+        # The thread count each engine call hands its chunk loop; the gate is
+        # lowered so that this small cell is not held to one thread.
         threads = []
+        in_order = scheme._in_order
 
-        def recording_run_cell(cfg, diagnostics):
-            threads.append(scheme.engine_threads())
-            return run_cell(cfg, diagnostics)
+        def recording(fn, items, count, take):
+            threads.append(count)
+            in_order(fn, items, count, take)
 
-        monkeypatch.setattr("gausshelp.cli.run_cell", recording_run_cell)
+        monkeypatch.setattr(scheme, "THREAD_MIN_WORK", 0)
+        monkeypatch.setattr(scheme, "_in_order", recording)
         monkeypatch.setenv(WORKERS_ENV, "2")
         path = tmp_path / "run.conf"
         path.write_text(SINGLE_CONFIG)
-        for argv in (["--workers", "3"], []):
-            code, out, _ = run_cli(capsys, "sweep", "--config", str(path), *argv)
+        for argv in (["sweep", "--workers", "3"], ["sweep"], ["simulate"]):
+            code, out, _ = run_cli(capsys, *argv, "--config", str(path))
             assert code == 0 and len(out.strip().split("\n")) == 2
-        assert threads == [3, 2]
-        assert scheme.engine_threads() == 2  # restored after the run
+        assert threads == [3, 2, 2]
 
     def test_accepts_single_config(self, capsys, tmp_path):
         path = tmp_path / "run.conf"
@@ -314,6 +328,19 @@ class TestDiagnoseCommand:
                                  "--n", "12", "--trials", trials)
         assert code == 2
         assert err == f"config error: diagnose needs --trials of at least 2, got {trials}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("fraction", ["0", "-0.5", "nan", "inf"])
+    def test_bad_rate_fraction_refused_before_running(self, capsys, monkeypatch, fraction):
+        def fail(*args, **kwargs):
+            raise AssertionError("diagnose ran a simulation")
+
+        monkeypatch.setattr("gausshelp.cli.simulate", fail)
+        code, out, err = run_cli(capsys, "diagnose", "--snr", "3", "--rh", "0.5",
+                                 "--n", "12", "--rate-fraction", fraction)
+        assert code == 2
+        assert err == ("config error: diagnose needs a finite positive --rate-fraction, "
+                       f"got {float(fraction)}\n")
         assert out == ""
 
 

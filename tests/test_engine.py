@@ -29,6 +29,7 @@ from gausshelp.feedback import (
 from gausshelp.harness import _run_cell_safe
 from gausshelp.scheme import (
     CHUNK_TRIALS,
+    WORKERS_ENV,
     build_codebook,
     candidate_rotations,
     config_from_rates,
@@ -194,6 +195,18 @@ def columns_bits(cols):
 MIN_WORK = scheme.THREAD_MIN_WORK
 
 
+def record_engine_threads(monkeypatch):
+    """The thread count each run_trials call hands _in_order, in call order."""
+    used, in_order = [], scheme._in_order
+
+    def recording(fn, items, threads, take):
+        used.append(threads)
+        in_order(fn, items, threads, take)
+
+    monkeypatch.setattr(scheme, "_in_order", recording)
+    return used
+
+
 class TestEngineThreads:
     """Chunks on 1, 2 or 3 threads give bitwise the same results."""
 
@@ -202,23 +215,21 @@ class TestEngineThreads:
         monkeypatch.setattr(scheme, "THREAD_MIN_WORK", 0)
 
     @pytest.mark.parametrize("trials", THREADED_TRIALS)
-    def test_results_do_not_depend_on_the_thread_count(self, monkeypatch, trials):
-        def run_all():
+    def test_results_do_not_depend_on_the_thread_count(self, trials):
+        def run_all(threads):
             cfg, exh = analytic_config(trials), exhaustive_config(trials)
             sums = CorrelationSums()
             cb = build_codebook(cfg)
             cols = scheme.run_trials(cfg, cb, scheme.draw_messages(cfg), None,
-                                     sums if trials > 1 else None)
+                                     sums if trials > 1 else None, threads=threads)
             return (columns_bits(cols), sums.sums if trials > 1 else None,
-                    summary_bits(simulate(cfg, keep_records=True, diagnostics=trials > 1)),
-                    summary_bits(simulate(exh, keep_records=True)),
-                    summary_bits(simulate_feedback(feedback_config(trials), keep_records=True)))
+                    summary_bits(simulate(cfg, keep_records=True, diagnostics=trials > 1,
+                                          threads=threads)),
+                    summary_bits(simulate(exh, keep_records=True, threads=threads)),
+                    summary_bits(simulate_feedback(feedback_config(trials), keep_records=True,
+                                                   threads=threads)))
 
-        runs = {}
-        for threads in (1, 2, 3):
-            monkeypatch.setattr(scheme, "resolve_workers", lambda: threads)
-            assert scheme.engine_threads() == threads
-            runs[threads] = run_all()
+        runs = {threads: run_all(threads) for threads in (1, 2, 3)}
         for threads in (2, 3):
             cols, sums, *summaries = runs[threads]
             want_cols, want_sums, *want_summaries = runs[1]
@@ -227,7 +238,38 @@ class TestEngineThreads:
                 assert sums.tobytes() == want_sums.tobytes()
             assert summaries == want_summaries
 
-    def test_more_threads_than_cores_with_a_short_switch_interval(self, monkeypatch):
+    def test_threads_none_follows_the_workers_variable(self, monkeypatch):
+        # The CI's GAUSSHELP_WORKERS=1 step reaches the serial loop this way.
+        used = record_engine_threads(monkeypatch)
+        cfg = analytic_config(3 * CHUNK_TRIALS)
+        for raw in ("3", "1"):
+            monkeypatch.setenv(WORKERS_ENV, raw)
+            simulate(cfg)
+        simulate(cfg, threads=2)  # an argument takes the place of the variable
+        assert used == [3, 1, 2]
+
+    def test_concurrent_runs_on_different_thread_counts(self, monkeypatch):
+        # Two Python threads run simulate at once, on 1 and on 2 engine
+        # threads: each run keeps its own count and gets the serial result.
+        cfg = analytic_config(5 * CHUNK_TRIALS + 3)
+        want = summary_bits(simulate(cfg, keep_records=True, diagnostics=True, threads=1))
+        used, got = record_engine_threads(monkeypatch), {}
+        barrier = threading.Barrier(2)
+
+        def run(threads):
+            barrier.wait()
+            got[threads] = summary_bits(simulate(cfg, keep_records=True, diagnostics=True,
+                                                 threads=threads))
+
+        runners = [threading.Thread(target=run, args=(threads,)) for threads in (1, 2)]
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join()
+        assert sorted(used) == [1, 2]
+        assert got == {1: want, 2: want}
+
+    def test_more_threads_than_cores_with_a_short_switch_interval(self):
         # 8 threads switching every microsecond over 10 chunks that write into
         # the shared columns: a lost or misplaced row would change a column.
         cfg = exhaustive_config(10 * CHUNK_TRIALS - 7)
@@ -236,9 +278,8 @@ class TestEngineThreads:
         messages = scheme.draw_messages(cfg)
 
         def run(threads):
-            monkeypatch.setattr(scheme, "resolve_workers", lambda: threads)
             sums = CorrelationSums()
-            cols = scheme.run_trials(cfg, cb, messages, rotations, sums)
+            cols = scheme.run_trials(cfg, cb, messages, rotations, sums, threads)
             return columns_bits(cols), sums.sums.tobytes()
 
         want = run(1)
@@ -273,9 +314,8 @@ class TestEngineThreads:
                 added.append((threading.get_ident(), xs.tobytes(), zs.tobytes()))
                 add(self, xs, zs)
 
-            monkeypatch.setattr(scheme, "resolve_workers", lambda: threads)
             monkeypatch.setattr(CorrelationSums, "add", recording_add)
-            cols = scheme.run_trials(cfg, cb, messages, None, CorrelationSums())
+            cols = scheme.run_trials(cfg, cb, messages, None, CorrelationSums(), threads)
             monkeypatch.setattr(CorrelationSums, "add", add)
             return added, cols.decoded
 
@@ -303,11 +343,10 @@ class TestEngineThreads:
                 raise RuntimeError("chunk 3 failed")
             return derive_seeds(base, indices)
 
-        monkeypatch.setattr(scheme, "resolve_workers", lambda: threads)
         monkeypatch.setattr(scheme, "derive_seeds", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="^chunk 3 failed$"):
-            simulate(cfg, diagnostics=True)
+            simulate(cfg, diagnostics=True, threads=threads)
         assert threading.active_count() == before
         assert 3 <= len(calls) <= 3 + threads
 
@@ -336,27 +375,23 @@ class TestEngineThreads:
             return pool(*args)
 
         monkeypatch.setattr(scheme, "ThreadPoolExecutor", counting_pool)
-        monkeypatch.setattr(scheme, "resolve_workers", lambda: 4)
-        simulate(analytic_config(CHUNK_TRIALS), diagnostics=True)  # one chunk
-        monkeypatch.setattr(scheme, "resolve_workers", lambda: 1)
-        simulate(analytic_config(3 * CHUNK_TRIALS), diagnostics=True)  # one thread
+        simulate(analytic_config(CHUNK_TRIALS), diagnostics=True, threads=4)  # one chunk
+        simulate(analytic_config(3 * CHUNK_TRIALS), diagnostics=True, threads=1)  # one thread
         assert pools == []
         # The real gate on the helper search, 2^helper_bits * n per trial:
         # 2^8 * 16 and 2^5 * 10 run serially, 2^14 * 28 on threads.
         monkeypatch.setattr(scheme, "THREAD_MIN_WORK", MIN_WORK)
-        monkeypatch.setattr(scheme, "resolve_workers", lambda: 4)
-        simulate(analytic_config(3 * CHUNK_TRIALS), diagnostics=True)
-        simulate(exhaustive_config(3 * CHUNK_TRIALS))
+        simulate(analytic_config(3 * CHUNK_TRIALS), diagnostics=True, threads=4)
+        simulate(exhaustive_config(3 * CHUNK_TRIALS), threads=4)
         assert pools == []
         wide = config_from_rates(28, 1.2, 0.5, CH, seed=24, eps=0.1, trials=2 * CHUNK_TRIALS)
-        simulate(wide)
+        simulate(wide, threads=4)
         assert pools == [(2,)]  # two chunks on min(4, 2) threads
 
-    def test_threaded_diagnostics_memory_does_not_grow_with_trials(self, monkeypatch):
+    def test_threaded_diagnostics_memory_does_not_grow_with_trials(self):
         # As test_diagnostics_memory_does_not_grow_with_trials, on 2 threads:
         # the rotations are formed on the calling thread one chunk at a time,
         # so the threads add no per-chunk stack of them.
-        monkeypatch.setattr(scheme, "resolve_workers", lambda: 2)
         n, few, many = 32, 512, 8192
 
         def extra_peak(trials):
@@ -365,7 +400,7 @@ class TestEngineThreads:
             for diagnostics in (True, False):
                 tracemalloc.start()
                 try:
-                    simulate(cfg, diagnostics=diagnostics)
+                    simulate(cfg, diagnostics=diagnostics, threads=2)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()

@@ -160,8 +160,8 @@ class TestIntegerTimeZeroMap:
                              trials=len(offsets), decoder="analytic")
         seen = {}
 
-        def decide(cfg, cb, m_primes, rotations):
-            cols = run_trials(cfg, cb, m_primes, rotations)
+        def decide(cfg, cb, m_primes, rotations, **kwargs):
+            cols = run_trials(cfg, cb, m_primes, rotations, **kwargs)
             decoded = [(mp + off) % size for mp, off in zip(m_primes, offsets)]
             seen.update(m_primes=list(m_primes), decoded=decoded)
             return replace(cols, decoded=decoded,
@@ -185,8 +185,8 @@ class TestIntegerTimeZeroMap:
         assert cfg.message_bits == bits
         inner_errors = []
 
-        def spy(*args):
-            cols = run_trials(*args)
+        def spy(*args, **kwargs):
+            cols = run_trials(*args, **kwargs)
             inner_errors.extend(cols.error.tolist())
             return cols
 

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +13,6 @@ from gausshelp.feedback import FeedbackConfig, QuantizationBoundaryError, simula
 from gausshelp import harness
 from gausshelp.harness import (
     CSV_COLUMNS,
-    WORKERS_ENV,
     ConfigError,
     SweepSpec,
     cell_config,
@@ -22,8 +22,7 @@ from gausshelp.harness import (
     run_cell,
     run_sweep,
 )
-from gausshelp import scheme
-from gausshelp.scheme import SchemeConfig, simulate
+from gausshelp.scheme import WORKERS_ENV, SchemeConfig, simulate
 
 MINIMAL = """
 snr = 3
@@ -145,6 +144,14 @@ class TestParseErrors:
             parse_config(text + "diagnostics = on\n")
         assert parse_config(text)[0] is not None  # one trial without diagnostics runs
 
+    @pytest.mark.parametrize("text", [MINIMAL.replace("rate_bits = 1.2", "rate_fraction = 0.7"),
+                                      SWEEP], ids=["single", "grid"])
+    @pytest.mark.parametrize("fraction", ["0", "-0.5"])
+    def test_nonpositive_rate_fraction_refused(self, text, fraction):
+        text = re.sub(r"rate_fraction = 0\.\d", f"rate_fraction = {fraction}", text)
+        with pytest.raises(ConfigError, match="rate_fraction.*positive"):
+            parse_config(text)
+
     def test_sweep_spec_refuses_what_cannot_run(self):
         grid = dict(snr=(3.0,), helper_rate=(0.5,), blocklength=(12,), rate_fraction=(0.7,),
                     base_seed=5)
@@ -159,6 +166,30 @@ class TestParseErrors:
         cfg, _ = parse_config(MINIMAL + "scheme = feedback\n")
         with pytest.raises(ValueError, match="cognizant"):
             run_cell(cfg, diagnostics=True)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Stand in for the sweep's process pool: run in this process and record
+    each pool's size and the cells it receives."""
+    seen = SimpleNamespace(sizes=[], items=[])
+
+    class RecordingPool:
+        def __init__(self, max_workers, **kwargs):
+            seen.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            seen.items.extend(items)
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return seen
 
 
 class TestSweep:
@@ -191,36 +222,30 @@ class TestSweep:
         emit_csv(run_sweep(spec, workers=3), b, zero_walltime=True)
         assert a.getvalue() == b.getvalue()
 
-    def test_default_workers_follow_the_cpu_affinity(self, monkeypatch):
-        pools = []
-
-        class SerialPool:
-            def __init__(self, max_workers, **kwargs):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
+    def test_default_workers_follow_the_cpu_affinity(self, monkeypatch, recording_pool):
+        # six cells, so that no count below is cut to the cell count
         spec = SweepSpec(snr=(3.0,), helper_rate=(0.5,), blocklength=(8, 12),
-                         rate_fraction=(0.5,), trials=5, base_seed=2)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+                         rate_fraction=(0.3, 0.5, 0.7), trials=5, base_seed=2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
         monkeypatch.delenv(WORKERS_ENV, raising=False)
-        run_sweep(spec)  # pinned to 2 of 64 CPUs: 2 workers
+        run_sweep(spec)  # pinned to 2 of 6 CPUs: 2 workers
         monkeypatch.setenv(WORKERS_ENV, "3")
         run_sweep(spec)
         run_sweep(spec, workers=4)
         monkeypatch.delenv(WORKERS_ENV)
         monkeypatch.delattr(os, "sched_getaffinity")
         run_sweep(spec)  # no affinity call on this OS: the CPU count
-        assert pools == [2, 3, 4, 64]
+        assert recording_pool.sizes == [2, 3, 4, 6]
+
+    def test_pool_never_exceeds_the_cell_count(self, recording_pool):
+        # With fork, a pool starts all max_workers processes at the first
+        # submit; 10_000 workers over two cells must ask for two.
+        spec = SweepSpec(snr=(3.0,), helper_rate=(0.5,), blocklength=(8, 12),
+                         rate_fraction=(0.5,), trials=5, base_seed=2)
+        assert len(run_sweep(spec, workers=10_000)) == 2
+        assert recording_pool.sizes == [2]
+        assert multiprocessing.active_children() == []
 
     def test_env_workers_must_be_a_nonnegative_integer(self, monkeypatch):
         spec = SweepSpec(snr=(3.0,), helper_rate=(0.5,), blocklength=(8,),
@@ -232,31 +257,14 @@ class TestSweep:
         monkeypatch.setenv(WORKERS_ENV, "0")  # 0: the default
         assert len(run_sweep(spec)) == 1
 
-    def test_pool_receives_cells_longest_first(self, monkeypatch):
-        received = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, **kwargs):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                received.extend(items)
-                return map(fn, items)
-
+    def test_pool_receives_cells_longest_first(self, recording_pool):
         spec = SweepSpec(snr=(1.0, 3.0), helper_rate=(0.5,), blocklength=(8, 12),
                          rate_fraction=(0.4, 0.7), trials=5, base_seed=4, scheme="feedback")
         serial = io.StringIO()
         emit_csv(run_sweep(spec, workers=1), serial, zero_walltime=True)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         pooled = io.StringIO()
         emit_csv(run_sweep(spec, workers=2), pooled, zero_walltime=True)
-        work = [cell_work(*cell) for cell in received]
+        work = [cell_work(*cell) for cell in recording_pool.items]
         assert len(work) == 8
         assert work == sorted(work, reverse=True) and work[0] > work[-1]
         assert pooled.getvalue() == serial.getvalue()  # summaries back in sweep order
@@ -309,10 +317,10 @@ class TestSweep:
 
     def test_quantization_boundary_cell_skipped(self, caplog, monkeypatch):
         # the identity check cannot fire on the real map, so it is forced here
-        def fail_wide(cfg):
+        def fail_wide(cfg, threads=None):
             if cfg.inner.blocklength == 48:
                 raise QuantizationBoundaryError("trial 6: outer error True != inner error False")
-            return simulate_feedback(cfg)
+            return simulate_feedback(cfg, threads=threads)
 
         monkeypatch.setattr(harness, "simulate_feedback", fail_wide)
         spec = SweepSpec(snr=(3.0,), helper_rate=(0.25,), blocklength=(12, 48),
@@ -331,13 +339,12 @@ class TestSweep:
         spec = SweepSpec(snr=(3.0,), helper_rate=(0.5,), blocklength=(8, 12),
                          rate_fraction=(0.5,), trials=5, base_seed=2)
         one_cell = replace(spec, blocklength=(8,))
-        monkeypatch.setattr(harness, "run_cell", lambda cfg, diagnostics: scheme.engine_threads())
+        monkeypatch.setattr(harness, "run_cell", lambda cfg, diagnostics, threads: threads)
         monkeypatch.setenv(WORKERS_ENV, "4")
         assert run_sweep(spec, workers=2) == [1, 1]  # two worker processes
         assert run_sweep(spec, workers=1) == [1, 1]  # serial: the resolved count
         assert run_sweep(one_cell, workers=3) == [3]
         assert run_sweep(one_cell) == [4]
-        assert scheme.engine_threads() == 4  # the serial path restores the setting
 
     def test_too_wide_feedback_cell_skipped(self, caplog):
         # 1035 message bits at n = 1024: 2^1035 is no double, so the time-zero
