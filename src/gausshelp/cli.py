@@ -132,6 +132,10 @@ def cli(argv=None) -> int:
             if not 0 < args.rate_fraction < math.inf:
                 raise ConfigError("diagnose needs a finite positive --rate-fraction, "
                                   f"got {args.rate_fraction}")
+            if not 0 < args.snr < math.inf:
+                raise ConfigError(f"diagnose needs a finite positive --snr, got {args.snr}")
+            if not 0 <= args.rh < math.inf:
+                raise ConfigError(f"diagnose needs a finite nonnegative --rh, got {args.rh}")
             ch = ChannelParams.from_snr(args.snr)
             rate = args.rate_fraction * capacity_cognizant(ch, args.rh)
             cfg = config_from_rates(args.n, rate, args.rh, ch, args.seed,

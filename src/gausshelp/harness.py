@@ -41,7 +41,8 @@ from .codebook import CodebookSizeError, derive_seed
 from .feedback import (FeedbackConfig, QuantizationBoundaryError, TimeZeroRangeError,
                        simulate_feedback)
 from .results import SimSummary
-from .scheme import SchemeConfig, config_from_rates, exhaustive_route, resolve_workers, simulate
+from .scheme import (SchemeConfig, config_from_rates, exhaustive_route, grouped_route,
+                     resolve_workers, simulate)
 
 log = logging.getLogger(__name__)
 
@@ -248,17 +249,22 @@ def run_cell(cfg, diagnostics=False, threads=None) -> SimSummary:
 def cell_work(cfg, diagnostics=False) -> int:
     """Estimated work of one cell in flops-like units, from its config alone.
 
-    The helper search (trials * 2^helper_bits * n), for exhaustive decoding
-    the rotation stack (2^message_bits * n^3) and the candidate scan
-    (trials * 2^message_bits * n^2), and for diagnostics the per-trial
-    rotations (trials * n^3).  Python ints, so a cell too large to run, which
-    will be skipped, still has an exact estimate.
+    The helper search (trials * 2^helper_bits * n); for exhaustive decoding
+    the rotation stack (2^message_bits * n^3) and then, on the grouped route
+    (scheme.grouped_route), the per-help-index codebooks (2^helper_bits *
+    2^message_bits * n^2) and their scan (trials * 2^message_bits * n), else
+    the stack scan (trials * 2^message_bits * n^2); for diagnostics the
+    per-trial rotations (trials * n^3).  Python ints, so a cell too large to
+    run, which will be skipped, still has an exact estimate.
     """
     inner = cfg.inner if isinstance(cfg, FeedbackConfig) else cfg
     n, trials = inner.blocklength, inner.trials
-    work = trials * (1 << inner.helper_bits) * n
-    if exhaustive_route(inner):
-        work += (1 << inner.message_bits) * n ** 2 * (n + trials)
+    help_size, n_messages = 1 << inner.helper_bits, 1 << inner.message_bits
+    work = trials * help_size * n
+    if grouped_route(inner):
+        work += n_messages * n * (n * n + help_size * n + trials)
+    elif exhaustive_route(inner):
+        work += n_messages * n ** 2 * (n + trials)
     if diagnostics:
         work += trials * n ** 3
     return work

@@ -23,8 +23,11 @@ R_m is applied only where a result lives in the channel frame: the
 exhaustive decoder's y = R_m (b_t + w), from the candidate rotation stack,
 and the diagnostics' x = R_m b_t and z = R_m w, summed per index.  Per chunk of
 CHUNK_TRIALS trials the helper search is one tiled GEMM against the base
-codebook and exhaustive decoding one tiled GEMM over the rotation stack, both
-through search.ScreenedSearch, which scores in float32 under a rigorous error
+codebook.  Exhaustive decoding scores m' as (R_m' b_t) . y: on the grouped
+route (grouped_route) against per-help-index codebooks C_t = {R_m' b_t : m'},
+built from the stack once per run, one GEMM per help index present; else as
+vec(R_m') . vec(y b_t^T), one tiled GEMM over the stack.  All go through
+search.ScreenedSearch, which scores in float32 under a rigorous error
 bound and rescans in float64 only the rows the bound cannot decide.  Each
 trial keeps its own random streams, so the engine reproduces `run_trial`, the
 per-trial reference implementation, trial for trial:
@@ -234,6 +237,20 @@ def exhaustive_route(cfg: SchemeConfig) -> bool:
     )
 
 
+def grouped_route(cfg: SchemeConfig) -> bool:
+    """Exhaustive decoding against one codebook per help index, not the rotation stack.
+
+    The codebooks C_t = {R_m' b_t : m'}, t < H = 2^helper_bits, score each
+    candidate n wide instead of n^2.  Taken when together they are no larger
+    than the stack (H <= n) and building them, H * 2^message_bits * n^2
+    flops, costs no more than scanning them, trials * 2^message_bits * n
+    (H * n <= trials).  With fewer trials the build is not repaid: the stack
+    scan measured faster there.
+    """
+    n, help_size = cfg.blocklength, 1 << cfg.helper_bits
+    return exhaustive_route(cfg) and help_size <= n and help_size * n <= cfg.trials
+
+
 def _analytic_error_probability(n: int, decode_angle, n_competitors: int):
     """P(some of n_competitors IID uniform sphere points beats the true codeword).
 
@@ -327,18 +344,21 @@ def draw_messages(cfg: SchemeConfig) -> list[int]:
 def candidate_rotations(cfg: SchemeConfig, cb: HelperCodebook):
     """Stacked per-message rotations when the exhaustive decoder will be used.
 
-    The stack is refused before it is allocated when it would exceed the
-    codebook size cap (MAX_CODEBOOK_FLOATS).
+    Refused before anything is allocated when the floats the exhaustive
+    decoder holds exceed the codebook size cap (MAX_CODEBOOK_FLOATS): the
+    stack, 2^message_bits * n^2, and on the grouped route (grouped_route) the
+    per-help-index codebooks built from it, 2^message_bits * n * 2^helper_bits.
     """
     if not exhaustive_route(cfg):
         return None
     n_messages = 1 << cfg.message_bits
     if n_messages > EXHAUSTIVE_HARD_LIMIT:
         raise ValueError(f"message space of {n_messages} is too large to scan")
-    n = cfg.blocklength
-    if n_messages * n * n > MAX_CODEBOOK_FLOATS:
+    n, grouped = cfg.blocklength, grouped_route(cfg)
+    if n_messages * n * (n + (1 << cfg.helper_bits) * grouped) > MAX_CODEBOOK_FLOATS:
         raise CodebookSizeError(
-            f"rotation stack of {n_messages} {n}x{n} matrices exceeds the size cap"
+            f"rotation stack of {n_messages} {n}x{n} matrices"
+            f"{' with its per-help-index codebooks' if grouped else ''} exceeds the size cap"
         )
     stack = np.empty((n_messages, n, n))
     for lo in range(0, n_messages, CHUNK_TRIALS):
@@ -415,7 +435,7 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
     messages = list(messages)
     trials, n = len(messages), cfg.blocklength
     n_messages = 1 << cfg.message_bits
-    exhaustive = exhaustive_route(cfg)
+    exhaustive, grouped = exhaustive_route(cfg), grouped_route(cfg)
     sigma = math.sqrt(cfg.channel.noise_var)
     scale = math.sqrt(n * cb.power)
 
@@ -423,7 +443,12 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
     helper_angle, decode_angle, noise_energy = np.empty(trials), np.empty(trials), np.empty(trials)
     decoded = []
     helper = ScreenedSearch(cb.base_points)
-    if exhaustive:
+    if grouped:
+        # C[t, m'] = R_m' b_t, built once before any chunk runs.  Laid out as
+        # (n, H, M), so each help index's GEMM reads rows M long.
+        codebooks = np.matmul(cb.base_points, rotations.transpose(1, 2, 0))
+        candidates = ScreenedSearch(codebooks.transpose(1, 2, 0))
+    elif exhaustive:
         candidates = ScreenedSearch(rotations.reshape(n_messages, n * n))
 
     def chunk(lo):
@@ -451,9 +476,13 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
 
         if exhaustive:
             # Receive y = R_m (b_t + w), R_m from the candidate stack; the score
-            # of m' is (R_m' b_t) . y = vec(R_m') . vec(y b_t^T).
+            # of m' is (R_m' b_t) . y, read from trial i's own codebook C[t_i]
+            # on the grouped route, else as vec(R_m') . vec(y b_t^T).
             y = np.einsum("kij,kj->ki", rotations[ms], bt + w)
-            found, _ = candidates.argmax((y[:, :, None] * bt[:, None, :]).reshape(hi - lo, n * n))
+            if grouped:
+                found, _ = candidates.argmax(y, t)
+            else:
+                found, _ = candidates.argmax((y[:, :, None] * bt[:, None, :]).reshape(hi - lo, n * n))
             found = found.tolist()
         else:
             p_err = _analytic_error_probability(n, decode_angle[lo:hi], n_messages - 1)

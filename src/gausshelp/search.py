@@ -5,6 +5,16 @@ value of the largest entry of a @ b.T: the helper's closest base point and
 the exhaustive decoder's best candidate.  Indices are exactly those of the
 float64 scan (`_argmax_f64`), ties included; values are float64.
 
+Grouped rows.  b may instead be a stack of G codebooks (G, N, d), and
+`argmax(a, group)` searches row i of a in b[group[i]].  The rows are sorted
+by group; per tile of N, one float32 GEMM per group present writes that
+group's rows of one score buffer, and the reductions and the screen below
+run once per tile, as for one codebook.  One scale s = 1/max ||b_gj|| serves
+every group, so the bound holds unchanged; a row the screen cannot decide
+goes to the float64 scan of its own codebook.  The float32 copy keeps b's
+memory layout, so a caller can store the codebooks (d, G, N) and have each
+group's GEMM read rows N long.
+
 Screen.  Each query row a_i is scaled by c_i = 1/||a_i|| and b by the one
 positive scalar s = 1/max_j ||b_j||; neither changes any row's argmax.  The
 scaled operands are rounded to float32 and scored tile by tile, keeping each
@@ -73,20 +83,30 @@ def _tile_rows(k: int) -> int:
     return max(1, TILE_FLOATS // k)
 
 
-def _best_two(a: np.ndarray, b: np.ndarray):
+def _best_two(a: np.ndarray, b: np.ndarray, groups=None):
     """Row-wise argmax, max and runner-up of a @ b.T over tiles of b's rows.
 
-    Scores stay in the operands' common dtype.  Ties break to the smallest index;
-    a runner-up equal to the max marks a tie.
+    With `groups`, b is a stack of codebooks (G, N, d) and groups lists
+    triples (g, lo, hi): rows lo:hi of a are scored against b[g], one GEMM
+    per group into one tile buffer.  Scores stay in the operands' common
+    dtype.  Ties break to the smallest index; a runner-up equal to the max
+    marks a tie.
     """
-    k = a.shape[0]
+    k, n_rows = a.shape[0], b.shape[-2]
     rows = np.arange(k)
     index = np.zeros(k, dtype=np.int64)
     best = np.full(k, -np.inf, dtype=np.result_type(a, b))
     second = np.full_like(best, -np.inf)
     tile = _tile_rows(k)
-    for lo in range(0, b.shape[0], tile):
-        scores = a @ b[lo:lo + tile].T
+    if groups is not None:
+        buffer = np.empty(k * min(tile, n_rows), dtype=best.dtype)
+    for lo in range(0, n_rows, tile):
+        if groups is None:
+            scores = a @ b[lo:lo + tile].T
+        else:
+            scores = buffer[:k * min(tile, n_rows - lo)].reshape(k, -1)
+            for g, r0, r1 in groups:
+                np.matmul(a[r0:r1], b[g, lo:lo + tile].T, out=scores[r0:r1])
         i = scores.argmax(axis=1)
         v = scores[rows, i]
         scores[rows, i] = -np.inf
@@ -143,33 +163,58 @@ def _argmax_f64(a: np.ndarray, b: np.ndarray, top: float | None = None):
 
 
 class ScreenedSearch:
-    """Rows b to search by inner product, with their scaled float32 copy built once."""
+    """Rows b to search by inner product, with their scaled float32 copy built once.
+
+    b is one codebook (N, d), or a stack of G codebooks (G, N, d) that
+    argmax searches per query row, row i against b[group[i]].
+    """
 
     def __init__(self, b: np.ndarray):
         self.b = b
-        self.top = top = float(_row_norms(b).max())
+        self.top = top = math.sqrt(np.einsum("...j,...j->...", b, b).max())
         self.b32 = None
         if _NORM_LO <= top <= _NORM_HI:
-            self.b32 = np.empty(b.shape, dtype=np.float32)
+            self.b32 = np.empty_like(b, dtype=np.float32)
             np.multiply(b, 1.0 / top, out=self.b32, casting="unsafe")
-        self.bound = score_bound(b.shape[1])
+        self.bound = score_bound(b.shape[-1])
 
-    def argmax(self, a: np.ndarray):
-        """Row-wise (argmax, max) of a @ self.b.T: int64 indices, float64 values."""
+    def argmax(self, a: np.ndarray, group=None):
+        """Row-wise (argmax, max) of a @ self.b.T: int64 indices, float64 values.
+
+        For a stack of codebooks, group[i] names the codebook of row i.
+        """
         k = a.shape[0]
         norms = _row_norms(a)
         ok = (norms >= _NORM_LO) & (norms <= _NORM_HI) & (self.b32 is not None)
         index = np.zeros(k, dtype=np.int64)
         value = np.zeros(k)
         if ok.any():
-            index[ok], gap = self._screen(a[ok] / norms[ok, None])
+            index[ok], gap = self._screen(a[ok] / norms[ok, None],
+                                          None if group is None else group[ok])
             ok[ok] = gap > 2.0 * self.bound
-            value[ok] = np.einsum("ij,ij->i", a[ok], self.b[index[ok]])
-        if not ok.all():
+            won = self.b[index[ok]] if group is None else self.b[group[ok], index[ok]]
+            value[ok] = np.einsum("ij,ij->i", a[ok], won)
+        if group is None and not ok.all():
             index[~ok], value[~ok] = _argmax_f64(a[~ok], self.b, self.top)
+        elif not ok.all():
+            for g in np.unique(group[~ok]):
+                rows = np.flatnonzero(~ok & (group == g))
+                index[rows], value[rows] = _argmax_f64(a[rows], self.b[g], self.top)
         return index, value
 
-    def _screen(self, unit: np.ndarray):
-        """float32 argmax of unit @ b32.T per row, and its lead over the runner-up."""
-        index, best, second = _best_two(unit.astype(np.float32), self.b32)
-        return index, best.astype(np.float64) - second
+    def _screen(self, unit: np.ndarray, group):
+        """float32 argmax of each unit row against its codebook, and its lead over the runner-up.
+
+        Rows are sorted by group so that each group's rows are one block of the tile.
+        """
+        if group is None:
+            index, best, second = _best_two(unit.astype(np.float32), self.b32)
+            return index, best.astype(np.float64) - second
+        order = np.argsort(group, kind="stable")
+        present, starts = np.unique(group[order], return_index=True)
+        ends = np.append(starts[1:], len(order))
+        found, best, second = _best_two(unit[order].astype(np.float32), self.b32,
+                                        list(zip(present, starts, ends)))
+        index, gap = np.empty_like(found), np.empty(len(order))
+        index[order], gap[order] = found, best.astype(np.float64) - second
+        return index, gap

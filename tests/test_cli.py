@@ -343,6 +343,26 @@ class TestDiagnoseCommand:
                        f"got {float(fraction)}\n")
         assert out == ""
 
+    @pytest.mark.parametrize("flag, value, wanted", [
+        ("--snr", "0", "positive"), ("--snr", "-1", "positive"), ("--snr", "nan", "positive"),
+        ("--snr", "inf", "positive"), ("--rh", "-0.5", "nonnegative"),
+        ("--rh", "nan", "nonnegative"), ("--rh", "inf", "nonnegative"),
+    ])
+    def test_bad_snr_or_helper_rate_refused_before_running(self, capsys, monkeypatch, flag,
+                                                           value, wanted):
+        # inf once crashed with an OverflowError; nan and negative values
+        # exited 1, where the config grammar refuses them as config errors
+        def fail(*args, **kwargs):
+            raise AssertionError("diagnose ran a simulation")
+
+        monkeypatch.setattr("gausshelp.cli.simulate", fail)
+        rates = {"--snr": "3", "--rh": "0.5", flag: value}
+        code, out, err = run_cli(capsys, "diagnose", *(x for kv in rates.items() for x in kv),
+                                 "--n", "12")
+        assert code == 2
+        assert err == f"config error: diagnose needs a finite {wanted} {flag}, got {float(value)}\n"
+        assert out == ""
+
 
 class TestTopLevel:
     def test_no_arguments_prints_usage(self, capsys):

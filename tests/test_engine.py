@@ -16,7 +16,7 @@ import pytest
 from gausshelp import scheme
 from gausshelp.capacity import ChannelParams
 from gausshelp.cli import cli
-from gausshelp.codebook import CodebookSizeError, derive_seed
+from gausshelp.codebook import CodebookSizeError, HelperCodebook, derive_seed
 from gausshelp.converse import CorrelationSums, empirical_correlations
 from gausshelp.feedback import (
     _Z0_STREAM_OFFSET,
@@ -34,6 +34,7 @@ from gausshelp.scheme import (
     candidate_rotations,
     config_from_rates,
     exhaustive_route,
+    grouped_route,
     run_trial,
     simulate,
 )
@@ -58,6 +59,24 @@ def exhaustive_config(trials):
     return cfg
 
 
+def grouped_config(trials, n=12, helper_bits=3):
+    # Decoded against per-help-index codebooks when 2^helper_bits <= n and
+    # 2^helper_bits * n <= trials, else by the rotation-stack scan.
+    cfg = config_from_rates(n, 0.9, helper_bits / n, CH, seed=25, trials=trials)
+    assert cfg.helper_bits == helper_bits and exhaustive_route(cfg)
+    help_size = 1 << helper_bits
+    assert grouped_route(cfg) == (help_size <= n and help_size * n <= trials)
+    return cfg
+
+
+def boundary_grouped_config(trials):
+    return grouped_config(trials, n=8, helper_bits=3)  # 8 helper points at n = 8
+
+
+def boundary_stack_config(trials):
+    return grouped_config(trials, n=8, helper_bits=4)  # 16 helper points at n = 8
+
+
 def assert_same_trial(rec, ref, i):
     for field in ("message", "help_index", "covering_miss", "decoded", "error"):
         assert getattr(rec, field) == getattr(ref, field), (i, field)
@@ -68,7 +87,8 @@ def assert_same_trial(rec, ref, i):
 
 class TestEngineMatchesRunTrial:
     @pytest.mark.parametrize("trials", EDGE_TRIALS)
-    @pytest.mark.parametrize("make", [analytic_config, exhaustive_config])
+    @pytest.mark.parametrize("make", [analytic_config, exhaustive_config, grouped_config,
+                                      boundary_grouped_config, boundary_stack_config])
     def test_cognizant(self, make, trials):
         cfg = make(trials)
         # correlation diagnostics need at least two trials
@@ -115,6 +135,27 @@ def test_oversized_rotation_stack_fails_fast():
     with pytest.raises(CodebookSizeError, match="rotation stack"):
         simulate(cfg)
     assert isinstance(_run_cell_safe((cfg, False)), CodebookSizeError)
+
+
+def test_grouped_codebooks_count_toward_the_size_cap(monkeypatch):
+    # A cap between the stack alone, M n^2 floats, and the stack plus the
+    # per-help-index codebooks, M n (n + H): the grouped cell is refused
+    # before any rotation is formed, and a sweep skips it; with fewer than
+    # H n trials the cell scans the stack and fits.
+    cfg = grouped_config(CHUNK_TRIALS)
+    n, n_messages, help_size = 12, 1 << cfg.message_bits, 8
+    monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", n_messages * n * (n + help_size // 2))
+    rotations = HelperCodebook.rotations
+
+    def refuse(*args):
+        raise AssertionError("rotations formed before the size check")
+
+    monkeypatch.setattr(HelperCodebook, "rotations", refuse)
+    with pytest.raises(CodebookSizeError, match="rotation stack"):
+        simulate(cfg)
+    assert isinstance(_run_cell_safe((cfg, False)), CodebookSizeError)
+    monkeypatch.setattr(HelperCodebook, "rotations", rotations)
+    assert simulate(replace(cfg, trials=help_size * n - 1)).trials == help_size * n - 1
 
 
 def test_diagnostics_run_under_a_small_size_cap(monkeypatch):
@@ -226,6 +267,8 @@ class TestEngineThreads:
                     summary_bits(simulate(cfg, keep_records=True, diagnostics=trials > 1,
                                           threads=threads)),
                     summary_bits(simulate(exh, keep_records=True, threads=threads)),
+                    summary_bits(simulate(grouped_config(trials), keep_records=True,
+                                          diagnostics=trials > 1, threads=threads)),
                     summary_bits(simulate_feedback(feedback_config(trials), keep_records=True,
                                                    threads=threads)))
 

@@ -22,7 +22,7 @@ from gausshelp.harness import (
     run_cell,
     run_sweep,
 )
-from gausshelp.scheme import WORKERS_ENV, SchemeConfig, simulate
+from gausshelp.scheme import WORKERS_ENV, SchemeConfig, grouped_route, simulate
 
 MINIMAL = """
 snr = 3
@@ -279,6 +279,19 @@ class TestSweep:
         first = max(cells, key=cell_work)
         assert cells.index(first) == 10
         assert (first.inner.blocklength, first.inner.message_bits) == (16, 12)
+
+    def test_grouped_cells_rank_by_their_codebook_scan(self):
+        # At n = 12, 8 helper points take the grouped route (n-wide scores)
+        # and 32 the stack scan (n^2-wide).  The grouped cell with 2^10
+        # messages now ranks below the stack cell with 2^8; the estimate
+        # M n^2 (n + trials) for every exhaustive cell ranked it above.
+        spec = SweepSpec(snr=(1.0, 3.0), helper_rate=(0.25, 0.375), blocklength=(12,),
+                         rate_fraction=(0.5,), trials=300, base_seed=3)
+        cells = [cell_config(spec, i_snr, i_rh, 0, 0) for i_snr in range(2) for i_rh in range(2)]
+        assert [(c.message_bits, grouped_route(c)) for c in cells] == [
+            (7, True), (8, False), (10, True), (11, False)]
+        order = sorted(range(4), key=lambda i: -cell_work(cells[i]))
+        assert order == [3, 1, 2, 0]
 
     def test_pooled_skips_are_logged_in_sweep_order(self, caplog):
         # 2^48 and 2^64 helper points: both cells skipped, and the costlier

@@ -15,6 +15,7 @@ from gausshelp.scheme import (
     decode,
     draw_messages,
     exhaustive_route,
+    grouped_route,
     helper_select,
     run_trial,
     simulate,
@@ -230,6 +231,22 @@ class TestSimulate:
         se = simulate(replace(cfg, decoder="exhaustive"))
         sa = simulate(replace(cfg, decoder="analytic"))
         assert se.ci_low <= sa.ci_high and sa.ci_low <= se.ci_high
+
+    def test_exhaustive_decoder_follows_the_analytic_law_at_2_14_messages(self):
+        # 2^14 messages at n = 16 with 16 helper points: the exact decoder,
+        # on its per-help-index codebooks, against the analytic law, both as a
+        # second route and over the exact run's own decode angles.
+        ch = ChannelParams.from_snr(1.0)
+        cfg = config_from_rates(16, 14 / 16, 0.25, ch, seed=41, trials=3000)
+        exhaustive = replace(cfg, decoder="exhaustive")
+        assert (cfg.message_bits, cfg.helper_bits) == (14, 4) and grouped_route(exhaustive)
+        se = simulate(exhaustive, keep_records=True)
+        sa = simulate(replace(cfg, decoder="analytic"))
+        assert 0.05 <= se.err_rate <= 0.5
+        assert se.ci_low <= sa.ci_high and sa.ci_low <= se.ci_high
+        angles = np.array([r.decode_angle for r in se.records])
+        p = _analytic_error_probability(16, angles, (1 << 14) - 1)
+        assert abs(se.errors - p.sum()) <= 5 * math.sqrt(np.sum(p * (1 - p))) + 1
 
     def test_easy_regime_is_error_free(self):
         # one message bit, generous helper, high SNR

@@ -54,6 +54,88 @@ def test_matches_f64_scan(seed, queries, rows, d, tile_rows, a_exp, b_exp, dupli
         assert index[-1] == rows - 1
 
 
+def assert_grouped_same_as_f64(a, b, group):
+    """The grouped search against _argmax_f64 on each row's own codebook."""
+    index, value = ScreenedSearch(b).argmax(a, group)
+    assert index.dtype == np.int64 and value.dtype == np.float64
+    for g in np.unique(group):
+        rows = np.flatnonzero(group == g)
+        want_index, want_value = _argmax_f64(a[rows], b[g])
+        assert np.array_equal(index[rows], want_index), g
+        scale = np.linalg.norm(a[rows], axis=1) * np.linalg.norm(b[g], axis=1).max()
+        got = value[rows]
+        close = np.abs(got - want_value) <= 1e-12 * scale
+        assert np.all(close | (got == want_value) | (np.isnan(got) & np.isnan(want_value)))
+    return index, value
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), queries=st.integers(1, 12), groups=st.integers(1, 5),
+       rows=st.integers(1, 40), d=st.integers(1, 24), tile_rows=st.integers(1, 9),
+       scale_exp=st.sampled_from([-30, 0, 30]), duplicates=st.booleans(),
+       shared=st.booleans(), near_tie=st.booleans(), zero_rows=st.booleans(),
+       engine_layout=st.booleans())
+def test_grouped_matches_f64_scan_per_group(seed, queries, groups, rows, d, tile_rows,
+                                            scale_exp, duplicates, shared, near_tie,
+                                            zero_rows, engine_layout):
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((groups, rows, d))
+    a = rng.standard_normal((queries, d))
+    group = rng.integers(0, groups, queries)
+    if shared and groups > 1:
+        # Identical codebooks, and one query row repeated, across groups.
+        b[1:] = b[0]
+        a[-1] = a[0]
+        group[-1] = (group[0] + 1) % groups
+    if duplicates and rows > 1:
+        # Exact ties within each group, aimed at by the first query.
+        b[:, rows // 2:] = b[:, :rows - rows // 2]
+        a[0] = b[group[0], 0]
+    near_tie = near_tie and rows > 1
+    if near_tie:
+        # Rows 0 and -1 of the last query's codebook lead it by less than the
+        # float32 bound; -1 wins.
+        g = group[-1]
+        b[g, 0] *= 2 * np.linalg.norm(b, axis=-1).max() / np.linalg.norm(b[g, 0])
+        b[g, -1] = b[g, 0] * (1 + 1e-3 * score_bound(d))
+        a[-1] = b[g, 0]
+    if zero_rows:
+        a[::2] = 0.0
+    a *= 10.0 ** scale_exp
+    if engine_layout:
+        # The engine's codebooks: a (G, N, d) view of memory laid out (d, G, N).
+        b = np.ascontiguousarray(b.transpose(2, 0, 1)).transpose(1, 2, 0)
+    with mock.patch.object(search, "TILE_FLOATS", tile_rows * queries):
+        index, value = assert_grouped_same_as_f64(a, b, group)
+    if zero_rows:
+        assert np.all(index[::2] == 0) and np.all(value[::2] == 0.0)
+    if near_tie and not (zero_rows and (queries - 1) % 2 == 0):
+        assert index[-1] == rows - 1
+
+
+def test_grouped_rows_search_their_own_codebook():
+    # Query row i scores against codebook group[i] only: the same query finds
+    # a different index in each codebook, and exact ties break to the
+    # smallest index per codebook.
+    b = np.array([[[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+                  [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]])
+    a = np.array([[2.0, 0.1], [2.0, 0.1], [0.1, 2.0], [0.1, 2.0], [1.0, 1.0]])
+    index, value = assert_grouped_same_as_f64(a, b, np.array([0, 1, 0, 1, 1]))
+    assert index.tolist() == [0, 1, 1, 0, 0]
+    assert value.tolist() == [2.0, 2.0, 2.0, 2.0, 1.0]
+
+
+def test_grouped_non_finite_and_zero_codebook():
+    b = np.zeros((3, 4, 2))
+    b[1] = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0]]
+    b[2] = b[1] * 1e-3
+    a = np.array([[np.inf, 1.0], [np.nan, 0.0], [0.0, 2.0], [3.0, 1.0], [3.0, 1.0], [0.0, 0.0]])
+    with np.errstate(invalid="ignore"):
+        assert_grouped_same_as_f64(a, b, np.array([1, 1, 0, 0, 2, 1]))
+    index, value = ScreenedSearch(b).argmax(np.empty((0, 2)), np.empty(0, dtype=np.int64))
+    assert index.shape == value.shape == (0,)
+
+
 def test_near_tie_goes_to_the_larger_score():
     # Equal in float32, so the screen cannot order them; float64 can.
     b = np.array([[1.0, 0.0], [1.0, 1e-9]])
