@@ -15,7 +15,8 @@ from .capacity import ChannelParams, capacity_cognizant, capacity_oblivious_feed
     capacity_oblivious_nofeedback
 from .converse import check_budget, estimator_slack
 from .geometry import achievable_rate_threshold, cap_rate_exponent, cap_ratio_exact
-from .harness import CELL_SKIPS, ConfigError, SweepSpec, emit_csv, parse_config, run_cell, run_sweep
+from .harness import (CELL_SKIPS, ConfigError, SweepSpec, check_eps, emit_csv, parse_config,
+                      run_cell, run_sweep)
 from .scheme import config_from_rates, simulate
 
 
@@ -136,6 +137,10 @@ def cli(argv=None) -> int:
                 raise ConfigError(f"diagnose needs a finite positive --snr, got {args.snr}")
             if not 0 <= args.rh < math.inf:
                 raise ConfigError(f"diagnose needs a finite nonnegative --rh, got {args.rh}")
+            if args.n < 2:
+                raise ConfigError(f"diagnose needs --n of at least 2, got {args.n}")
+            if args.eps is not None:
+                check_eps(args.eps, (args.rh,))
             ch = ChannelParams.from_snr(args.snr)
             rate = args.rate_fraction * capacity_cognizant(ch, args.rh)
             cfg = config_from_rates(args.n, rate, args.rh, ch, args.seed,

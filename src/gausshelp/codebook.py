@@ -196,18 +196,19 @@ def build_base_codebook(n: int, ch: ChannelParams, rh: float, eps: float, seed: 
         raise ValueError(f"helper rate must be nonnegative, got {rh!r}")
     if rh > 0 and not 0.0 < eps < rh:
         raise ValueError(f"requires 0 < eps < rh, got eps={eps!r}, rh={rh!r}")
-    help_size = 1 << math.ceil(n * rh)
-    if help_size * n > MAX_CODEBOOK_FLOATS:
+    # 2^bits * n floats; 2^bits alone exceeds the cap once bits reaches its bit length.
+    bits = math.ceil(n * rh)
+    if bits >= MAX_CODEBOOK_FLOATS.bit_length() or (n << bits) > MAX_CODEBOOK_FLOATS:
         raise CodebookSizeError(
-            f"codebook of {help_size} points in dimension {n} exceeds the size cap"
+            f"codebook of 2^{bits} points in dimension {n} exceeds the size cap"
         )
     rng = np.random.default_rng(derive_seed(seed, 0))
-    pts = sample_sphere(n, help_size, rng)
+    pts = sample_sphere(n, 1 << bits, rng)
     pts *= math.sqrt(n * ch.power)
     return HelperCodebook(
         blocklength=n,
         power=ch.power,
-        help_size=help_size,
+        help_size=len(pts),
         base_points=pts,
         rotation_seed_base=derive_seed(seed, 1),
     )

@@ -7,6 +7,11 @@ the noise alone) is then conveyed over slots 1..n with the message-cognizant
 inner scheme.  Modular reconstruction at the receiver makes the outer error
 event coincide exactly with the inner one.  The real-unit maps below are the
 reference; `simulate_feedback` applies them exactly, in integer units.
+
+Random streams (contract 3, scheme.STREAM_CONTRACT): the scheme module's, and
+
+* the time-zero noises of all blocks, in block order: one draw of trials
+  normals scaled by sigma from default_rng(derive_seed(noise_seed, 2^32)).
 """
 
 from __future__ import annotations
@@ -17,12 +22,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codebook import derive_seeds, generators
+from .codebook import derive_seed
 from .scheme import (
-    CHUNK_TRIALS,
     SchemeConfig,
     build_codebook,
     candidate_rotations,
+    check_run_size,
     draw_messages,
     run_trials,
     summarize,
@@ -31,7 +36,7 @@ from .scheme import (
 # this binding, so the name stays importable from this module.
 from .scheme import run_trial  # noqa: F401
 
-# Offset separating the time-zero noise stream from the inner trial streams.
+# Index of the time-zero noise stream; the engine's chunks take 0, 1, ....
 _Z0_STREAM_OFFSET = 1 << 32
 
 # Widest message set of the time-zero map: 2^mb / sqrt(P) must be a finite double.
@@ -95,6 +100,12 @@ def reconstruct(y0: float, m_prime_hat: int, message_bits: int, power: float) ->
     return math.floor(y0 * scale - m_prime_hat) % size
 
 
+def time_zero_noise(cfg: FeedbackConfig) -> list:
+    """The time-zero noise z0 of every block: cfg.trials normals from one generator."""
+    rng = np.random.default_rng(derive_seed(cfg.inner.noise_seed, _Z0_STREAM_OFFSET))
+    return (rng.standard_normal(cfg.trials) * math.sqrt(cfg.channel.noise_var)).tolist()
+
+
 def simulate_feedback(cfg: FeedbackConfig, keep_records=False, threads=None) -> "SimSummary":
     """Run the length-(n+1) feedback scheme for cfg.trials blocks.
 
@@ -113,26 +124,22 @@ def simulate_feedback(cfg: FeedbackConfig, keep_records=False, threads=None) -> 
     t_start = time.perf_counter()
     inner = cfg.inner
     mb = cfg.message_bits
-    size = 1 << mb
     # The float inner_message forms; past 1023 bits 2^mb itself is no double.
-    scale = size / math.sqrt(cfg.channel.power) if mb <= MAX_FEEDBACK_BITS else math.inf
+    scale = (1 << mb) / math.sqrt(cfg.channel.power) if mb <= MAX_FEEDBACK_BITS else math.inf
     if not math.isfinite(scale):
         raise TimeZeroRangeError(
             f"{mb} message bits at power {cfg.channel.power!r}: the time-zero map needs "
             f"2^message_bits / sqrt(P) to be a finite double (at most "
             f"{MAX_FEEDBACK_BITS} message bits)"
         )
-    sigma = math.sqrt(cfg.channel.noise_var)
+    check_run_size(inner)
+    size = 1 << mb
 
     cb = build_codebook(inner)
     rotations = candidate_rotations(inner, cb)
     messages = draw_messages(inner)
 
-    z0s = []
-    for lo in range(0, len(messages), CHUNK_TRIALS):
-        hi = min(lo + CHUNK_TRIALS, len(messages))
-        seeds = derive_seeds(inner.noise_seed, range(_Z0_STREAM_OFFSET + lo, _Z0_STREAM_OFFSET + hi))
-        z0s.extend(float(rng.standard_normal()) * sigma for rng in generators(seeds))
+    z0s = time_zero_noise(cfg)
     zetas = [z0 * scale for z0 in z0s]
     for i, zeta in enumerate(zetas):
         if not math.isfinite(zeta):

@@ -4,7 +4,7 @@ Config grammar (line oriented, ``key = value``, ``#`` comments)::
 
     snr              = 3            # or a comma list for sweeps
     helper_rate_bits = 0.5          # or a comma list
-    blocklength      = 24           # or a comma list
+    blocklength      = 24           # or a comma list; each >= 2
     rate_fraction    = 0.7          # R as fraction of cognizant capacity (> 0); list ok
     rate_bits        = 1.2          # absolute R; single runs only
     eps              = 0.05         # default 0.1 * helper_rate_bits
@@ -16,16 +16,10 @@ Config grammar (line oriented, ``key = value``, ``#`` comments)::
 All single values yield one SchemeConfig; any list yields a SweepSpec over
 the grid.  Every cell's seed is derived from (base seed, cell coordinates),
 so any cell is individually reproducible and results do not depend on
-scheduling or worker count.  The worker count (`--workers`, else
-GAUSSHELP_WORKERS if non-zero, else the usable CPUs; scheme.resolve_workers)
-bounds the CPUs a sweep uses.  With more than one worker and more than one
-cell, a pool of min(workers, cells) processes runs the cells, each on one
-engine thread; otherwise the cells run one after another, each on `workers`
-engine threads.  The count is passed down as run_cell's `threads` argument;
-no module holds it.  A worker pool receives the cells longest-first by
-`cell_work`, so the costliest cell does not start last and run alone
-(Graham's LPT rule); results and skip warnings are put back in sweep order,
-so the output does not depend on the dispatch order.
+scheduling or worker count.  run_sweep spreads the worker count (`--workers`,
+else scheme.resolve_workers()) over processes or engine threads, passed down
+as run_cell's `threads` argument, and hands a pool the cells longest-first by
+`cell_work` (Graham's LPT rule); rows and skip warnings keep sweep order.
 """
 
 from __future__ import annotations
@@ -70,6 +64,17 @@ def _check_run(trials: int, scheme: str, diagnostics: bool) -> None:
         raise ConfigError("diagnostics = on needs scheme = cognizant, got scheme = feedback")
     if diagnostics and trials < 2:
         raise ConfigError(f"diagnostics = on needs trials of at least 2, got trials = {trials}")
+
+
+def check_eps(eps: float, helper_rates) -> None:
+    """Refuse an eps outside (0, R_h) for any helper rate R_h (eps = 0 when R_h = 0)."""
+    for rh in helper_rates:
+        if rh > 0 and not 0.0 < eps < rh:
+            raise ConfigError(
+                f"violated constraint '0 < eps < R_h': eps={eps!r}, helper_rate_bits={rh!r}"
+            )
+        if rh == 0 and eps != 0.0:
+            raise ConfigError("eps must be 0 when helper_rate_bits is 0")
 
 
 @dataclass(frozen=True)
@@ -151,6 +156,8 @@ def parse_config(text: str):
         raise ConfigError("snr values must be positive")
     if any(v < 0 for v in helper_rate):
         raise ConfigError("helper_rate_bits values must be nonnegative")
+    if any(v < 2 for v in blocklength):
+        raise ConfigError("blocklength values must be at least 2")
 
     trials = _parse_number("trials", seen["trials"][1], seen["trials"][0], int) \
         if "trials" in seen else 10000
@@ -171,13 +178,7 @@ def parse_config(text: str):
     diagnostics = diagnostics_raw == "on"
 
     if eps is not None:
-        for rh in helper_rate:
-            if rh > 0 and not 0.0 < eps < rh:
-                raise ConfigError(
-                    f"violated constraint '0 < eps < R_h': eps={eps!r}, helper_rate_bits={rh!r}"
-                )
-            if rh == 0 and eps != 0.0:
-                raise ConfigError("eps must be 0 when helper_rate_bits is 0")
+        check_eps(eps, helper_rate)
 
     single = all(len(v) == 1 for v in (snr, helper_rate, blocklength)) and (
         rate_fraction is None or len(rate_fraction) == 1

@@ -13,49 +13,32 @@ sphere, so given the decode angle alpha the probability that some competitor
 lands closer is 1 - (1 - c)^(M-1) with c the cap ratio at alpha.  The two
 decode routes are cross-checked against each other in the test suite.
 
-`simulate` runs its trials through one chunked engine (`run_trials`) on
-stream contract STREAM_CONTRACT = 2.  The noise z is isotropic and
-independent of message m's rotation R_m, so w = R_m^T z is N(0, sigma^2 I)
-whatever the message; the engine draws w, the noise in the message's frame,
-instead of z.  The help index and angle (closest base point to w), the decode
-angle angle(b_t, b_t + w) and the noise energy |w|^2 then need no rotation.
-R_m is applied only where a result lives in the channel frame: the
-exhaustive decoder's y = R_m (b_t + w), from the candidate rotation stack,
-and the diagnostics' x = R_m b_t and z = R_m w, summed per index.  Per chunk of
-CHUNK_TRIALS trials the helper search is one tiled GEMM against the base
-codebook.  Exhaustive decoding scores m' as (R_m' b_t) . y: on the grouped
-route (grouped_route) against per-help-index codebooks C_t = {R_m' b_t : m'},
-built from the stack once per run, one GEMM per help index present; else as
-vec(R_m') . vec(y b_t^T), one tiled GEMM over the stack.  All go through
-search.ScreenedSearch, which scores in float32 under a rigorous error
-bound and rescans in float64 only the rows the bound cannot decide.  Each
-trial keeps its own random streams, so the engine reproduces `run_trial`, the
-per-trial reference implementation, trial for trial:
+`simulate` runs its trials through one chunked engine (`run_trials`).  The
+noise z is isotropic and independent of message m's rotation R_m, so the
+engine draws w = R_m^T z ~ N(0, sigma^2 I), the noise in the message's frame:
+the help index, the decode angle angle(b_t, b_t + w) and |w|^2 need no
+rotation.  R_m is applied only for the exhaustive decoder's y = R_m (b_t + w)
+and the diagnostics' x = R_m b_t and z = R_m w.  The helper and exhaustive
+searches go through search.ScreenedSearch (grouped_route picks the decoder's
+layout); chunks run on up to `threads` threads, and no result depends on how
+many.
 
-* trial i draws w from default_rng(derive_seed(noise_seed, i)), then
-  (analytic route) two uniforms from the same generator: the error draw and
-  the wrong-message draw.  When M - 1 exceeds 2^53, the values a uniform
-  double resolves, the wrong message is instead drawn uniformly by rejection
-  on rng.bytes from the same generator, after the two uniforms;
+Stream contract STREAM_CONTRACT = 3, each stream drawn in the order given:
+
+* engine chunk c (the k <= CHUNK_TRIALS trials from c * CHUNK_TRIALS on)
+  draws from default_rng(derive_seed(noise_seed, c)): a (k, n) standard
+  normal block scaled by sigma (row j: trial j's w); on the analytic route a
+  (k, 2) uniform block (row j: the error draw and the wrong-message draw);
+  then, when M - 1 exceeds 2^53 (the values a uniform double resolves), the
+  wrong messages of the erring trials in row order, by rejection on
+  rng.bytes.  So CHUNK_TRIALS is part of the contract;
 * message m's rotation comes from derive_seed(rotation_seed_base, m);
 * the messages are one draw of ceil(message_bits/32) uint32 words per trial
   from default_rng(message_seed), equal to one rng.bytes call per trial.
 
-The engine builds these generators a chunk at a time (codebook.derive_seeds
-and codebook.generators), each bitwise equal to its default_rng; run_trial
-keeps calling default_rng, so the replay checks one against the other.
-
-Chunks are independent, so the engine runs them on up to `threads` threads,
-an argument of run_trials and simulate resolved per call (None:
-resolve_workers(), that is GAUSSHELP_WORKERS if non-zero, else the usable
-CPUs; a sweep's worker processes pass 1), so no module holds a thread count.
-The helper search's GEMMs and reductions release the GIL and overlap; the
-per-trial generator loops hold it and do not, so a cell with a small helper
-codebook (THREAD_MIN_WORK) runs on one thread.  Each chunk writes its own rows
-of the columns; the calling thread takes the chunks' decisions in chunk order
-and forms the diagnostics' rotations, x and z there, in the same order, so no
-result depends on the thread count and the diagnostics' memory is the serial
-loop's.
+`run_trial`, the per-trial reference, takes one trial's draws, so a replay
+that rebuilds each chunk's draws from the contract reproduces the engine
+trial for trial.
 """
 
 from __future__ import annotations
@@ -72,7 +55,7 @@ import numpy as np
 
 from .capacity import ChannelParams, capacity_cognizant
 from .codebook import (MAX_CODEBOOK_FLOATS, CodebookSizeError, HelperCodebook,
-                       build_base_codebook, derive_seed, derive_seeds, generators)
+                       build_base_codebook, derive_seed)
 from .converse import CorrelationSums, correlation_budget
 from .geometry import (COS_CLAMP_TOL, achievable_rate_threshold, angle_between,
                        cap_ratio_exact, theta0)
@@ -84,24 +67,24 @@ EXHAUSTIVE_LIMIT = 1 << 12
 # Hard cap on exhaustive decoding regardless of mode.
 EXHAUSTIVE_HARD_LIMIT = 1 << 24
 
-# Trials per engine chunk.  Every trial keeps its own random streams, so the
-# chunk size bounds memory without changing any result.
+# Trials per engine chunk.  Each chunk draws from its own noise generator, so
+# the chunk size is part of the stream contract.
 CHUNK_TRIALS = 128
 
 _DECODERS = ("auto", "exhaustive", "analytic")
 
-# Version of the per-trial random streams documented in the module docstring.
-STREAM_CONTRACT = 2
+# Version of the random streams documented in the module docstring.
+STREAM_CONTRACT = 3
 
 # Bound on the CPUs gausshelp uses: sweep worker processes or engine threads.
 WORKERS_ENV = "GAUSSHELP_WORKERS"
 
 # Least helper-search work per trial, 2^helper_bits * n, for which run_trials
 # runs its chunks on threads.  The search's GEMM and reductions release the
-# GIL; below this size the per-trial loops that hold it dominate a chunk.  On
-# a 2-vCPU host two threads measured up to 40% slower at n = 16 to 26 with
-# R_h 0.5 (diagnostics or not) and at n = 8 and 10 on the exhaustive route
-# with R_h 0.25, and the benchmark's n = 12 exhaustive cell ran 5% slower.
+# GIL; the per-trial decisions and the hand-offs between threads hold it.  On
+# a 2-vCPU host (medians of 9 runs, us per trial, one thread -> two) the
+# criterion-5 cells read n = 16: 4.3 -> 10.0; n = 24 with diagnostics:
+# 99 -> 108; n = 24 without: 26 -> 21, the one cell below the gate that gains.
 THREAD_MIN_WORK = 1 << 18
 
 
@@ -232,8 +215,9 @@ def decode(cb: HelperCodebook, y, t: int, message_space: range, rotations=None) 
 
 def exhaustive_route(cfg: SchemeConfig) -> bool:
     """The decode-route rule: scan every message, or draw from the analytic law."""
+    # 2^message_bits <= EXHAUSTIVE_LIMIT, compared as bit counts.
     return cfg.decoder == "exhaustive" or (
-        cfg.decoder == "auto" and (1 << cfg.message_bits) <= EXHAUSTIVE_LIMIT
+        cfg.decoder == "auto" and cfg.message_bits < EXHAUSTIVE_LIMIT.bit_length()
     )
 
 
@@ -263,19 +247,17 @@ def _analytic_error_probability(n: int, decode_angle, n_competitors: int):
         return np.where(c >= 1.0, 1.0, -np.expm1(-np.exp(exponent)))
 
 
-def run_trial(cfg: SchemeConfig, cb: HelperCodebook, m: int, trial_seed: int,
+def run_trial(cfg: SchemeConfig, cb: HelperCodebook, m: int, w, uniforms=None, rng=None,
               rotations=None, return_vectors=False):
-    """One transmission: sample noise, select help, transmit, decode.
+    """One transmission of message m on the trial's draws: select help, transmit, decode.
 
-    Deterministic given (cfg, cb, m, trial_seed).  The noise is drawn in the
-    message's frame and rotated into the channel's, z = R_m w (stream
-    contract 2).  `rotations` optionally carries the precomputed candidate
+    `w` is the noise in the message's frame, scaled by sigma; it is rotated
+    into the channel's, z = R_m w.  On the analytic route `uniforms` holds the
+    error draw and the wrong-message draw, and `rng` is the generator a wrong
+    message among more than 2^53 others is drawn from (stream contract 3: the
+    chunk's).  `rotations` optionally carries the precomputed candidate
     rotations for the exhaustive decoder.
     """
-    rng = np.random.default_rng(trial_seed)
-    n = cfg.blocklength
-    w = rng.standard_normal(n) * math.sqrt(cfg.channel.noise_var)
-
     rot = cb.rotation(m)
     z = rot @ w
     t, helper_angle = helper_select(cb, m, z, rotation=rot)
@@ -287,8 +269,9 @@ def run_trial(cfg: SchemeConfig, cb: HelperCodebook, m: int, trial_seed: int,
     if exhaustive_route(cfg):
         decoded = decode(cb, y, t, range(n_messages), rotations=rotations)
     else:
-        p_err = _analytic_error_probability(n, decode_angle, n_messages - 1)
-        decoded = _wrong_message(rng, m, rng.random(), n_messages) if rng.random() < p_err else m
+        p_err = _analytic_error_probability(cfg.blocklength, decode_angle, n_messages - 1)
+        u_err, u_wrong = uniforms
+        decoded = _wrong_message(rng, m, u_wrong, n_messages) if u_err < p_err else m
 
     record = TrialRecord(
         message=m,
@@ -341,6 +324,16 @@ def draw_messages(cfg: SchemeConfig) -> list[int]:
     return [int.from_bytes(row.astype("<u4").tobytes(), "little") & mask for row in words]
 
 
+def check_run_size(cfg: SchemeConfig) -> None:
+    """Refuse a run whose per-trial storage outgrows MAX_CODEBOOK_FLOATS 64-bit words."""
+    # Per trial: drawn words, message and decision, ceil(message_bits/64) words each, plus
+    # 11 for list slots, int headers and result columns (113 bytes measured at 12 bits).
+    if cfg.trials * (3 * -(-cfg.message_bits // 64) + 11) > MAX_CODEBOOK_FLOATS:
+        raise CodebookSizeError(
+            f"{cfg.trials} trials of {cfg.message_bits}-bit messages exceed the size cap"
+        )
+
+
 def candidate_rotations(cfg: SchemeConfig, cb: HelperCodebook):
     """Stacked per-message rotations when the exhaustive decoder will be used.
 
@@ -351,10 +344,9 @@ def candidate_rotations(cfg: SchemeConfig, cb: HelperCodebook):
     """
     if not exhaustive_route(cfg):
         return None
-    n_messages = 1 << cfg.message_bits
-    if n_messages > EXHAUSTIVE_HARD_LIMIT:
-        raise ValueError(f"message space of {n_messages} is too large to scan")
-    n, grouped = cfg.blocklength, grouped_route(cfg)
+    if cfg.message_bits >= EXHAUSTIVE_HARD_LIMIT.bit_length():
+        raise ValueError(f"message space of 2^{cfg.message_bits} is too large to scan")
+    n_messages, n, grouped = 1 << cfg.message_bits, cfg.blocklength, grouped_route(cfg)
     if n_messages * n * (n + (1 << cfg.helper_bits) * grouped) > MAX_CODEBOOK_FLOATS:
         raise CodebookSizeError(
             f"rotation stack of {n_messages} {n}x{n} matrices"
@@ -422,21 +414,20 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
                correlations: CorrelationSums | None = None, threads=None) -> TrialColumns:
     """Trial i sends messages[i]; the batched equivalent of run_trial per trial.
 
-    Runs CHUNK_TRIALS trials at a time on the per-trial streams documented in
-    the module docstring.  `rotations` is candidate_rotations(cfg, cb).  Each
+    Runs CHUNK_TRIALS trials at a time, each chunk on its own noise stream
+    (module docstring).  `rotations` is candidate_rotations(cfg, cb).  Each
     chunk's inputs and noises, if wanted, are added to `correlations`, not kept.
-    Chunks run on `threads` threads (None: resolve_workers()) when the helper
-    search is large enough to pay (THREAD_MIN_WORK); each writes only its own
-    rows.  The calling thread takes their decisions in chunk order and, for
-    diagnostics, forms their rotations and adds x and z to the sums in that
-    order, so every result is that of the serial loop, bitwise, and one stack
-    of rotations is alive at a time.
+    Chunks run on `threads` threads (None: resolve_workers(); a sweep's workers
+    pass 1) when the helper search is large enough to pay (THREAD_MIN_WORK),
+    each writing only its own rows.  The calling thread takes their decisions,
+    and for diagnostics forms their rotations and sums x and z, in chunk order,
+    so every result is the serial loop's, bitwise, and one stack of rotations
+    is alive at a time.
     """
     messages = list(messages)
     trials, n = len(messages), cfg.blocklength
     n_messages = 1 << cfg.message_bits
     exhaustive, grouped = exhaustive_route(cfg), grouped_route(cfg)
-    sigma = math.sqrt(cfg.channel.noise_var)
     scale = math.sqrt(n * cb.power)
 
     help_index = np.empty(trials, dtype=np.int64)
@@ -455,14 +446,8 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
         """Fill rows lo:hi of the columns; return their messages, decisions, b_t and w."""
         hi = min(lo + CHUNK_TRIALS, trials)
         ms = messages[lo:hi]
-        w = np.empty((hi - lo, n))
-        u = np.empty((hi - lo, 2))
-        rngs = generators(derive_seeds(cfg.noise_seed, range(lo, hi)))
-        for j, rng in enumerate(rngs):
-            rng.standard_normal(out=w[j])
-            if not exhaustive:
-                u[j] = rng.random(2)
-        w *= sigma
+        rng = np.random.default_rng(derive_seed(cfg.noise_seed, lo // CHUNK_TRIALS))
+        w = rng.standard_normal((hi - lo, n)) * math.sqrt(cfg.channel.noise_var)
 
         # Everything below is in message m's frame: the base codebook and w.
         t, best = helper.argmax(w)
@@ -485,18 +470,17 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
                 found, _ = candidates.argmax((y[:, :, None] * bt[:, None, :]).reshape(hi - lo, n * n))
             found = found.tolist()
         else:
+            u = rng.random((hi - lo, 2))
             p_err = _analytic_error_probability(n, decode_angle[lo:hi], n_messages - 1)
             found = [_wrong_message(rng, m, u_wrong, n_messages) if u_err < p else m
-                     for rng, m, (u_err, u_wrong), p in zip(rngs, ms, u.tolist(), p_err.tolist())]
+                     for m, (u_err, u_wrong), p in zip(ms, u.tolist(), p_err.tolist())]
         return ms, found, bt, w
 
     def take(result):
         ms, found, bt, w = result
         decoded.extend(found)
         if correlations is not None:
-            # The diagnostics' x = R_m b_t and z = R_m w, in the channel frame.
-            # Their rotations are formed here, a chunk at a time in chunk order,
-            # so a run holds one stack of them, as the serial loop does.
+            # x = R_m b_t and z = R_m w in the channel frame, one chunk's at a time.
             rot = rotations[ms] if exhaustive else cb.rotations(ms)
             correlations.add(np.einsum("kij,kj->ki", rot, bt), np.einsum("kij,kj->ki", rot, w))
 
@@ -568,6 +552,7 @@ def simulate(cfg: SchemeConfig, keep_records=False, diagnostics=False,
     threads (None: resolve_workers()); no result depends on it.
     """
     t_start = time.perf_counter()
+    check_run_size(cfg)
     cb = build_codebook(cfg)
     rotations = candidate_rotations(cfg, cb)
     if messages is None:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -147,6 +148,19 @@ class TestSimulateCommand:
         assert err == "config error: rate_fraction must be positive\n"
         assert out == ""
 
+    @pytest.mark.parametrize("command, blocklength", [
+        ("simulate", "1"), ("simulate", "0"), ("sweep", "1, 12"), ("sweep", "12, 1")])
+    def test_blocklength_below_two_exits_two(self, capsys, tmp_path, command, blocklength):
+        # once exit 1 for a single value, and a crash of the whole sweep in a grid
+        path = tmp_path / "run.conf"
+        config = SINGLE_CONFIG if command == "simulate" else SWEEP_CONFIG
+        path.write_text(re.sub(r"blocklength = .*", f"blocklength = {blocklength}", config))
+        workers = ["--workers", "1"] if command == "sweep" else []
+        code, out, err = run_cli(capsys, command, "--config", str(path), *workers)
+        assert code == 2
+        assert err == "config error: blocklength values must be at least 2\n"
+        assert out == ""
+
     def test_zero_trials_exits_two(self, capsys, tmp_path):
         path = tmp_path / "zero.conf"
         path.write_text(SINGLE_CONFIG.replace("trials = 30", "trials = 0"))
@@ -190,7 +204,7 @@ class TestRefusedCell:
         path.write_text(SINGLE_CONFIG.replace("helper_rate_bits = 0.5", "helper_rate_bits = 4"))
         code, out, err = run_cli(capsys, command, "--config", str(path))
         assert code == 1
-        assert err.startswith("error: CodebookSizeError: codebook of 281474976710656 points")
+        assert err.startswith("error: CodebookSizeError: codebook of 2^48 points")
         assert out == ""
 
     def test_quantization_boundary(self, capsys, tmp_path, monkeypatch, command):
@@ -245,6 +259,23 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 1
         assert WORKERS_ENV in err and repr(raw) in err and out == ""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_huge_helper_codebook_cell_is_skipped(self, capsys, tmp_path, caplog, workers):
+        # 2^16000 helper points at n = 8: the size message once converted
+        # 2^16000 to a decimal string, which raised and ended the sweep
+        path = tmp_path / "grid.conf"
+        path.write_text("snr = 3\nhelper_rate_bits = 0.5, 2000\nblocklength = 8\n"
+                        "rate_fraction = 0.7\ntrials = 20\n")
+        with caplog.at_level("WARNING"):
+            code, out, _ = run_cli(capsys, "sweep", "--config", str(path), "--workers", workers,
+                                   "--repro")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert len(lines) == 2 and lines[1].startswith("cognizant,8,1.375,0.5,")
+        (skip,) = [rec.message for rec in caplog.records if "skipped" in rec.message]
+        assert skip.endswith("CodebookSizeError: codebook of 2^16000 points in dimension 8 "
+                             "exceeds the size cap")
 
     def test_too_wide_feedback_cell_is_skipped(self, capsys, tmp_path, caplog):
         path = tmp_path / "grid.conf"
@@ -361,6 +392,28 @@ class TestDiagnoseCommand:
                                  "--n", "12")
         assert code == 2
         assert err == f"config error: diagnose needs a finite {wanted} {flag}, got {float(value)}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("args, reason", [
+        (("--n", "1"), "diagnose needs --n of at least 2, got 1"),
+        (("--n", "-4"), "diagnose needs --n of at least 2, got -4"),
+        (("--eps", "0.7"), "violated constraint '0 < eps < R_h': eps=0.7, helper_rate_bits=0.5"),
+        (("--eps", "nan"), "violated constraint '0 < eps < R_h': eps=nan, helper_rate_bits=0.5"),
+        (("--eps", "0"), "violated constraint '0 < eps < R_h': eps=0.0, helper_rate_bits=0.5"),
+        (("--rh", "0", "--eps", "0.1"), "eps must be 0 when helper_rate_bits is 0"),
+    ])
+    def test_bad_blocklength_or_eps_refused_before_running(self, capsys, monkeypatch, args,
+                                                           reason):
+        # these exited 1 from the scheme's own checks; the same values in a
+        # config file are config errors
+        def fail(*args, **kwargs):
+            raise AssertionError("diagnose ran a simulation")
+
+        monkeypatch.setattr("gausshelp.cli.simulate", fail)
+        flags = {"--snr": "3", "--rh": "0.5", "--n": "12", **dict(zip(args[::2], args[1::2]))}
+        code, out, err = run_cli(capsys, "diagnose", *(x for kv in flags.items() for x in kv))
+        assert code == 2
+        assert err == f"config error: {reason}\n"
         assert out == ""
 
 

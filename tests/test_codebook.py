@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gausshelp import search
+from gausshelp import codebook, search
 from gausshelp.capacity import ChannelParams
 from gausshelp.geometry import theta0 as theta0_of
 from gausshelp.codebook import (
@@ -208,6 +208,15 @@ class TestBuildBaseCodebook:
     def test_size_cap(self):
         with pytest.raises(CodebookSizeError):
             build_base_codebook(4, CH, 16.0, 0.1, seed=1)
+
+    def test_size_cap_boundary_and_huge_codebooks(self, monkeypatch):
+        # 2^5 points at n = 8 fill a cap of 256 floats exactly; 2^6 exceed
+        # it; 2^16000 are refused without forming 2^16000 as a decimal string
+        monkeypatch.setattr(codebook, "MAX_CODEBOOK_FLOATS", 8 << 5)
+        assert build_base_codebook(8, CH, 5 / 8, 0.1, seed=1).help_size == 32
+        for bits in (6, 16000):
+            with pytest.raises(CodebookSizeError, match=rf"^codebook of 2\^{bits} points in dim"):
+                build_base_codebook(8, CH, bits / 8, 0.1, seed=1)
 
 
 class TestMessageCodebook:

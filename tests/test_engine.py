@@ -1,4 +1,9 @@
-"""The chunked trial engine against the per-trial reference, and its pinned output."""
+"""The chunked trial engine against the per-trial reference, and its pinned output.
+
+The replay rebuilds every trial's draws from stream contract 3 as the scheme
+module documents it, not through the engine's code, and checks the engine
+against run_trial trial for trial.
+"""
 
 import dataclasses
 import io
@@ -13,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gausshelp import scheme
+from gausshelp import feedback, scheme
 from gausshelp.capacity import ChannelParams
 from gausshelp.cli import cli
 from gausshelp.codebook import CodebookSizeError, HelperCodebook, derive_seed
@@ -77,6 +82,25 @@ def boundary_stack_config(trials):
     return grouped_config(trials, n=8, helper_bits=4)  # 16 helper points at n = 8
 
 
+def contract_draws(cfg, trials):
+    """Each trial's (w, uniforms, generator) under stream contract 3, in trial order.
+
+    Chunk c draws from default_rng(derive_seed(noise_seed, c)): a (k, n)
+    standard normal block scaled by sigma, then on the analytic route a (k, 2)
+    uniform block.  The wrong messages among more than 2^53 others are drawn
+    from the same generator afterwards, in row order, so the trials must be
+    replayed in the order given.
+    """
+    sigma = math.sqrt(cfg.channel.noise_var)
+    for c, lo in enumerate(range(0, trials, CHUNK_TRIALS)):
+        k = min(CHUNK_TRIALS, trials - lo)
+        rng = np.random.default_rng(derive_seed(cfg.noise_seed, c))
+        w = rng.standard_normal((k, cfg.blocklength)) * sigma
+        u = [None] * k if exhaustive_route(cfg) else rng.random((k, 2)).tolist()
+        for j in range(k):
+            yield w[j], u[j], rng
+
+
 def assert_same_trial(rec, ref, i):
     for field in ("message", "help_index", "covering_miss", "decoded", "error"):
         assert getattr(rec, field) == getattr(ref, field), (i, field)
@@ -97,9 +121,9 @@ class TestEngineMatchesRunTrial:
         cb = build_codebook(cfg)
         rotations = candidate_rotations(cfg, cb)
         pairs = []
-        for i, rec in enumerate(s.records):
-            ref, x, z = run_trial(cfg, cb, rec.message, derive_seed(cfg.noise_seed, i),
-                                  rotations=rotations, return_vectors=True)
+        for i, (rec, draws) in enumerate(zip(s.records, contract_draws(cfg, trials))):
+            ref, x, z = run_trial(cfg, cb, rec.message, *draws, rotations=rotations,
+                                  return_vectors=True)
             assert_same_trial(rec, ref, i)
             pairs.append((x, z))
         assert len(s.records) == trials
@@ -114,11 +138,13 @@ class TestEngineMatchesRunTrial:
         s = simulate_feedback(FeedbackConfig(inner=inner), keep_records=True)
         cb = build_codebook(inner)
         rotations = candidate_rotations(inner, cb)
-        for i, rec in enumerate(s.records):
-            rng = np.random.default_rng(derive_seed(inner.noise_seed, _Z0_STREAM_OFFSET + i))
-            z0 = float(rng.standard_normal()) * math.sqrt(CH.noise_var)
-            ref = run_trial(inner, cb, inner_message(z0, mb, power),
-                            derive_seed(inner.noise_seed, i), rotations=rotations)
+        # All time-zero noises, in block order, from one generator.
+        z0s = np.random.default_rng(derive_seed(inner.noise_seed, _Z0_STREAM_OFFSET)) \
+            .standard_normal(trials) * math.sqrt(CH.noise_var)
+        for i, (rec, z0, draws) in enumerate(zip(s.records, z0s.tolist(),
+                                                contract_draws(inner, trials))):
+            ref = run_trial(inner, cb, inner_message(z0, mb, power), *draws,
+                            rotations=rotations)
             y0 = encode_time_zero(rec.message, mb, power) + z0
             m_hat = reconstruct(y0, ref.decoded, mb, power)
             ref = replace(ref, message=rec.message, decoded=m_hat, error=m_hat != rec.message,
@@ -158,6 +184,33 @@ def test_grouped_codebooks_count_toward_the_size_cap(monkeypatch):
     assert simulate(replace(cfg, trials=help_size * n - 1)).trials == help_size * n - 1
 
 
+def test_trials_count_toward_the_size_cap(monkeypatch):
+    # 200 trials of 74-bit messages, two 64-bit words each, count as
+    # 200 * (3 * 2 + 11) = 3400 words.  Under a cap of 3399 the cognizant and
+    # the feedback cell are refused before anything is drawn, and a sweep
+    # skips them; under a cap of 3400 both run.
+    cfg = config_from_rates(8, 74 / 8, 0.5, CH, seed=17, eps=0.1, trials=200)
+    assert cfg.message_bits == 74 and not exhaustive_route(cfg)
+    cells = (cfg, FeedbackConfig(inner=cfg))
+    monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", 3399)
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("the cell drew something")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (scheme, feedback):
+            for name in ("build_codebook", "draw_messages"):
+                mp.setattr(module, name, drawn)
+        with pytest.raises(CodebookSizeError, match="^200 trials of 74-bit messages exceed"):
+            simulate(cfg)
+        with pytest.raises(CodebookSizeError, match="^200 trials of 74-bit messages exceed"):
+            simulate_feedback(cells[1])
+        for cell in cells:
+            assert isinstance(_run_cell_safe((cell, False)), CodebookSizeError)
+    monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", 3400)
+    assert [_run_cell_safe((cell, False)).trials for cell in cells] == [200, 200]
+
+
 def test_diagnostics_run_under_a_small_size_cap(monkeypatch):
     # 200 trials at n = 16 under a cap of 10^4 floats: no trials x n array is
     # kept, so the cap does not apply, and the profile from running sums
@@ -166,8 +219,8 @@ def test_diagnostics_run_under_a_small_size_cap(monkeypatch):
     cfg = analytic_config(200)
     s = simulate(cfg, keep_records=True, diagnostics=True)
     cb = build_codebook(cfg)
-    pairs = [run_trial(cfg, cb, rec.message, derive_seed(cfg.noise_seed, i),
-                       return_vectors=True)[1:] for i, rec in enumerate(s.records)]
+    pairs = [run_trial(cfg, cb, rec.message, *draws, return_vectors=True)[1:]
+             for rec, draws in zip(s.records, contract_draws(cfg, 200))]
     want = empirical_correlations(pairs)
     assert s.corr_profile.trials == want.trials == 200
     assert np.allclose(s.corr_profile.per_index_rho, want.per_index_rho, rtol=0, atol=1e-12)
@@ -342,12 +395,12 @@ class TestEngineThreads:
         cfg = analytic_config(4 * CHUNK_TRIALS + 5)
         cb = build_codebook(cfg)
         messages = scheme.draw_messages(cfg)
-        derive_seeds = scheme.derive_seeds
+        derive_seed = scheme.derive_seed
 
-        def slow_first(base, indices):
-            if indices[0] == 0:
+        def slow_first(base, chunk):  # seeds chunk 0's noise generator
+            if chunk == 0:
                 time.sleep(0.2)
-            return derive_seeds(base, indices)
+            return derive_seed(base, chunk)
 
         def record(threads):
             added = []
@@ -362,7 +415,7 @@ class TestEngineThreads:
             monkeypatch.setattr(CorrelationSums, "add", add)
             return added, cols.decoded
 
-        monkeypatch.setattr(scheme, "derive_seeds", slow_first)
+        monkeypatch.setattr(scheme, "derive_seed", slow_first)
         serial, decoded = record(1)
         me = threading.get_ident()
         for threads in (2, 3):
@@ -377,16 +430,16 @@ class TestEngineThreads:
         # the chunks not yet started are cancelled (at most threads + 1 were
         # in flight), and the pool's threads are gone when run_trials returns.
         cfg = analytic_config(10 * CHUNK_TRIALS)
-        derive_seeds = scheme.derive_seeds
+        derive_seed = scheme.derive_seed
         calls = []
 
-        def failing(base, indices):
-            calls.append(indices[0])
-            if indices[0] == 2 * CHUNK_TRIALS:
+        def failing(base, chunk):  # seeds each chunk's noise generator
+            calls.append(chunk)
+            if chunk == 2:
                 raise RuntimeError("chunk 3 failed")
-            return derive_seeds(base, indices)
+            return derive_seed(base, chunk)
 
-        monkeypatch.setattr(scheme, "derive_seeds", failing)
+        monkeypatch.setattr(scheme, "derive_seed", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="^chunk 3 failed$"):
             simulate(cfg, diagnostics=True, threads=threads)

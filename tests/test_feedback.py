@@ -213,7 +213,7 @@ class TestTimeZeroRange:
         def drawn(*args, **kwargs):
             raise AssertionError("the cell drew something")
 
-        for name in ("build_codebook", "draw_messages", "generators"):
+        for name in ("build_codebook", "draw_messages", "time_zero_noise"):
             monkeypatch.setattr(feedback, name, drawn)
         cfg = self.wide_config(bits, snr)
         assert cfg.message_bits == bits
@@ -223,11 +223,7 @@ class TestTimeZeroRange:
 
     def test_overflowing_noise_is_refused(self, monkeypatch):
         # At 1023 bits and P = 3, z0 * 2^mb / sqrt(P) overflows once |z0| > 2 sqrt(P)
-        class BigNoise:
-            def standard_normal(self):
-                return 4.0
-
-        monkeypatch.setattr(feedback, "generators", lambda seeds: [BigNoise() for _ in seeds])
+        monkeypatch.setattr(feedback, "time_zero_noise", lambda cfg: [4.0] * cfg.trials)
         with pytest.raises(TimeZeroRangeError, match="^trial 0: .* is not a finite double"):
             simulate_feedback(self.wide_config(MAX_FEEDBACK_BITS))
 

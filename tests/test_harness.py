@@ -152,6 +152,17 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match="rate_fraction.*positive"):
             parse_config(text)
 
+    @pytest.mark.parametrize("text", [
+        MINIMAL.replace("blocklength = 12", "blocklength = 1"),
+        MINIMAL.replace("blocklength = 12", "blocklength = -3"),
+        SWEEP.replace("blocklength = 12, 16", "blocklength = 12, 1"),
+        SWEEP.replace("blocklength = 12, 16", "blocklength = 0, 16"),
+    ], ids=["single-1", "single-negative", "grid-1", "grid-0"])
+    def test_blocklength_below_two_refused(self, text):
+        # a grid once parsed and then ended the sweep at the cell's config
+        with pytest.raises(ConfigError, match="^blocklength values must be at least 2$"):
+            parse_config(text)
+
     def test_sweep_spec_refuses_what_cannot_run(self):
         grid = dict(snr=(3.0,), helper_rate=(0.5,), blocklength=(12,), rate_fraction=(0.7,),
                     base_seed=5)
@@ -303,8 +314,8 @@ class TestSweep:
         assert [s.blocklength for s in summaries] == [12, 16]
         skips = [rec.message for rec in caplog.records if "skipped" in rec.message]
         assert len(skips) == 2  # each with its own cell's reason
-        assert "n=12" in skips[0] and f"{1 << 48} points in dimension 12" in skips[0]
-        assert "n=16" in skips[1] and f"{1 << 64} points in dimension 16" in skips[1]
+        assert "n=12" in skips[0] and "2^48 points in dimension 12" in skips[0]
+        assert "n=16" in skips[1] and "2^64 points in dimension 16" in skips[1]
 
     def test_oversized_cell_skipped(self, caplog):
         spec = SweepSpec(snr=(3.0,), helper_rate=(0.5, 4.0), blocklength=(12,),

@@ -8,6 +8,7 @@ from gausshelp.capacity import ChannelParams
 from gausshelp.codebook import HelperCodebook, build_base_codebook, derive_seed, haar_rotation
 from gausshelp.geometry import cap_ratio_exact
 from gausshelp.scheme import (
+    CHUNK_TRIALS,
     SchemeConfig,
     _analytic_error_probability,
     build_codebook,
@@ -27,6 +28,12 @@ CH = ChannelParams.from_snr(3.0)
 
 def small_config(n=12, rate=0.9, rh=0.5, eps=0.1, seed=3, trials=200):
     return config_from_rates(n, rate, rh, CH, seed, eps=eps, trials=trials)
+
+
+def trial_noise(cfg, seed):
+    """One trial's noise in the message's frame, from a generator of its own."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(cfg.blocklength) * math.sqrt(cfg.channel.noise_var)
 
 
 class TestConfig:
@@ -165,14 +172,14 @@ class TestRunTrial:
     def test_deterministic(self):
         cfg = small_config()
         cb = build_codebook(cfg)
-        a = run_trial(cfg, cb, 5, trial_seed=999)
-        b = run_trial(cfg, cb, 5, trial_seed=999)
+        a = run_trial(cfg, cb, 5, trial_noise(cfg, 999))
+        b = run_trial(cfg, cb, 5, trial_noise(cfg, 999))
         assert a == b
 
     def test_record_consistency(self):
         cfg = small_config()
         cb = build_codebook(cfg)
-        rec = run_trial(cfg, cb, 5, trial_seed=1000)
+        rec = run_trial(cfg, cb, 5, trial_noise(cfg, 1000))
         assert rec.error == (rec.decoded != rec.message)
         assert rec.covering_miss == (rec.helper_angle > cfg.theta0_rad)
 
@@ -180,7 +187,7 @@ class TestRunTrial:
         cfg = small_config()
         cb = build_codebook(cfg)
         for seed in range(20):
-            rec, x, z = run_trial(cfg, cb, seed, trial_seed=seed, return_vectors=True)
+            rec, x, z = run_trial(cfg, cb, seed, trial_noise(cfg, seed), return_vectors=True)
             y = x + z
             lhs = float(y @ y)
             rhs = float(x @ x) + float(z @ z) + \
@@ -188,15 +195,12 @@ class TestRunTrial:
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_noise_energy_concentrates(self):
-        # chi-square upper tail stays below the Chernoff bound
+        # chi-square upper tail of the engine's noise, drawn a chunk at a
+        # time, stays below the Chernoff bound
         n, trials, delta = 64, 600, 0.5
         cfg = config_from_rates(n, 1.0 / 16.0, 0.125, CH, seed=12, eps=0.05, trials=trials)
-        cb = build_codebook(cfg)
-        exceed = 0
-        for i in range(trials):
-            rec = run_trial(cfg, cb, i % 4, trial_seed=derive_seed(cfg.noise_seed, i))
-            if rec.noise_energy > n * CH.noise_var * (1.0 + delta):
-                exceed += 1
+        records = simulate(cfg, keep_records=True).records
+        exceed = sum(rec.noise_energy > n * CH.noise_var * (1.0 + delta) for rec in records)
         chernoff = math.exp(-n / 2.0 * (delta - math.log1p(delta)))
         assert exceed / trials < chernoff
 
@@ -329,7 +333,12 @@ class TestWrongMessage:
         drawn = [d - (d > r.message) for d, r in zip(wrong, s.records)]
         assert any(w & ((1 << 20) - 1) for w in drawn)
         assert len(set(wrong)) == len(wrong)
+        # Replayed from chunk 0's generator (stream contract 3): the normal
+        # block, the uniform block, then the rejection draws in row order.
         cb = build_codebook(cfg)
-        for i, rec in enumerate(s.records[:20]):
-            ref = run_trial(cfg, cb, rec.message, derive_seed(cfg.noise_seed, i))
+        rng = np.random.default_rng(derive_seed(cfg.noise_seed, 0))
+        w = rng.standard_normal((CHUNK_TRIALS, 8)) * math.sqrt(CH.noise_var)
+        u = rng.random((CHUNK_TRIALS, 2)).tolist()
+        for i, rec in enumerate(s.records[:CHUNK_TRIALS]):
+            ref = run_trial(cfg, cb, rec.message, w[i], u[i], rng)
             assert ref.decoded == rec.decoded, i

@@ -1,10 +1,12 @@
-"""Stream contract 2 against the construction it replaced, in law.
+"""Stream contract 3 against the construction of contract 1, in law.
 
-Contract 1 drew the noise z in the channel frame and undid message m's
-rotation, w = R_m^T z.  Contract 2 draws w directly.  Both give w ~
-N(0, sigma^2 I), so every per-trial outcome has the same law; the tests here
-rebuild contract 1 from explicit rotations and compare the two samples, and
-check that the analytic route of contract 2 forms no rotation at all.
+Contract 1 drew each trial's noise z in the channel frame from a generator of
+its own and undid message m's rotation, w = R_m^T z.  Contract 2 drew w
+directly from the trial's generator; contract 3 draws the w of a whole engine
+chunk from one generator.  All give IID w ~ N(0, sigma^2 I), so every
+per-trial outcome has the same law; the tests here rebuild contract 1 from
+explicit rotations and compare the two samples, and check that the analytic
+route forms no rotation at all.
 """
 
 from dataclasses import replace
@@ -82,18 +84,18 @@ def assert_rates_agree(count_a, count_b, trials):
 
 @pytest.mark.parametrize("n, rate, seed", [(16, 1.2, 21), (10, 0.9, 22)],
                          ids=["analytic-n16", "exhaustive-n10"])
-def test_v2_has_the_law_of_v1(n, rate, seed):
+def test_v3_has_the_law_of_v1(n, rate, seed):
     cfg = config_from_rates(n, rate, 0.5, CH, seed=seed, eps=0.1, trials=TRIALS)
     assert exhaustive_route(cfg) == (n == 10)
-    v2 = simulate(cfg, keep_records=True).records
+    v3 = simulate(cfg, keep_records=True).records
     # an independent noise stream, so the two samples are independent
     helper_angle, decode_angle, miss, error = contract_v1(
         replace(cfg, noise_seed=derive_seed(cfg.noise_seed, 1)))
 
-    assert ks_2samp([r.helper_angle for r in v2], helper_angle).pvalue > 0.01
-    assert ks_2samp([r.decode_angle for r in v2], decode_angle).pvalue > 0.01
-    assert_rates_agree(sum(r.covering_miss for r in v2), miss.sum(), TRIALS)
-    assert_rates_agree(sum(r.error for r in v2), error.sum(), TRIALS)
+    assert ks_2samp([r.helper_angle for r in v3], helper_angle).pvalue > 0.01
+    assert ks_2samp([r.decode_angle for r in v3], decode_angle).pvalue > 0.01
+    assert_rates_agree(sum(r.covering_miss for r in v3), miss.sum(), TRIALS)
+    assert_rates_agree(sum(r.error for r in v3), error.sum(), TRIALS)
     assert 0 < error.sum() < TRIALS
 
 
