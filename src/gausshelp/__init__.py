@@ -21,7 +21,6 @@ from .codebook import (
     covering_deficiency,
     derive_seed,
     derive_seeds,
-    generators,
     haar_rotation,
     haar_rotations,
     message_codebook,

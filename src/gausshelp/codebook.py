@@ -4,6 +4,8 @@ The base codebook holds 2^ceil(n*rh) points drawn uniformly on the radius
 sqrt(n*P) sphere.  Per-message codebooks are never materialized in bulk: the
 rotation for message m is regenerated on demand from a seed derived from the
 codebook's base seed, so the whole pipeline is a pure function of its seeds.
+A rotation's Gaussian entries are SplitMix64 words of that seed mapped
+through the normal quantile (haar_rotations), with no generator per message.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
+from scipy import special
 
 from .capacity import ChannelParams
 from .results import wilson_interval
@@ -40,14 +42,18 @@ def derive_seed(base: int, index: int) -> int:
     return x
 
 
-def derive_seeds(base: int, indices) -> np.ndarray:
-    """derive_seed(base, i) for every i in indices, as a uint64 array.
+def derive_seeds(base, indices) -> np.ndarray:
+    """derive_seed(b, i) for every base b and index i, as a uint64 array.
 
-    Arithmetic is mod 2^64 throughout, so indices of any size (message
-    indices reach 2^74) give the same seeds as derive_seed.
+    `base` is an int or an array of uint64 bases; the result has base's shape
+    plus one axis over indices.  Arithmetic is mod 2^64 throughout, so
+    indices of any size (message indices reach 2^74) give the same seeds as
+    derive_seed.
     """
     idx = np.fromiter((int(i) & _MASK64 for i in indices), dtype=np.uint64, count=len(indices))
-    x = np.uint64(int(base) & _MASK64) + (idx + np.uint64(1)) * np.uint64(_GAMMA)
+    if not isinstance(base, np.ndarray):
+        base = int(base) & _MASK64
+    x = np.asarray(base, dtype=np.uint64)[..., None] + (idx + np.uint64(1)) * np.uint64(_GAMMA)
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
@@ -56,93 +62,27 @@ def derive_seeds(base: int, indices) -> np.ndarray:
     return x
 
 
-# numpy's SeedSequence constants: a 4-word uint32 pool, hashed with the
-# multiplier sequences starting at INIT_A (mixing) and INIT_B (output).
-_MASK32 = (1 << 32) - 1
-_SS_SHIFT = np.uint32(16)
-_SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hash_constants(init: int, mult: int, count: int):
-    # Column vectors of the (xor, multiply) pair each successive hash uses.
-    xor, mul, h = [], [], init
-    for _ in range(count):
-        xor.append(h)
-        h = (h * mult) & _MASK32
-        mul.append(h)
-    return np.array(xor, np.uint32)[:, None], np.array(mul, np.uint32)[:, None]
-
-
-_SS_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # 4 fills, then 12 cross-mixes
-_SS_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # 8 output words
-
-
-def _hashmix(v, xor, mul):
-    v = (v ^ xor) * mul
-    return v ^ (v >> _SS_SHIFT)
-
-
-def _seed_states(seeds: np.ndarray) -> np.ndarray:
-    """SeedSequence(s).generate_state(4, uint64) for every seed s < 2^64, as (len, 4).
-
-    A seed is entropy of one or two uint32 words (low word first); the pool
-    is filled with their hashes (the missing words count as 0), every pool
-    word is mixed into every other, and eight output hashes form four
-    little-endian uint64 words.
-    """
-    xor, mul = _SS_A
-    pool = np.zeros((4, len(seeds)), np.uint32)
-    pool[0] = seeds & np.uint64(_MASK32)
-    pool[1] = seeds >> np.uint64(32)
-    pool = _hashmix(pool, xor[:4], mul[:4])
-    k = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                r = _SS_MIX_L * pool[dst] - _SS_MIX_R * _hashmix(pool[src], xor[k], mul[k])
-                pool[dst] = r ^ (r >> _SS_SHIFT)
-                k += 1
-    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_SS_B).astype(np.uint64)
-    return np.ascontiguousarray((words[0::2] | (words[1::2] << np.uint64(32))).T)
-
-
-class _SeedState(ISeedSequence):
-    """A seed sequence whose state was generated in advance by _seed_states."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, state):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.state
-
-
-def generators(seeds) -> list:
-    """One Generator per seed, each bitwise equal to numpy.random.default_rng(seed).
-
-    The seed sequences of all seeds are computed in one vectorised pass;
-    seeds must lie in [0, 2^64), as derive_seed's do.  Unlike default_rng's,
-    these generators cannot spawn children.
-    """
-    states = _seed_states(np.asarray(seeds, dtype=np.uint64))
-    return [np.random.Generator(np.random.PCG64(_SeedState(s))) for s in states]
-
-
 def haar_rotations(n: int, seeds) -> np.ndarray:
     """Haar-uniform n x n orthogonal matrices, one per seed, as a (len(seeds), n, n) stack.
 
-    QR of an IID standard-normal matrix drawn from each seed's own generator,
-    with the diagonal of R normalized positive so the factorization is unique
-    and the Q factor Haar-distributed.  The QR runs once over the whole stack;
+    QR of an IID standard-normal matrix per seed s, with the diagonal of R
+    normalized positive so the factorization is unique and the Q factor
+    Haar-distributed.  Entry k of s's matrix (row-major) is
+    ndtri(((derive_seed(s, k) >> 12) + 1/2) * 2^-52): the top 52 bits of a
+    SplitMix64 word, centred in their cell so the uniform lies strictly in
+    (0, 1).  All entries and the QR are formed in one pass over the stack;
     each matrix is bitwise the one a single-seed call gives.
     """
     if n < 2:
         raise ValueError(f"rotation dimension must be at least 2, got {n}")
-    g = np.empty((len(seeds), n, n))
-    for row, rng in zip(g, generators(seeds)):
-        rng.standard_normal(out=row)
-    q, r = np.linalg.qr(g)
+    # 52 bits, not 53: ((x >> 11) + 1/2) * 2^-53 rounds the top word to 1.0, where ndtri is inf.
+    words = derive_seeds(np.asarray(seeds, dtype=np.uint64), range(n * n))
+    g = (words >> np.uint64(12)).astype(np.float64)
+    del words  # not held through the QR
+    g += 0.5
+    g *= 2.0**-52
+    special.ndtri(g, out=g)
+    q, r = np.linalg.qr(g.reshape(-1, n, n))
     # sign(diag R) per matrix, with 0 counted as positive.
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0] = 1.0

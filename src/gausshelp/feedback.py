@@ -8,7 +8,7 @@ inner scheme.  Modular reconstruction at the receiver makes the outer error
 event coincide exactly with the inner one.  The real-unit maps below are the
 reference; `simulate_feedback` applies them exactly, in integer units.
 
-Random streams (contract 3, scheme.STREAM_CONTRACT): the scheme module's, and
+Random streams (contract 4, scheme.STREAM_CONTRACT): the scheme module's, and
 
 * the time-zero noises of all blocks, in block order: one draw of trials
   normals scaled by sigma from default_rng(derive_seed(noise_seed, 2^32)).

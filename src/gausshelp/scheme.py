@@ -23,7 +23,7 @@ searches go through search.ScreenedSearch (grouped_route picks the decoder's
 layout); chunks run on up to `threads` threads, and no result depends on how
 many.
 
-Stream contract STREAM_CONTRACT = 3, each stream drawn in the order given:
+Stream contract STREAM_CONTRACT = 4, each stream drawn in the order given:
 
 * engine chunk c (the k <= CHUNK_TRIALS trials from c * CHUNK_TRIALS on)
   draws from default_rng(derive_seed(noise_seed, c)): a (k, n) standard
@@ -32,7 +32,9 @@ Stream contract STREAM_CONTRACT = 3, each stream drawn in the order given:
   then, when M - 1 exceeds 2^53 (the values a uniform double resolves), the
   wrong messages of the erring trials in row order, by rejection on
   rng.bytes.  So CHUNK_TRIALS is part of the contract;
-* message m's rotation comes from derive_seed(rotation_seed_base, m);
+* message m's rotation is the sign-fixed QR factor of the n x n matrix whose
+  row-major entry k is ndtri(((derive_seed(s, k) >> 12) + 1/2) * 2^-52),
+  s = derive_seed(rotation_seed_base, m) (codebook.haar_rotations);
 * the messages are one draw of ceil(message_bits/32) uint32 words per trial
   from default_rng(message_seed), equal to one rng.bytes call per trial.
 
@@ -74,7 +76,7 @@ CHUNK_TRIALS = 128
 _DECODERS = ("auto", "exhaustive", "analytic")
 
 # Version of the random streams documented in the module docstring.
-STREAM_CONTRACT = 3
+STREAM_CONTRACT = 4
 
 # Bound on the CPUs gausshelp uses: sweep worker processes or engine threads.
 WORKERS_ENV = "GAUSSHELP_WORKERS"
@@ -254,7 +256,7 @@ def run_trial(cfg: SchemeConfig, cb: HelperCodebook, m: int, w, uniforms=None, r
     `w` is the noise in the message's frame, scaled by sigma; it is rotated
     into the channel's, z = R_m w.  On the analytic route `uniforms` holds the
     error draw and the wrong-message draw, and `rng` is the generator a wrong
-    message among more than 2^53 others is drawn from (stream contract 3: the
+    message among more than 2^53 others is drawn from (stream contract 4: the
     chunk's).  `rotations` optionally carries the precomputed candidate
     rotations for the exhaustive decoder.
     """

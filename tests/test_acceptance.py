@@ -23,15 +23,15 @@ from gausshelp.capacity import (
     mutual_info_xz,
     rho_of_helper_rate,
 )
-from gausshelp.codebook import derive_seed, sample_sphere
+from gausshelp.codebook import sample_sphere
 from gausshelp.converse import converse_rate_bound, estimator_slack
 from gausshelp.feedback import (
-    _Z0_STREAM_OFFSET,
     FeedbackConfig,
     encode_time_zero,
     inner_message,
     reconstruct,
     simulate_feedback,
+    time_zero_noise,
 )
 from gausshelp.geometry import achievable_rate_threshold, alpha0, cap_ratio_exact, theta0
 from gausshelp.harness import emit_csv, parse_config, run_sweep
@@ -202,13 +202,9 @@ def test_criterion_9_feedback_equals_cognizant(capfd, feedback_run):
     cfg, fb = feedback_run
     inner = cfg.inner
     # replay the inner message sequence (the quantized time-zero noise)
-    # through the standalone cognizant scheme with the same trial seeds
-    m_primes = []
-    sigma = math.sqrt(inner.channel.noise_var)
-    for i in range(inner.trials):
-        z0_rng = np.random.default_rng(derive_seed(inner.noise_seed, _Z0_STREAM_OFFSET + i))
-        z0 = float(z0_rng.standard_normal()) * sigma
-        m_primes.append(inner_message(z0, cfg.message_bits, inner.channel.power))
+    # through the standalone cognizant scheme with the same noise seed
+    m_primes = [inner_message(z0, cfg.message_bits, inner.channel.power)
+                for z0 in time_zero_noise(cfg)]
     replay = simulate(inner, keep_records=True, messages=m_primes)
     mismatches = sum(
         a.error != b.error for a, b in zip(fb.records, replay.records)

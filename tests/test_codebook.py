@@ -1,8 +1,11 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
+from scipy.stats import kstest
 
 from gausshelp import codebook, search
 from gausshelp.capacity import ChannelParams
@@ -14,7 +17,6 @@ from gausshelp.codebook import (
     covering_deficiency,
     derive_seed,
     derive_seeds,
-    generators,
     haar_rotation,
     haar_rotations,
     message_codebook,
@@ -57,40 +59,88 @@ class TestDeriveSeeds:
     def test_range_input(self):
         assert derive_seeds(7, range(5, 9)).tolist() == [derive_seed(7, i) for i in range(5, 9)]
 
-
-def assert_same_stream(rng, seed):
-    # The full PCG64 state (state and increment) and a few draws of each kind.
-    ref = np.random.default_rng(seed)
-    assert rng.bit_generator.state == ref.bit_generator.state, seed
-    assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5)), seed
-    assert rng.bytes(7) == ref.bytes(7), seed
-    assert np.array_equal(rng.random(3), ref.random(3)), seed
+    def test_broadcasts_over_an_array_of_bases(self):
+        got = derive_seeds(np.array(self.BASES, dtype=np.uint64), self.INDICES)
+        assert got.shape == (len(self.BASES), len(self.INDICES))
+        assert got.tolist() == [[derive_seed(b, i) for i in self.INDICES] for b in self.BASES]
 
 
-class TestGenerators:
-    # These pin numpy's SeedSequence algorithm: a numpy whose default_rng
-    # seeds differently fails here.
-    EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1)
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
-    def test_edge_seeds_match_default_rng(self):
-        rngs = generators(list(self.EDGE_SEEDS))
-        assert len(rngs) == len(self.EDGE_SEEDS)
-        for rng, seed in zip(rngs, self.EDGE_SEEDS):
-            assert_same_stream(rng, seed)
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
-    def test_sampled_seeds_match_default_rng(self, seeds):
-        for rng, seed in zip(generators(seeds), seeds):
-            assert_same_stream(rng, seed)
+def contract_draw(n, seed, inv_cdf=special.ndtri):
+    """Seed's n x n Gaussian draw, entry by entry from stream contract 4.
 
-    def test_derived_seeds_match_default_rng(self):
-        seeds = derive_seeds(3, range(300))
-        for rng, seed in zip(generators(seeds), seeds.tolist()):
-            assert_same_stream(rng, seed)
+    Row-major entry k is inv_cdf(((derive_seed(seed, k) >> 12) + 1/2) * 2^-52),
+    formed with the scalar derive_seed, not with the code under test.
+    """
+    return np.array([float(inv_cdf(((derive_seed(seed, k) >> 12) + 0.5) * 2.0**-52))
+                     for k in range(n * n)]).reshape(n, n)
 
-    def test_empty(self):
-        assert generators([]) == []
+
+def _unshift(y, s):
+    # Inverse of y = x ^ (x >> s) on 64-bit words.
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def seed_whose_first_word_is(word):
+    """The seed s with derive_seed(s, 0) == word, by inverting the SplitMix64 finalizer."""
+    x = _unshift(word, 31)
+    x = (x * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK64
+    x = _unshift(x, 27)
+    x = (x * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK64
+    x = _unshift(x, 30)
+    return (x - _GAMMA) & _MASK64
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The Gaussian stacks haar_rotations hands to np.linalg.qr, in call order."""
+    stacks, qr = [], np.linalg.qr
+
+    def capture(a, *args, **kwargs):
+        stacks.append(a.copy())
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", capture)
+    return stacks
+
+
+class TestRotationDraw:
+    SEEDS = (0, 1, 2**32, 2**63, 2**64 - 1, 0x0123456789ABCDEF)
+
+    @pytest.mark.parametrize("n", [2, 12, 32])
+    def test_matches_an_independent_oracle(self, n, drawn):
+        haar_rotations(n, list(self.SEEDS))
+        inv_cdf = statistics.NormalDist().inv_cdf
+        for g, seed in zip(drawn[0], self.SEEDS):
+            want = contract_draw(n, seed, inv_cdf)
+            assert np.allclose(g, want, rtol=1e-12, atol=0), seed
+
+    @pytest.mark.parametrize("word, sign", [(0, -1.0), (2**64 - 1, 1.0)])
+    def test_extreme_words_map_to_finite_normals(self, word, sign, drawn):
+        seed = seed_whose_first_word_is(word)
+        assert derive_seed(seed, 0) == word
+        rot = haar_rotation(4, seed)
+        first = drawn[0][0, 0, 0]
+        assert np.isfinite(first) and abs(first - sign * 8.20953615) < 1e-8
+        assert np.max(np.abs(rot.T @ rot - np.eye(4))) < 1e-12
+
+    def test_entries_are_standard_normal(self, drawn):
+        haar_rotations(10, derive_seeds(17, range(1000)))
+        assert kstest(drawn[0].ravel(), "norm").pvalue > 0.01
+
+    def test_entries_are_uncorrelated(self, drawn):
+        # neighbours within a block, and the same entry of consecutive messages
+        haar_rotations(16, derive_seeds(29, range(800)))
+        g = drawn[0].reshape(800, 256)
+        for a, b in ((g[:, :-1], g[:, 1:]), (g[:-1], g[1:])):
+            r = np.corrcoef(a.ravel(), b.ravel())[0, 1]
+            assert abs(r) < 4.0 / math.sqrt(a.size), r
 
 
 class TestHaarRotation:
@@ -114,8 +164,8 @@ class TestHaarRotation:
         stack = haar_rotations(n, seeds)
         assert stack.shape == (40, n, n)
         for seed, rot in zip(seeds, stack):
-            # the unbatched 2-D QR of the same draw, sign-fixed
-            q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+            # the unbatched 2-D QR of the contract's draw, sign-fixed
+            q, r = np.linalg.qr(contract_draw(n, seed))
             assert np.array_equal(rot, q * np.where(np.diag(r) < 0, -1.0, 1.0))
 
     def test_codebook_rotations_are_its_per_message_rotations(self):
@@ -140,13 +190,11 @@ class TestHaarRotation:
 def _reflector_apply(n, seeds, x, transpose):
     """R_j x_j (or R_j^T x_j) for each row j, with R = Q D kept as Householder reflectors.
 
-    An independent construction of haar_rotations: the same draw, LAPACK
+    An independent construction of haar_rotations: the contract's draw, LAPACK
     geqrf's reflectors H_i = I - tau_i v_i v_i^T (Q = H_0 ... H_{n-1}) and
     D = sign(diag R), applied in n rank-one steps without forming Q.
     """
-    g = np.empty((len(seeds), n, n))
-    for row, rng in zip(g, generators(seeds)):
-        rng.standard_normal(out=row)
+    g = np.array([contract_draw(n, int(seed)) for seed in seeds])
     h, tau = np.linalg.qr(g, mode="raw")
     v = np.ascontiguousarray(h)  # numpy returns geqrf's output transposed: v_i in row i
     diag = np.arange(n)

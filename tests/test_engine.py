@@ -1,6 +1,6 @@
 """The chunked trial engine against the per-trial reference, and its pinned output.
 
-The replay rebuilds every trial's draws from stream contract 3 as the scheme
+The replay rebuilds every trial's draws from stream contract 4 as the scheme
 module documents it, not through the engine's code, and checks the engine
 against run_trial trial for trial.
 """
@@ -83,7 +83,7 @@ def boundary_stack_config(trials):
 
 
 def contract_draws(cfg, trials):
-    """Each trial's (w, uniforms, generator) under stream contract 3, in trial order.
+    """Each trial's (w, uniforms, generator) under stream contract 4, in trial order.
 
     Chunk c draws from default_rng(derive_seed(noise_seed, c)): a (k, n)
     standard normal block scaled by sigma, then on the analytic route a (k, 2)

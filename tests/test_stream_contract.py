@@ -1,12 +1,14 @@
-"""Stream contract 3 against the construction of contract 1, in law.
+"""Stream contract 4 against the construction of contract 1, in law.
 
 Contract 1 drew each trial's noise z in the channel frame from a generator of
 its own and undid message m's rotation, w = R_m^T z.  Contract 2 drew w
 directly from the trial's generator; contract 3 draws the w of a whole engine
-chunk from one generator.  All give IID w ~ N(0, sigma^2 I), so every
-per-trial outcome has the same law; the tests here rebuild contract 1 from
-explicit rotations and compare the two samples, and check that the analytic
-route forms no rotation at all.
+chunk from one generator.  Contracts 1 to 3 drew R_m's Gaussian entries from
+default_rng(derive_seed(rotation_seed_base, m)); contract 4 maps SplitMix64
+words to them through the normal quantile.  All give IID w ~ N(0, sigma^2 I)
+and Haar R_m, so every per-trial outcome has the same law; the tests here
+rebuild contract 1, rotations included, and compare the two samples, and
+check that the analytic route forms no rotation at all.
 """
 
 from dataclasses import replace
@@ -17,12 +19,12 @@ from scipy.stats import ks_2samp
 
 from gausshelp import codebook
 from gausshelp.capacity import ChannelParams
-from gausshelp.codebook import derive_seed, derive_seeds, haar_rotations
+from gausshelp.codebook import derive_seed, derive_seeds
+from gausshelp.converse import CorrelationSums, estimator_slack
 from gausshelp.geometry import cap_ratio_exact
 from gausshelp.results import wilson_interval
 from gausshelp.scheme import (
     build_codebook,
-    candidate_rotations,
     config_from_rates,
     draw_messages,
     exhaustive_route,
@@ -38,12 +40,23 @@ def _angles(x, y):
     return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
+def v1_rotations(n, seed_base, messages):
+    """Contract 1's R_m for each m: the sign-fixed QR factor of an n x n standard
+    normal draw from default_rng(derive_seed(seed_base, m))."""
+    rot = np.empty((len(messages), n, n))
+    for out, m in zip(rot, messages):
+        q, r = np.linalg.qr(np.random.default_rng(derive_seed(seed_base, m)).standard_normal((n, n)))
+        out[:] = q * np.where(np.diag(r) < 0, -1.0, 1.0)
+    return rot
+
+
 def contract_v1(cfg):
-    """Helper angle, decode angle, miss and error per trial, drawn the contract-1 way.
+    """Helper angle, decode angle, miss and error per trial, drawn the contract-1 way,
+    and the correlation profile of the trials' inputs and noises.
 
     Trial i draws z, then (analytic route) the error uniform, from
     default_rng(derive_seed(noise_seed, i)); w = R_m^T z with R_m from
-    explicit haar_rotations.
+    v1_rotations, as is the exhaustive decoder's candidate stack.
     """
     cb = build_codebook(cfg)
     n, trials = cfg.blocklength, cfg.trials
@@ -56,7 +69,7 @@ def contract_v1(cfg):
         rng = np.random.default_rng(int(seed))
         z[i] = rng.standard_normal(n) * sigma
         u_err[i] = rng.random()
-    rot = haar_rotations(n, derive_seeds(cb.rotation_seed_base, messages))
+    rot = v1_rotations(n, cb.rotation_seed_base, messages)
     w = np.einsum("kji,kj->ki", rot, z)
 
     cos = (w @ cb.base_points.T) / (np.sqrt(n * cb.power) * np.linalg.norm(z, axis=1))[:, None]
@@ -66,14 +79,16 @@ def contract_v1(cfg):
     y = x + z
     decode_angle = _angles(x, y)
     if exhaustive_route(cfg):
-        stack = candidate_rotations(cfg, cb)
+        stack = v1_rotations(n, cb.rotation_seed_base, range(n_messages))
         decoded = np.array([int(np.argmax((stack @ cb.base_points[ti]) @ yi))
                             for ti, yi in zip(t, y)])
         error = decoded != np.array(messages)
     else:
         c = cap_ratio_exact(n, decode_angle)
         error = u_err < -np.expm1((n_messages - 1) * np.log1p(-c))
-    return helper_angle, decode_angle, helper_angle > cfg.theta0_rad, error
+    sums = CorrelationSums()
+    sums.add(x, z)
+    return helper_angle, decode_angle, helper_angle > cfg.theta0_rad, error, sums.profile()
 
 
 def assert_rates_agree(count_a, count_b, trials):
@@ -84,19 +99,23 @@ def assert_rates_agree(count_a, count_b, trials):
 
 @pytest.mark.parametrize("n, rate, seed", [(16, 1.2, 21), (10, 0.9, 22)],
                          ids=["analytic-n16", "exhaustive-n10"])
-def test_v3_has_the_law_of_v1(n, rate, seed):
+def test_v4_has_the_law_of_v1(n, rate, seed):
     cfg = config_from_rates(n, rate, 0.5, CH, seed=seed, eps=0.1, trials=TRIALS)
     assert exhaustive_route(cfg) == (n == 10)
-    v3 = simulate(cfg, keep_records=True).records
+    v4 = simulate(cfg, keep_records=True, diagnostics=True)
     # an independent noise stream, so the two samples are independent
-    helper_angle, decode_angle, miss, error = contract_v1(
+    helper_angle, decode_angle, miss, error, profile = contract_v1(
         replace(cfg, noise_seed=derive_seed(cfg.noise_seed, 1)))
 
-    assert ks_2samp([r.helper_angle for r in v3], helper_angle).pvalue > 0.01
-    assert ks_2samp([r.decode_angle for r in v3], decode_angle).pvalue > 0.01
-    assert_rates_agree(sum(r.covering_miss for r in v3), miss.sum(), TRIALS)
-    assert_rates_agree(sum(r.error for r in v3), error.sum(), TRIALS)
+    records = v4.records
+    assert ks_2samp([r.helper_angle for r in records], helper_angle).pvalue > 0.01
+    assert ks_2samp([r.decode_angle for r in records], decode_angle).pvalue > 0.01
+    assert_rates_agree(sum(r.covering_miss for r in records), miss.sum(), TRIALS)
+    assert_rates_agree(sum(r.error for r in records), error.sum(), TRIALS)
     assert 0 < error.sum() < TRIALS
+    corr_sum = float(np.sum(profile.per_index_rho ** 2))
+    slack = estimator_slack(v4.corr_profile) + estimator_slack(profile)
+    assert abs(v4.corr_sum - corr_sum) <= slack, (v4.corr_sum, corr_sum, slack)
 
 
 def test_analytic_route_forms_no_rotation(monkeypatch):
