@@ -1,10 +1,12 @@
 """Covering codebooks on the power sphere and seeded Haar-uniform rotations.
 
 The base codebook holds 2^ceil(n*rh) points drawn uniformly on the radius
-sqrt(n*P) sphere.  Per-message codebooks are never materialized in bulk: the
-rotation for message m is regenerated on demand from a seed derived from the
-codebook's base seed, so the whole pipeline is a pure function of its seeds.
-A rotation's Gaussian entries are SplitMix64 words of that seed mapped
+sqrt(n*P) sphere.  The rotation for message m is regenerated on demand from a
+seed derived from the codebook's base seed, so the whole pipeline is a pure
+function of its seeds.  Only the exhaustive decoder holds per-message data in
+bulk: it stacks every message's rotation (scheme.candidate_rotations), and
+its grouped route builds every per-help-index codebook {R_m' b_t : m'}.  A
+rotation's Gaussian entries are SplitMix64 words of that seed mapped
 through the normal quantile (haar_rotations), with no generator per message.
 """
 

@@ -6,7 +6,7 @@ quantization (an integer in the message set, computable by the helper from
 the noise alone) is then conveyed over slots 1..n with the message-cognizant
 inner scheme.  Modular reconstruction at the receiver makes the outer error
 event coincide exactly with the inner one.  The real-unit maps below are the
-reference; `simulate_feedback` applies them exactly, in integer units.
+reference; `simulate_feedback` quantizes through the exact `inner_message`.
 
 Random streams (contract 4, scheme.STREAM_CONTRACT): the scheme module's, and
 
@@ -39,16 +39,9 @@ from .scheme import run_trial  # noqa: F401
 # Index of the time-zero noise stream; the engine's chunks take 0, 1, ....
 _Z0_STREAM_OFFSET = 1 << 32
 
-# Widest message set of the time-zero map: 2^mb / sqrt(P) must be a finite double.
-MAX_FEEDBACK_BITS = 1023
-
 
 class QuantizationBoundaryError(ArithmeticError):
     """The outer/inner error-event identity failed (a correctness check; never expected)."""
-
-
-class TimeZeroRangeError(OverflowError):
-    """The time-zero map's scale, or a scaled noise, is not a finite double."""
 
 
 @dataclass(frozen=True)
@@ -79,12 +72,14 @@ def encode_time_zero(m: int, message_bits: int, power: float) -> float:
 
 
 def inner_message(z0: float, message_bits: int, power: float) -> int:
-    """Quantized time-zero noise: floor(z0 * 2^mb / sqrt(P)) mod 2^mb.
+    """Quantized time-zero noise: floor(z0 * 2^mb / sqrt(P)) mod 2^mb, at any width.
 
-    Depends only on z0, so the message-oblivious helper can compute it.
+    z0 / sqrt(P) is rounded once and scaled by 2^mb in integers: the float map
+    wherever its doubles are finite and normal.  Depends only on z0, so the
+    message-oblivious helper can compute it.
     """
-    scale = (1 << message_bits) / math.sqrt(power)
-    return math.floor(z0 * scale) % (1 << message_bits)
+    num, den = (z0 * (1.0 / math.sqrt(power))).as_integer_ratio()
+    return ((num << message_bits) // den) % (1 << message_bits)
 
 
 def reconstruct(y0: float, m_prime_hat: int, message_bits: int, power: float) -> int:
@@ -110,28 +105,19 @@ def simulate_feedback(cfg: FeedbackConfig, keep_records=False, threads=None) -> 
     """Run the length-(n+1) feedback scheme for cfg.trials blocks.
 
     A pre/post transform over the cognizant engine: the time-zero draw turns
-    each outer message m into the inner message m' (the quantized noise), the
+    each outer message m into the inner message m' = inner_message(z0), the
     engine runs the inner scheme on m', and reconstruction maps its decision
     back.  In units of sqrt(P)/2^mb the received y0 is m + zeta, zeta =
-    z0 * 2^mb/sqrt(P); with q = floor(zeta), m' is q mod 2^mb and the
-    receiver's floor(m + zeta - m'_hat) is the integer m - m'_hat + q, so no
-    float straddles a quantization boundary.  The outer error event is
-    checked to equal the inner one per trial; a violation raises.  A cell
-    whose 2^mb / sqrt(P) is not a finite double (more than MAX_FEEDBACK_BITS
-    message bits) is refused with TimeZeroRangeError before anything is drawn.
-    `threads` bounds the engine's threads, as in scheme.simulate.
+    z0 * 2^mb/sqrt(P), and m' = floor(zeta) mod 2^mb; the receiver's
+    floor(m + zeta - m'_hat) is the integer m - m'_hat + floor(zeta), so its
+    decision is (m - m'_hat + m') mod 2^mb, with no float straddling a
+    quantization boundary, at any message width.  The outer error event is
+    checked to equal the inner one per trial; a violation raises.  `threads`
+    bounds the engine's threads, as in scheme.simulate.
     """
     t_start = time.perf_counter()
     inner = cfg.inner
     mb = cfg.message_bits
-    # The float inner_message forms; past 1023 bits 2^mb itself is no double.
-    scale = (1 << mb) / math.sqrt(cfg.channel.power) if mb <= MAX_FEEDBACK_BITS else math.inf
-    if not math.isfinite(scale):
-        raise TimeZeroRangeError(
-            f"{mb} message bits at power {cfg.channel.power!r}: the time-zero map needs "
-            f"2^message_bits / sqrt(P) to be a finite double (at most "
-            f"{MAX_FEEDBACK_BITS} message bits)"
-        )
     check_run_size(inner)
     size = 1 << mb
 
@@ -140,16 +126,10 @@ def simulate_feedback(cfg: FeedbackConfig, keep_records=False, threads=None) -> 
     messages = draw_messages(inner)
 
     z0s = time_zero_noise(cfg)
-    zetas = [z0 * scale for z0 in z0s]
-    for i, zeta in enumerate(zetas):
-        if not math.isfinite(zeta):
-            raise TimeZeroRangeError(f"trial {i}: z0 * 2^{mb} / sqrt(P) = {zeta!r} "
-                                     f"is not a finite double (z0={z0s[i]!r})")
-    qs = [math.floor(zeta) for zeta in zetas]
+    m_primes = [inner_message(z0, mb, cfg.channel.power) for z0 in z0s]
+    cols = run_trials(inner, cb, m_primes, rotations, threads=threads)
 
-    cols = run_trials(inner, cb, [q % size for q in qs], rotations, threads=threads)
-
-    m_hats = [(m - d + q) % size for m, d, q in zip(messages, cols.decoded, qs)]
+    m_hats = [(m - d + mp) % size for m, d, mp in zip(messages, cols.decoded, m_primes)]
     outer_error = np.array([m_hat != m for m_hat, m in zip(m_hats, messages)], dtype=bool)
     mismatch = np.flatnonzero(outer_error != cols.error)
     if mismatch.size:

@@ -32,24 +32,25 @@ from functools import partial
 
 from .capacity import ChannelParams, capacity_cognizant
 from .codebook import CodebookSizeError, derive_seed
-from .feedback import (FeedbackConfig, QuantizationBoundaryError, TimeZeroRangeError,
-                       simulate_feedback)
+from .feedback import FeedbackConfig, QuantizationBoundaryError, simulate_feedback
 from .results import SimSummary
 from .scheme import (SchemeConfig, config_from_rates, exhaustive_route, grouped_route,
                      resolve_workers, simulate)
 
 log = logging.getLogger(__name__)
 
-CSV_COLUMNS = (
-    "scheme,n,rate_bits,helper_rate_bits,snr,eps,trials,errors,covering_misses,"
-    "err_rate,err_rate_given_covered,ci_low,ci_high,mean_helper_angle,"
-    "mean_decode_angle,corr_sum,corr_budget,capacity_bits,threshold_bits,"
-    "seed,wall_time_s"
-)
+# (CSV column, SimSummary attribute) in column order; only n is renamed.
+_CSV_FIELDS = tuple((column, "blocklength" if column == "n" else column) for column in (
+    "scheme", "n", "rate_bits", "helper_rate_bits", "snr", "eps", "trials", "errors",
+    "covering_misses", "err_rate", "err_rate_given_covered", "ci_low", "ci_high",
+    "mean_helper_angle", "mean_decode_angle", "corr_sum", "corr_budget", "capacity_bits",
+    "threshold_bits", "seed", "wall_time_s",
+))
+CSV_COLUMNS = ",".join(column for column, _ in _CSV_FIELDS)
 
 
 # Failures that skip one sweep cell (with a logged reason) instead of the sweep.
-CELL_SKIPS = (CodebookSizeError, QuantizationBoundaryError, TimeZeroRangeError)
+CELL_SKIPS = (CodebookSizeError, QuantizationBoundaryError)
 
 
 class ConfigError(ValueError):
@@ -282,13 +283,12 @@ def _run_cell_safe(cell, threads=None):
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
     """One SimSummary per grid cell, in sweep order, independent of worker count.
 
-    Cells whose resources exceed the caps, feedback cells too wide for the
-    time-zero map, or feedback runs that fail the outer = inner error-event
-    check (which the exact time-zero map keeps from firing), are skipped with
-    a logged reason; the sweep continues.  With more than one worker a pool of
-    at most one process per cell receives the cells in order of decreasing
-    `cell_work`, and each cell runs its engine on one thread; otherwise each
-    runs it on `workers` threads.  The summaries and the skip warnings come in
+    Cells whose resources exceed the caps, or feedback runs that fail the
+    outer = inner error-event check (which the exact time-zero map keeps from
+    firing), are skipped with a logged reason; the sweep continues.  With
+    more than one worker a pool of at most one process per cell receives the
+    cells in order of decreasing `cell_work`, and each cell runs its engine on
+    one thread; otherwise each runs it on `workers` threads.  The summaries and the skip warnings come in
     sweep order, so the output is the same for every worker count.
     """
     if workers is None:
@@ -326,6 +326,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, int):
@@ -344,28 +346,7 @@ def emit_csv(summaries, sink, zero_walltime=False) -> None:
     """
     lines = [CSV_COLUMNS]
     for s in summaries:
-        row = [
-            s.scheme,
-            _fmt(s.blocklength),
-            _fmt(s.rate_bits),
-            _fmt(s.helper_rate_bits),
-            _fmt(s.snr),
-            _fmt(s.eps),
-            _fmt(s.trials),
-            _fmt(s.errors),
-            _fmt(s.covering_misses),
-            _fmt(s.err_rate),
-            _fmt(s.err_rate_given_covered),
-            _fmt(s.ci_low),
-            _fmt(s.ci_high),
-            _fmt(s.mean_helper_angle),
-            _fmt(s.mean_decode_angle),
-            _fmt(s.corr_sum),
-            _fmt(s.corr_budget),
-            _fmt(s.capacity_bits),
-            _fmt(s.threshold_bits),
-            _fmt(s.seed),
-            _fmt(0.0 if zero_walltime else s.wall_time_s),
-        ]
-        lines.append(",".join(row))
+        lines.append(",".join(
+            _fmt(0.0 if zero_walltime and attr == "wall_time_s" else getattr(s, attr))
+            for _, attr in _CSV_FIELDS))
     sink.write("\n".join(lines) + "\n")

@@ -60,7 +60,7 @@ from .codebook import (MAX_CODEBOOK_FLOATS, CodebookSizeError, HelperCodebook,
                        build_base_codebook, derive_seed)
 from .converse import CorrelationSums, correlation_budget
 from .geometry import (COS_CLAMP_TOL, achievable_rate_threshold, angle_between,
-                       cap_ratio_exact, theta0)
+                       cap_ratio_exact, log_cap_ratio, theta0)
 from .results import SimSummary, TrialColumns, TrialRecord, wilson_interval
 from .search import ScreenedSearch
 
@@ -241,12 +241,19 @@ def _analytic_error_probability(n: int, decode_angle, n_competitors: int):
     """P(some of n_competitors IID uniform sphere points beats the true codeword).
 
     decode_angle may be an array of angles.  The exponent N log1p(-c) is
-    formed in log space, so N may exceed the float range.
+    formed in log space, so N may exceed the float range; a cap ratio c below
+    2^-1000, where betainc underflows, has its log taken by log_cap_ratio.
     """
-    c = cap_ratio_exact(n, decode_angle)
+    angle = np.atleast_1d(np.asarray(decode_angle, dtype=float))
+    c = cap_ratio_exact(n, angle)
     with np.errstate(divide="ignore", over="ignore"):
-        exponent = math.log(n_competitors) + np.log(-np.log1p(-c))
-        return np.where(c >= 1.0, 1.0, -np.expm1(-np.exp(exponent)))
+        log_c = np.log(-np.log1p(-c))
+        tiny = (c < 2.0 ** -1000) & (angle > 0.0)
+        if tiny.any():
+            log_c[tiny] = log_cap_ratio(n, angle[tiny])
+        exponent = math.log(n_competitors) + log_c
+        p = np.where(c >= 1.0, 1.0, -np.expm1(-np.exp(exponent)))
+    return p.reshape(np.shape(decode_angle))
 
 
 def run_trial(cfg: SchemeConfig, cb: HelperCodebook, m: int, w, uniforms=None, rng=None,

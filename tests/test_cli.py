@@ -6,10 +6,10 @@ import pytest
 from gausshelp import harness, scheme
 from gausshelp.capacity import ChannelParams, capacity_cognizant
 from gausshelp.cli import cli
-from gausshelp.feedback import QuantizationBoundaryError
+from gausshelp.feedback import QuantizationBoundaryError, inner_message, time_zero_noise
 from gausshelp.geometry import achievable_rate_threshold, cap_ratio_exact
 from gausshelp.harness import CSV_COLUMNS
-from gausshelp.scheme import WORKERS_ENV
+from gausshelp.scheme import WORKERS_ENV, simulate
 
 SINGLE_CONFIG = """
 snr = 3
@@ -36,6 +36,13 @@ rate_bits = 1
 trials = 2
 scheme = feedback
 """
+
+
+def cognizant_replay(cfg):
+    """The inner scheme run standalone on the feedback cell's quantized time-zero noise."""
+    m_primes = [inner_message(z0, cfg.message_bits, cfg.channel.power)
+                for z0 in time_zero_noise(cfg)]
+    return simulate(cfg.inner, messages=m_primes)
 
 
 def run_cli(capsys, *argv):
@@ -220,14 +227,16 @@ class TestRefusedCell:
         assert out == ""
 
     def test_feedback_wider_than_1023_bits(self, capsys, tmp_path, command):
+        # 1024 message bits: once refused because 2^mb is no double, the cell
+        # now runs, and its errors are the cognizant replay's
         path = tmp_path / "run.conf"
         path.write_text(WIDE_FEEDBACK_CONFIG)
-        code, out, err = run_cli(capsys, command, "--config", str(path))
-        assert code == 1
-        assert err == ("error: TimeZeroRangeError: 1024 message bits at power 3.0: the "
-                       "time-zero map needs 2^message_bits / sqrt(P) to be a finite double "
-                       "(at most 1023 message bits)\n")
-        assert out == ""
+        code, out, err = run_cli(capsys, command, "--config", str(path), "--repro")
+        assert code == 0 and err == ""
+        header, row = out.strip().split("\n")
+        assert header == CSV_COLUMNS and row.startswith("feedback,1024,1,0,3,0,2,")
+        cfg, _ = harness.parse_config(WIDE_FEEDBACK_CONFIG)
+        assert row.split(",")[7] == str(cognizant_replay(cfg).errors)
 
 
 class TestSweepCommand:
@@ -277,18 +286,24 @@ class TestSweepCommand:
         assert skip.endswith("CodebookSizeError: codebook of 2^16000 points in dimension 8 "
                              "exceeds the size cap")
 
-    def test_too_wide_feedback_cell_is_skipped(self, capsys, tmp_path, caplog):
+    def test_wide_feedback_cell_runs(self, capsys, tmp_path, caplog):
+        # The n = 1024 cell takes 1035 message bits; no cell is skipped
+        text = (WIDE_FEEDBACK_CONFIG.replace("blocklength = 1024", "blocklength = 8, 1024")
+                .replace("rate_bits = 1", "rate_fraction = 1.01"))
         path = tmp_path / "grid.conf"
-        path.write_text(WIDE_FEEDBACK_CONFIG.replace("blocklength = 1024", "blocklength = 8, 1024")
-                        .replace("rate_bits = 1", "rate_fraction = 1.01"))
+        path.write_text(text)
         with caplog.at_level("WARNING"):
             code, out, _ = run_cli(capsys, "sweep", "--config", str(path), "--workers", "1",
                                    "--repro")
         assert code == 0
         lines = out.strip().split("\n")
-        assert len(lines) == 2 and lines[1].startswith("feedback,8,")
-        (skip,) = [rec.message for rec in caplog.records if "skipped" in rec.message]
-        assert "n=1024" in skip and "at most 1023 message bits" in skip
+        assert len(lines) == 3 and lines[1].startswith("feedback,8,")
+        assert lines[2].startswith("feedback,1024,")
+        assert not [rec for rec in caplog.records if "skipped" in rec.message]
+        spec, _ = harness.parse_config(text)
+        cfg = harness.cell_config(spec, 0, 0, 1, 0)
+        assert cfg.message_bits == 1035
+        assert lines[2].split(",")[7] == str(cognizant_replay(cfg).errors)
 
     def test_workers_bound_the_engine_of_a_single_config(self, capsys, tmp_path, monkeypatch):
         # The thread count each engine call hands its chunk loop; the gate is

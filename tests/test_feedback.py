@@ -1,20 +1,21 @@
 import math
+import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gausshelp import feedback
 from gausshelp.capacity import ChannelParams
 from gausshelp.feedback import (
-    MAX_FEEDBACK_BITS,
     FeedbackConfig,
-    TimeZeroRangeError,
     encode_time_zero,
     inner_message,
     reconstruct,
     simulate_feedback,
+    time_zero_noise,
 )
 from gausshelp.harness import SweepSpec, cell_config
 from gausshelp.scheme import SchemeConfig, config_from_rates, run_trials, simulate
@@ -63,6 +64,25 @@ class TestInnerMessage:
         # scaling z0 and sqrt(P) together leaves the quantizer unchanged
         for z0 in (-1.7, -0.2, 0.05, 0.9, 2.4):
             assert inner_message(z0, 4, 1.0) == inner_message(3.0 * z0, 4, 9.0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(z0=st.one_of(st.sampled_from([0.0, -0.0, 4.0, -4.0]),
+                        st.floats(-8.0, 8.0, allow_subnormal=False)),
+           mb=st.integers(1, 1023), power=st.floats(1e-3, 1e3))
+    def test_equals_the_float_map_wherever_it_is_finite(self, z0, mb, power):
+        # The float map floor(z0 * (2^mb / sqrt(P))) mod 2^mb, where its
+        # double is finite and z0 / sqrt(P) is not subnormal.
+        scaled = z0 * ((1 << mb) / math.sqrt(power))
+        assume(math.isfinite(scaled))
+        assume(z0 == 0.0 or abs(z0 * (1.0 / math.sqrt(power))) >= sys.float_info.min)
+        assert inner_message(z0, mb, power) == math.floor(scaled) % (1 << mb)
+
+    @pytest.mark.parametrize("mb", [1024, 1500, 4096])
+    def test_exact_past_the_float_range(self, mb):
+        # 2^mb is no double here; at P = 4 (sqrt(P) = 2, exact) the map is
+        # floor(z0 * 2^mb / 2) mod 2^mb in rationals
+        for z0 in (0.3, -0.3, 1e-300, -4.0):
+            assert inner_message(z0, mb, 4.0) == math.floor(Fraction(z0) * 2 ** mb / 2) % 2 ** mb
 
 
 class TestReconstruct:
@@ -198,35 +218,47 @@ class TestIntegerTimeZeroMap:
 
 
 class TestTimeZeroRange:
-    """Cells the float time-zero map cannot take are refused, never crash."""
+    """Cells past the float range of the time-zero map run, and keep the identity."""
 
     @staticmethod
     def wide_config(bits, snr=3.0):
         return FeedbackConfig(inner=config_from_rates(
             bits, 1.0, 0.0, ChannelParams.from_snr(snr), seed=5, eps=0.0, trials=2))
 
-    @pytest.mark.parametrize("bits, snr", [(MAX_FEEDBACK_BITS + 1, 3.0), (1500, 3.0),
-                                           (MAX_FEEDBACK_BITS, 0.1)])
-    def test_refused_before_anything_is_drawn(self, monkeypatch, bits, snr):
-        # past 1023 bits 2^mb is no double; at 1023 bits and P = 0.1,
-        # 2^mb / sqrt(P) overflows to inf
-        def drawn(*args, **kwargs):
-            raise AssertionError("the cell drew something")
-
-        for name in ("build_codebook", "draw_messages", "time_zero_noise"):
-            monkeypatch.setattr(feedback, name, drawn)
+    @pytest.mark.parametrize("bits, snr", [(1024, 3.0), (1500, 3.0), (1023, 0.1)])
+    def test_runs_past_the_float_range(self, bits, snr):
+        # 2^mb is no double past 1023 bits; at 1023 bits and P = 0.1,
+        # 2^mb / sqrt(P) overflows the double range
         cfg = self.wide_config(bits, snr)
         assert cfg.message_bits == bits
-        with pytest.raises(TimeZeroRangeError, match=f"^{bits} message bits at power .*"
-                                                     r"\(at most 1023 message bits\)$"):
-            simulate_feedback(cfg)
+        s = simulate_feedback(cfg, keep_records=True)
+        assert s.trials == 2 and s.boundary_events == 0
+        assert all(0 <= rec.message < 1 << bits and 0 <= rec.decoded < 1 << bits
+                   for rec in s.records)
 
-    def test_overflowing_noise_is_refused(self, monkeypatch):
-        # At 1023 bits and P = 3, z0 * 2^mb / sqrt(P) overflows once |z0| > 2 sqrt(P)
-        monkeypatch.setattr(feedback, "time_zero_noise", lambda cfg: [4.0] * cfg.trials)
-        with pytest.raises(TimeZeroRangeError, match="^trial 0: .* is not a finite double"):
-            simulate_feedback(self.wide_config(MAX_FEEDBACK_BITS))
+    def test_noise_past_the_float_range_runs(self, monkeypatch):
+        # At 1023 bits and P = 3, z0 * 2^mb / sqrt(P) overflows a double once |z0| > 2 sqrt(P)
+        monkeypatch.setattr(feedback, "time_zero_noise", lambda cfg: [4.0, -4.0])
+        s = simulate_feedback(self.wide_config(1023))
+        assert s.trials == 2 and s.boundary_events == 0
 
     def test_widest_cell_runs(self):
-        s = simulate_feedback(self.wide_config(MAX_FEEDBACK_BITS))
+        s = simulate_feedback(self.wide_config(1023))
         assert s.trials == 2 and s.boundary_events == 0
+
+
+class TestWideCellsEqualCognizant:
+    """Criterion 9 past 1023 message bits: the outer errors are the inner scheme's."""
+
+    @pytest.mark.parametrize("n, fraction, bits", [(1024, 1.01, 1035), (2048, 1.0, 2048)])
+    def test_replay_matches_trial_by_trial(self, n, fraction, bits):
+        spec = SweepSpec(snr=(3.0,), helper_rate=(0.0,), blocklength=(n,),
+                         rate_fraction=(fraction,), trials=200, base_seed=1, scheme="feedback")
+        cfg = cell_config(spec, 0, 0, 0, 0)
+        assert cfg.message_bits == bits
+        fb = simulate_feedback(cfg, keep_records=True)
+        m_primes = [inner_message(z0, bits, cfg.channel.power) for z0 in time_zero_noise(cfg)]
+        replay = simulate(cfg.inner, keep_records=True, messages=m_primes)
+        assert [r.error for r in fb.records] == [r.error for r in replay.records]
+        # At capacity the cell both errs and decodes, so the match is not vacuous.
+        assert 0 < fb.errors < fb.trials

@@ -12,6 +12,7 @@ from gausshelp.geometry import (
     angle_between,
     cap_rate_exponent,
     cap_ratio_exact,
+    log_cap_ratio,
     theta0,
 )
 
@@ -86,6 +87,34 @@ class TestCapRatio:
     def test_low_dimension_rejected(self):
         with pytest.raises(ValueError):
             cap_ratio_exact(1, 0.5)
+
+
+class TestLogCapRatio:
+    @pytest.mark.parametrize("n", [2, 3, 16, 200])
+    def test_log_of_cap_ratio_exact_where_it_is_normal(self, n):
+        phi = np.linspace(0.05, 1.4, 28)
+        ratio = cap_ratio_exact(n, phi)
+        assert np.all(ratio > 1e-300)
+        assert np.allclose(log_cap_ratio(n, phi), np.log(ratio), rtol=1e-12, atol=0.0)
+
+    # Half-angles up to just below where the ratio reaches 2^-1000 at the
+    # larger dimensions, the range the analytic decoder uses it on.
+    @pytest.mark.parametrize("n, phi_max", [(3, 1.5), (16, 1.5), (100, 1.5), (1024, 0.53),
+                                            (2048, 0.79), (20000, 1.30)])
+    def test_mpmath_oracle(self, n, phi_max):
+        mpmath = pytest.importorskip("mpmath")
+        a = mpmath.mpf(n - 1) / 2
+        for phi in [1e-300, 1e-20, *np.linspace(1e-3, phi_max, 12).tolist()]:
+            with mpmath.workdps(40):
+                x = mpmath.sin(mpmath.mpf(phi)) ** 2
+                want = mpmath.log(mpmath.betainc(a, 0.5, 0, x, regularized=True) / 2)
+            got = log_cap_ratio(n, phi)
+            assert abs(got - want) <= 1e-13 * abs(want), (phi, got, want)
+
+    @pytest.mark.parametrize("dim, phi", [(1, 0.5), (8, 0.0), (8, math.pi / 2), (8, 2.0)])
+    def test_domain(self, dim, phi):
+        with pytest.raises(ValueError):
+            log_cap_ratio(dim, phi)
 
 
 class TestCapRateExponent:

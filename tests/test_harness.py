@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from gausshelp.capacity import ChannelParams, capacity_cognizant
+from gausshelp.codebook import CodebookSizeError
 from gausshelp.feedback import FeedbackConfig, QuantizationBoundaryError, simulate_feedback
 from gausshelp import harness
 from gausshelp.harness import (
@@ -370,19 +371,20 @@ class TestSweep:
         assert run_sweep(one_cell, workers=3) == [3]
         assert run_sweep(one_cell) == [4]
 
-    def test_too_wide_feedback_cell_skipped(self, caplog):
-        # 1035 message bits at n = 1024: 2^1035 is no double, so the time-zero
-        # map refuses the cell before drawing anything; the n = 8 cell runs
+    def test_feedback_cell_past_1023_bits_runs(self, caplog):
+        # 1035 message bits at n = 1024: past the float range of 2^mb, the
+        # time-zero map is still exact, so both cells run on every worker count
         spec = SweepSpec(snr=(3.0,), helper_rate=(0.0,), blocklength=(8, 1024),
                          rate_fraction=(1.01,), trials=2, base_seed=1, scheme="feedback")
+        assert cell_config(spec, 0, 0, 1, 0).message_bits == 1035
         for workers in (1, 2):
             caplog.clear()
             with caplog.at_level("WARNING"):
                 summaries = run_sweep(spec, workers=workers)
-            assert [s.blocklength for s in summaries] == [8]
-            (skip,) = [rec.message for rec in caplog.records if "skipped" in rec.message]
-            assert "n=1024" in skip and "TimeZeroRangeError" in skip
-            assert "1035 message bits" in skip and "at most 1023 message bits" in skip
+            assert [s.blocklength for s in summaries] == [8, 1024]
+            assert all(s.boundary_events == 0 for s in summaries)
+            assert not [rec for rec in caplog.records if "skipped" in rec.message]
+        assert harness.CELL_SKIPS == (CodebookSizeError, QuantizationBoundaryError)
 
     def test_cell_rate_tracks_capacity(self):
         spec, _ = parse_config(SWEEP)

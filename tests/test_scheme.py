@@ -297,6 +297,16 @@ class TestAnalyticErrorProbability:
             assert np.all((p >= 0.0) & (p <= 1.0))
             assert p[0] == 0.0 and p[-1] == 1.0
         assert _analytic_error_probability(16, 1.0, 2**2000) == 1.0
+        # cap ratio about 2^-2055, below the double range: 2^2458 competitors still win
+        assert _analytic_error_probability(2048, 0.5233, 2**2458) == 1.0
+
+    @pytest.mark.parametrize("rate, errors", [(1.2, 200), (0.9, 0)])
+    def test_long_helperless_cell_follows_capacity(self, rate, errors):
+        # SNR 3 without help has capacity 1 bit: at n = 2048 every trial errs
+        # at rate 1.2 and none at rate 0.9, though the cap ratios underflow
+        cfg = config_from_rates(2048, rate, 0.0, CH, seed=5, eps=0.0, trials=200)
+        assert not exhaustive_route(cfg)
+        assert simulate(cfg).errors == errors
 
 
 def bytes_loop_messages(cfg):
