@@ -36,7 +36,7 @@ class ChannelParams:
 
 
 def _check_helper_rate(rh):
-    if rh < 0:
+    if not rh >= 0:  # NaN too
         raise ValueError(f"helper rate must be nonnegative, got {rh!r}")
 
 

@@ -104,8 +104,9 @@ def cli(argv=None) -> int:
             return 0
 
         if args.command == "cap-area":
-            print(f"cap_ratio           {cap_ratio_exact(args.n, args.phi):.9g}")
-            print(f"cap_rate_exponent   {cap_rate_exponent(args.phi):.9g}")
+            ratio, exponent = cap_ratio_exact(args.n, args.phi), cap_rate_exponent(args.phi)
+            print(f"cap_ratio           {ratio:.9g}")
+            print(f"cap_rate_exponent   {exponent:.9g}")
             return 0
 
         if args.command in ("simulate", "sweep"):

@@ -31,7 +31,7 @@ def correlation_budget(n: int, rh: float) -> float:
     """Upper bound n*(1 - 2^(-2 rh)) on the sum of squared per-index correlations."""
     if n < 1:
         raise ValueError(f"blocklength must be at least 1, got {n}")
-    if rh < 0:
+    if not rh >= 0:  # NaN too
         raise ValueError(f"helper rate must be nonnegative, got {rh!r}")
     return n * (1.0 - 2.0 ** (-2.0 * rh))
 
@@ -87,7 +87,7 @@ def correlation_profile(xs: np.ndarray, zs: np.ndarray) -> CorrelationProfile:
 
 def converse_rate_bound(ch: ChannelParams, rh: float) -> float:
     """Rate upper bound matching the achievable capacity (the two sides meet)."""
-    if rh < 0:
+    if not rh >= 0:  # NaN too
         raise ValueError(f"helper rate must be nonnegative, got {rh!r}")
     a = ch.snr
     return 0.5 * math.log2(1.0 + a + 2.0 * math.sqrt(a * (1.0 - 2.0 ** (-2.0 * rh)))) + rh

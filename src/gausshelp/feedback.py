@@ -27,8 +27,8 @@ from .scheme import (
     SchemeConfig,
     build_codebook,
     candidate_rotations,
-    check_run_size,
     draw_messages,
+    plan,
     run_trials,
     summarize,
 )
@@ -118,7 +118,7 @@ def simulate_feedback(cfg: FeedbackConfig, keep_records=False, threads=None) -> 
     t_start = time.perf_counter()
     inner = cfg.inner
     mb = cfg.message_bits
-    check_run_size(inner)
+    run = plan(inner, threads=threads).admit()
     size = 1 << mb
 
     cb = build_codebook(inner)
@@ -127,7 +127,7 @@ def simulate_feedback(cfg: FeedbackConfig, keep_records=False, threads=None) -> 
 
     z0s = time_zero_noise(cfg)
     m_primes = [inner_message(z0, mb, cfg.channel.power) for z0 in z0s]
-    cols = run_trials(inner, cb, m_primes, rotations, threads=threads)
+    cols = run_trials(inner, cb, m_primes, rotations, threads=run.threads)
 
     m_hats = [(m - d + mp) % size for m, d, mp in zip(messages, cols.decoded, m_primes)]
     outer_error = np.array([m_hat != m for m_hat, m in zip(m_hats, messages)], dtype=bool)

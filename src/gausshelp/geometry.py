@@ -60,11 +60,11 @@ def cap_ratio_exact(dim: int, phi):
 def log_cap_ratio(dim: int, phi):
     """Natural log of cap_ratio_exact(dim, phi) for 0 < phi < pi/2, past its underflow.
 
-    With a = (dim-1)/2 and x = sin^2 phi, I_x(a, 1/2) = x^a (1-x)^(1/2)
-    2F1(a+1/2, 1; a+1; x) / (a B(a, 1/2)) (DLMF 8.17.8), so the log is a sum
-    of logs, finite however small the ratio.  Meant for ratios below 2^-1000,
-    where betainc underflows; there it is within about 1e-14 relative, but near
-    pi/2 at large dim hyp2f1 may lose accuracy or return nan.  phi may be an array.
+    The log of cap_ratio_exact where that is at least 2^-1000.  Below, where
+    betainc underflows, with a = (dim-1)/2 and x = sin^2 phi, I_x(a, 1/2) =
+    x^a (1-x)^(1/2) 2F1(a+1/2, 1; a+1; x) / (a B(a, 1/2)) (DLMF 8.17.8), so
+    the log is a sum of logs, finite however small the ratio and within about
+    1e-14 relative.  phi may be an array.
     """
     if dim < 2:
         raise ValueError(f"ambient dimension must be at least 2, got {dim}")
@@ -73,11 +73,15 @@ def log_cap_ratio(dim: int, phi):
     if not inside.all():
         bad = float(phi[~inside][0])
         raise ValueError(f"cap half-angle must lie in (0, pi/2), got {bad!r}")
-    a = (dim - 1) / 2.0
-    s = np.sin(phi)  # x = s^2; 2a ln s, since x itself may underflow
-    log_ratio = (2.0 * a * np.log(s) + np.log(np.cos(phi)) - math.log(a) - special.betaln(a, 0.5)
-                 + np.log(special.hyp2f1(a + 0.5, 1.0, a + 1.0, s * s)) - math.log(2.0))
-    return float(log_ratio) if log_ratio.ndim == 0 else log_ratio
+    ratio = np.atleast_1d(cap_ratio_exact(dim, phi))
+    tiny = ratio < 2.0 ** -1000
+    log_ratio = np.log(np.where(tiny, 1.0, ratio))
+    a, small = (dim - 1) / 2.0, np.atleast_1d(phi)[tiny]
+    s = np.sin(small)  # x = s^2; 2a ln s, since x itself may underflow
+    log_ratio[tiny] = (2.0 * a * np.log(s) + np.log(np.cos(small)) - math.log(a)
+                       - special.betaln(a, 0.5)
+                       + np.log(special.hyp2f1(a + 0.5, 1.0, a + 1.0, s * s)) - math.log(2.0))
+    return float(log_ratio[0]) if phi.ndim == 0 else log_ratio
 
 
 def cap_rate_exponent(phi: float) -> float:

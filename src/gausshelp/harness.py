@@ -19,7 +19,7 @@ so any cell is individually reproducible and results do not depend on
 scheduling or worker count.  run_sweep spreads the worker count (`--workers`,
 else scheme.resolve_workers()) over processes or engine threads, passed down
 as run_cell's `threads` argument, and hands a pool the cells longest-first by
-`cell_work` (Graham's LPT rule); rows and skip warnings keep sweep order.
+`scheme.plan` work (Graham's LPT rule); rows and skip warnings keep sweep order.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from .capacity import ChannelParams, capacity_cognizant
 from .codebook import CodebookSizeError, derive_seed
 from .feedback import FeedbackConfig, QuantizationBoundaryError, simulate_feedback
 from .results import SimSummary
-from .scheme import (SchemeConfig, config_from_rates, exhaustive_route, grouped_route,
-                     resolve_workers, simulate)
+from .scheme import config_from_rates, plan, resolve_workers, simulate
 
 log = logging.getLogger(__name__)
 
@@ -248,30 +247,6 @@ def run_cell(cfg, diagnostics=False, threads=None) -> SimSummary:
     return simulate(cfg, diagnostics=diagnostics, threads=threads)
 
 
-def cell_work(cfg, diagnostics=False) -> int:
-    """Estimated work of one cell in flops-like units, from its config alone.
-
-    The helper search (trials * 2^helper_bits * n); for exhaustive decoding
-    the rotation stack (2^message_bits * n^3) and then, on the grouped route
-    (scheme.grouped_route), the per-help-index codebooks (2^helper_bits *
-    2^message_bits * n^2) and their scan (trials * 2^message_bits * n), else
-    the stack scan (trials * 2^message_bits * n^2); for diagnostics the
-    per-trial rotations (trials * n^3).  Python ints, so a cell too large to
-    run, which will be skipped, still has an exact estimate.
-    """
-    inner = cfg.inner if isinstance(cfg, FeedbackConfig) else cfg
-    n, trials = inner.blocklength, inner.trials
-    help_size, n_messages = 1 << inner.helper_bits, 1 << inner.message_bits
-    work = trials * help_size * n
-    if grouped_route(inner):
-        work += n_messages * n * (n * n + help_size * n + trials)
-    elif exhaustive_route(inner):
-        work += n_messages * n ** 2 * (n + trials)
-    if diagnostics:
-        work += trials * n ** 3
-    return work
-
-
 def _run_cell_safe(cell, threads=None):
     cfg, diagnostics = cell
     try:
@@ -287,7 +262,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
     outer = inner error-event check (which the exact time-zero map keeps from
     firing), are skipped with a logged reason; the sweep continues.  With
     more than one worker a pool of at most one process per cell receives the
-    cells in order of decreasing `cell_work`, and each cell runs its engine on
+    cells in order of decreasing `plan(cfg).work`, and each cell runs its engine on
     one thread; otherwise each runs it on `workers` threads.  The summaries and the skip warnings come in
     sweep order, so the output is the same for every worker count.
     """
@@ -301,8 +276,9 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
                     cells.append((cell_config(spec, i_snr, i_rh, i_n, i_frac),
                                   spec.diagnostics))
 
+    inners = [cfg.inner if isinstance(cfg, FeedbackConfig) else cfg for cfg, _ in cells]
     if workers > 1 and len(cells) > 1:
-        order = sorted(range(len(cells)), key=lambda i: -cell_work(*cells[i]))
+        order = sorted(range(len(cells)), key=lambda i: -plan(inners[i], spec.diagnostics, 1).work)
         outcomes = [None] * len(cells)
         # Each cell runs its engine on one thread: at most workers CPUs in all.
         # With fork, every process of the pool starts at the first submit.
@@ -314,9 +290,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
         outcomes = [_run_cell_safe(c, workers) for c in cells]
 
     summaries = []
-    for (cfg, _), outcome in zip(cells, outcomes):
+    for inner, outcome in zip(inners, outcomes):
         if isinstance(outcome, CELL_SKIPS):
-            inner = cfg.inner if isinstance(cfg, FeedbackConfig) else cfg
             log.warning("cell skipped (snr=%g, n=%d, rate_bits=%.6g): %s: %s",
                         inner.channel.snr, inner.blocklength, inner.rate,
                         type(outcome).__name__, outcome)

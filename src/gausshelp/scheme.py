@@ -19,9 +19,9 @@ engine draws w = R_m^T z ~ N(0, sigma^2 I), the noise in the message's frame:
 the help index, the decode angle angle(b_t, b_t + w) and |w|^2 need no
 rotation.  R_m is applied only for the exhaustive decoder's y = R_m (b_t + w)
 and the diagnostics' x = R_m b_t and z = R_m w.  The helper and exhaustive
-searches go through search.ScreenedSearch (grouped_route picks the decoder's
-layout); chunks run on up to `threads` threads, and no result depends on how
-many.
+searches go through search.ScreenedSearch (`plan` picks the decode route and
+sizes the run); chunks run on up to `threads` threads, and no result depends
+on how many.
 
 Stream contract STREAM_CONTRACT = 4, each stream drawn in the order given:
 
@@ -72,6 +72,10 @@ EXHAUSTIVE_HARD_LIMIT = 1 << 24
 # Trials per engine chunk.  Each chunk draws from its own noise generator, so
 # the chunk size is part of the stream contract.
 CHUNK_TRIALS = 128
+
+# Float64 (k, n) blocks a chunk of k trials holds at its peak: w, b_t, b_t + w
+# and the search's copy of its query ((k, n^2) on the stack scan).
+CHUNK_BLOCKS = 4
 
 _DECODERS = ("auto", "exhaustive", "analytic")
 
@@ -204,8 +208,6 @@ def decode(cb: HelperCodebook, y, t: int, message_space: range, rotations=None) 
     y = np.asarray(y, dtype=float)
     if len(message_space) == 0:
         raise ValueError("empty message space")
-    if len(message_space) > EXHAUSTIVE_HARD_LIMIT:
-        raise ValueError(f"message space of {len(message_space)} is too large to scan")
     if not 0 <= t < cb.help_size:
         raise ValueError(f"help index {t} out of range for codebook of size {cb.help_size}")
     if rotations is None:
@@ -215,26 +217,66 @@ def decode(cb: HelperCodebook, y, t: int, message_space: range, rotations=None) 
     return message_space[int(np.argmax(scores))]
 
 
-def exhaustive_route(cfg: SchemeConfig) -> bool:
-    """The decode-route rule: scan every message, or draw from the analytic law."""
-    # 2^message_bits <= EXHAUSTIVE_LIMIT, compared as bit counts.
-    return cfg.decoder == "exhaustive" or (
-        cfg.decoder == "auto" and cfg.message_bits < EXHAUSTIVE_LIMIT.bit_length()
-    )
+@dataclass(frozen=True)
+class RunPlan:
+    """How a run of one config goes, decided from the config alone by `plan`."""
+
+    route: str  # "analytic", "grouped" or "stack"
+    storage: tuple  # (64-bit words, what) per store, checked in order against MAX_CODEBOOK_FLOATS
+    work: int  # estimated work in flops-like units; a sweep runs the largest cell first
+    threads: int  # the engine's threads: 1 unless the helper search passes THREAD_MIN_WORK
+
+    def admit(self) -> RunPlan:
+        """This plan, unless a store outgrows the size cap: then CodebookSizeError."""
+        for words, what in self.storage:
+            if words > MAX_CODEBOOK_FLOATS:
+                raise CodebookSizeError(f"{what} the size cap")
+        return self
 
 
-def grouped_route(cfg: SchemeConfig) -> bool:
-    """Exhaustive decoding against one codebook per help index, not the rotation stack.
+def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
+    """The decode route, stores, work estimate and engine threads of a run of cfg.
 
-    The codebooks C_t = {R_m' b_t : m'}, t < H = 2^helper_bits, score each
-    candidate n wide instead of n^2.  Taken when together they are no larger
-    than the stack (H <= n) and building them, H * 2^message_bits * n^2
-    flops, costs no more than scanning them, trials * 2^message_bits * n
-    (H * n <= trials).  With fewer trials the build is not repaid: the stack
-    scan measured faster there.
+    Decoder "exhaustive" scans the M messages, "analytic" draws the error from
+    the cap-area law, "auto" scans when M <= EXHAUSTIVE_LIMIT.  A scan is
+    "grouped", against one codebook per help index, C_t = {R_m' b_t}, t < H =
+    2^helper_bits, when these are no larger than the rotation stack (H <= n)
+    and building them, H M n^2 flops, costs no more than scanning them, trials
+    M n (H n <= trials); else the "stack" scan, n^2 wide, measured faster.
+    Work: trials H n for the helper, M n^3 + H M n^2 + trials M n grouped,
+    M n^2 (n + trials) stacked, trials n^3 for diagnostics.  Chunks run on
+    `threads` (None: resolve_workers()) when H n >= THREAD_MIN_WORK.  A scan
+    of more than EXHAUSTIVE_HARD_LIMIT messages raises ValueError.
     """
-    n, help_size = cfg.blocklength, 1 << cfg.helper_bits
-    return exhaustive_route(cfg) and help_size <= n and help_size * n <= cfg.trials
+    n, trials, bits = cfg.blocklength, cfg.trials, cfg.message_bits
+    # No memory holds 2^64 points, so a larger codebook is refused as one of 2^64.
+    help_size = 1 << min(cfg.helper_bits, 64)
+    threads = threads or resolve_workers()
+    threads = threads if help_size * n >= THREAD_MIN_WORK else 1
+    # 2^message_bits <= EXHAUSTIVE_LIMIT, compared as bit counts.
+    exhaustive = cfg.decoder == "exhaustive" or (cfg.decoder == "auto"
+                                                 and bits < EXHAUSTIVE_LIMIT.bit_length())
+    grouped = exhaustive and help_size <= n and help_size * n <= trials
+    route = "grouped" if grouped else "stack" if exhaustive else "analytic"
+    # Per trial: drawn words, message and decision, ceil(bits/64) words each, plus 11 for
+    # list slots, int headers and result columns (113 bytes measured at 12 bits).
+    storage = [
+        (trials * (3 * -(-bits // 64) + 11), f"{trials} trials of {bits}-bit messages exceed"),
+        (help_size * n, f"codebook of 2^{cfg.helper_bits} points in dimension {n} exceeds")]
+    work = trials * help_size * n + (trials * n ** 3 if diagnostics else 0)
+    if exhaustive:
+        if bits >= EXHAUSTIVE_HARD_LIMIT.bit_length():
+            raise ValueError(f"message space of 2^{bits} is too large to scan")
+        n_messages = 1 << bits
+        work += n_messages * n * (n * n + (help_size * n + trials if grouped else trials * n))
+        storage.append((n_messages * n * (n + help_size * grouped),
+                        f"rotation stack of {n_messages} {n}x{n} matrices"
+                        f"{' with its per-help-index codebooks' if grouped else ''} exceeds"))
+    k = min(trials, CHUNK_TRIALS)
+    in_flight = min(threads + 1, -(-trials // CHUNK_TRIALS)) if threads > 1 else 1
+    storage.append((in_flight * CHUNK_BLOCKS * k * (n * n if route == "stack" else n),
+                    f"{in_flight} engine chunk(s) of {k} trials in dimension {n} exceed"))
+    return RunPlan(route, tuple(storage), work, threads)
 
 
 def _analytic_error_probability(n: int, decode_angle, n_competitors: int):
@@ -275,7 +317,7 @@ def run_trial(cfg: SchemeConfig, cb: HelperCodebook, m: int, w, uniforms=None, r
     decode_angle = angle_between(x, y) if np.any(y) else 0.0
 
     n_messages = 1 << cfg.message_bits
-    if exhaustive_route(cfg):
+    if plan(cfg).route != "analytic":
         decoded = decode(cb, y, t, range(n_messages), rotations=rotations)
     else:
         p_err = _analytic_error_probability(cfg.blocklength, decode_angle, n_messages - 1)
@@ -333,34 +375,11 @@ def draw_messages(cfg: SchemeConfig) -> list[int]:
     return [int.from_bytes(row.astype("<u4").tobytes(), "little") & mask for row in words]
 
 
-def check_run_size(cfg: SchemeConfig) -> None:
-    """Refuse a run whose per-trial storage outgrows MAX_CODEBOOK_FLOATS 64-bit words."""
-    # Per trial: drawn words, message and decision, ceil(message_bits/64) words each, plus
-    # 11 for list slots, int headers and result columns (113 bytes measured at 12 bits).
-    if cfg.trials * (3 * -(-cfg.message_bits // 64) + 11) > MAX_CODEBOOK_FLOATS:
-        raise CodebookSizeError(
-            f"{cfg.trials} trials of {cfg.message_bits}-bit messages exceed the size cap"
-        )
-
-
 def candidate_rotations(cfg: SchemeConfig, cb: HelperCodebook):
-    """Stacked per-message rotations when the exhaustive decoder will be used.
-
-    Refused before anything is allocated when the floats the exhaustive
-    decoder holds exceed the codebook size cap (MAX_CODEBOOK_FLOATS): the
-    stack, 2^message_bits * n^2, and on the grouped route (grouped_route) the
-    per-help-index codebooks built from it, 2^message_bits * n * 2^helper_bits.
-    """
-    if not exhaustive_route(cfg):
+    """Stacked per-message rotations on an exhaustive route (sized by plan(cfg).admit())."""
+    if plan(cfg).route == "analytic":
         return None
-    if cfg.message_bits >= EXHAUSTIVE_HARD_LIMIT.bit_length():
-        raise ValueError(f"message space of 2^{cfg.message_bits} is too large to scan")
-    n_messages, n, grouped = 1 << cfg.message_bits, cfg.blocklength, grouped_route(cfg)
-    if n_messages * n * (n + (1 << cfg.helper_bits) * grouped) > MAX_CODEBOOK_FLOATS:
-        raise CodebookSizeError(
-            f"rotation stack of {n_messages} {n}x{n} matrices"
-            f"{' with its per-help-index codebooks' if grouped else ''} exceeds the size cap"
-        )
+    n_messages, n = 1 << cfg.message_bits, cfg.blocklength
     stack = np.empty((n_messages, n, n))
     for lo in range(0, n_messages, CHUNK_TRIALS):
         hi = min(lo + CHUNK_TRIALS, n_messages)
@@ -436,7 +455,8 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
     messages = list(messages)
     trials, n = len(messages), cfg.blocklength
     n_messages = 1 << cfg.message_bits
-    exhaustive, grouped = exhaustive_route(cfg), grouped_route(cfg)
+    run = plan(cfg, threads=threads)
+    exhaustive, grouped = run.route != "analytic", run.route == "grouped"
     scale = math.sqrt(n * cb.power)
 
     help_index = np.empty(trials, dtype=np.int64)
@@ -493,9 +513,7 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
             rot = rotations[ms] if exhaustive else cb.rotations(ms)
             correlations.add(np.einsum("kij,kj->ki", rot, bt), np.einsum("kij,kj->ki", rot, w))
 
-    threads = threads or resolve_workers()
-    _in_order(chunk, range(0, trials, CHUNK_TRIALS),
-              threads if (1 << cfg.helper_bits) * n >= THREAD_MIN_WORK else 1, take)
+    _in_order(chunk, range(0, trials, CHUNK_TRIALS), run.threads, take)
 
     return TrialColumns(
         message=messages,
@@ -561,7 +579,7 @@ def simulate(cfg: SchemeConfig, keep_records=False, diagnostics=False,
     threads (None: resolve_workers()); no result depends on it.
     """
     t_start = time.perf_counter()
-    check_run_size(cfg)
+    run = plan(cfg, diagnostics, threads).admit()
     cb = build_codebook(cfg)
     rotations = candidate_rotations(cfg, cb)
     if messages is None:
@@ -570,7 +588,7 @@ def simulate(cfg: SchemeConfig, keep_records=False, diagnostics=False,
         raise ValueError(f"need {cfg.trials} messages, got {len(messages)}")
 
     sums = CorrelationSums() if diagnostics else None
-    cols = run_trials(cfg, cb, messages, rotations, sums, threads)
+    cols = run_trials(cfg, cb, messages, rotations, sums, run.threads)
     return summarize(
         cfg, cols, time.perf_counter() - t_start,
         corr_profile=sums.profile() if diagnostics else None, keep_records=keep_records,

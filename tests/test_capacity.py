@@ -53,6 +53,13 @@ class TestRho:
         with pytest.raises(ValueError):
             rho_of_helper_rate(-0.1)
 
+    def test_nan_rejected(self):
+        ch = ChannelParams.from_snr(3.0)
+        for capacity in (capacity_cognizant, capacity_oblivious_nofeedback,
+                         capacity_oblivious_feedback):
+            with pytest.raises(ValueError, match="nonnegative"):
+                capacity(ch, math.nan)
+
     @given(st.floats(min_value=0.0, max_value=16.0))
     def test_monotone_and_bounded(self, rh):
         r = rho_of_helper_rate(rh)

@@ -72,6 +72,11 @@ class TestCapacityCommand:
         assert code == 1
         assert "error" in err
 
+    def test_nan_helper_rate_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "capacity", "--snr", "3", "--rh", "nan")
+        assert code == 1
+        assert out == "" and "nonnegative" in err
+
 
 class TestThresholdCommand:
     def test_value(self, capsys):
@@ -95,6 +100,13 @@ class TestCapAreaCommand:
         assert float(lines["cap_ratio"]) == pytest.approx(cap_ratio_exact(8, 1.0), rel=1e-8)
         assert float(lines["cap_rate_exponent"]) == pytest.approx(
             -math.log2(math.sin(1.0)), rel=1e-8)
+
+    @pytest.mark.parametrize("phi", ["0", "2"])
+    def test_bad_angle_prints_nothing(self, capsys, phi):
+        # the exponent diverges at 0 and is undefined past pi/2; neither line is printed
+        code, out, err = run_cli(capsys, "cap-area", "--n", "8", "--phi", phi)
+        assert code == 1
+        assert out == "" and err.startswith("error: ")
 
 
 class TestSimulateCommand:

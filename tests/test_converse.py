@@ -33,6 +33,8 @@ class TestCorrelationBudget:
             correlation_budget(0, 0.5)
         with pytest.raises(ValueError):
             correlation_budget(4, -0.1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            correlation_budget(4, math.nan)
 
 
 class TestEmpiricalCorrelations:
@@ -124,6 +126,8 @@ class TestConverseRateBound:
     def test_domain(self):
         with pytest.raises(ValueError):
             converse_rate_bound(ChannelParams.from_snr(1.0), -0.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            converse_rate_bound(ChannelParams.from_snr(1.0), math.nan)
 
 
 class TestEstimatorSlack:

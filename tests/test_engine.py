@@ -38,8 +38,7 @@ from gausshelp.scheme import (
     build_codebook,
     candidate_rotations,
     config_from_rates,
-    exhaustive_route,
-    grouped_route,
+    plan,
     run_trial,
     simulate,
 )
@@ -54,13 +53,13 @@ THREADED_TRIALS = EDGE_TRIALS + (5 * CHUNK_TRIALS + 3,)
 
 def analytic_config(trials):
     cfg = config_from_rates(16, 1.2, 0.5, CH, seed=21, eps=0.1, trials=trials)
-    assert not exhaustive_route(cfg)
+    assert plan(cfg).route == "analytic"
     return cfg
 
 
 def exhaustive_config(trials):
     cfg = config_from_rates(10, 0.9, 0.5, CH, seed=22, eps=0.1, trials=trials)
-    assert exhaustive_route(cfg)
+    assert plan(cfg).route != "analytic"
     return cfg
 
 
@@ -68,9 +67,9 @@ def grouped_config(trials, n=12, helper_bits=3):
     # Decoded against per-help-index codebooks when 2^helper_bits <= n and
     # 2^helper_bits * n <= trials, else by the rotation-stack scan.
     cfg = config_from_rates(n, 0.9, helper_bits / n, CH, seed=25, trials=trials)
-    assert cfg.helper_bits == helper_bits and exhaustive_route(cfg)
+    assert cfg.helper_bits == helper_bits and plan(cfg).route != "analytic"
     help_size = 1 << helper_bits
-    assert grouped_route(cfg) == (help_size <= n and help_size * n <= trials)
+    assert (plan(cfg).route == "grouped") == (help_size <= n and help_size * n <= trials)
     return cfg
 
 
@@ -96,7 +95,7 @@ def contract_draws(cfg, trials):
         k = min(CHUNK_TRIALS, trials - lo)
         rng = np.random.default_rng(derive_seed(cfg.noise_seed, c))
         w = rng.standard_normal((k, cfg.blocklength)) * sigma
-        u = [None] * k if exhaustive_route(cfg) else rng.random((k, 2)).tolist()
+        u = [None] * k if plan(cfg).route != "analytic" else rng.random((k, 2)).tolist()
         for j in range(k):
             yield w[j], u[j], rng
 
@@ -188,9 +187,10 @@ def test_trials_count_toward_the_size_cap(monkeypatch):
     # 200 trials of 74-bit messages, two 64-bit words each, count as
     # 200 * (3 * 2 + 11) = 3400 words.  Under a cap of 3399 the cognizant and
     # the feedback cell are refused before anything is drawn, and a sweep
-    # skips them; under a cap of 3400 both run.
-    cfg = config_from_rates(8, 74 / 8, 0.5, CH, seed=17, eps=0.1, trials=200)
-    assert cfg.message_bits == 74 and not exhaustive_route(cfg)
+    # skips them; under a cap of 3400 both run.  At n = 2 the engine chunk,
+    # 4 * 128 * 2 floats, fits either cap.
+    cfg = config_from_rates(2, 74 / 2, 0.5, CH, seed=17, eps=0.1, trials=200)
+    assert cfg.message_bits == 74 and plan(cfg).route == "analytic"
     cells = (cfg, FeedbackConfig(inner=cfg))
     monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", 3399)
 
@@ -209,6 +209,54 @@ def test_trials_count_toward_the_size_cap(monkeypatch):
             assert isinstance(_run_cell_safe((cell, False)), CodebookSizeError)
     monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", 3400)
     assert [_run_cell_safe((cell, False)).trials for cell in cells] == [200, 200]
+
+
+def refuse_draws(mp):
+    """Make every draw of a cell's codebook or messages fail the test."""
+    def drawn(*args, **kwargs):
+        raise AssertionError("the cell drew something")
+
+    for module in (scheme, feedback):
+        for name in ("build_codebook", "draw_messages"):
+            mp.setattr(module, name, drawn)
+
+
+@pytest.mark.parametrize("make, threads, chunk", [
+    (analytic_config, 1, 4 * 128 * 16),  # one chunk of 128 trials at n = 16
+    (analytic_config, 3, 2 * 4 * 128 * 16),  # 200 trials: 2 chunks in flight, not 3 + 1
+    # 2^8 messages at n = 10 with 32 helper points: the stack scan, n^2 wide
+    (lambda trials: replace(exhaustive_config(trials), message_bits=8), 1, 4 * 128 * 100),
+])
+def test_engine_chunks_count_toward_the_size_cap(monkeypatch, make, threads, chunk):
+    # A chunk holds 4 float64 blocks of (k, n), (k, n^2) on the stack scan,
+    # and a pool up to threads + 1 chunks.  One float below them the cell is
+    # refused before anything is drawn, and a sweep skips it; at them it runs.
+    cfg = make(200)
+    monkeypatch.setattr(scheme, "THREAD_MIN_WORK", 0)
+    monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", chunk - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_draws(mp)
+        for run in (simulate, simulate_feedback):
+            cell = cfg if run is simulate else FeedbackConfig(inner=cfg)
+            with pytest.raises(CodebookSizeError, match=r"engine chunk\(s\) of 128 trials"):
+                run(cell, threads=threads)
+        assert isinstance(_run_cell_safe((cfg, False), threads), CodebookSizeError)
+    monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", chunk)
+    assert simulate(cfg, threads=threads).trials == 200
+
+
+def test_a_long_block_is_refused_for_its_chunks(monkeypatch):
+    # R_h = 0 admits n = 2^23, whose 128-trial chunk would take about 32 GiB
+    # (32 bytes per trial and dimension); no store but the chunk is too big.
+    cfg = config_from_rates(1 << 23, 0.5, 0.0, CH, seed=5, eps=0.0, trials=128)
+    run = plan(cfg)
+    assert run.route == "analytic"
+    assert [floats > scheme.MAX_CODEBOOK_FLOATS for floats, _ in run.storage] == [
+        False, False, True]
+    refuse_draws(monkeypatch)
+    with pytest.raises(CodebookSizeError, match="^1 engine chunk.* dimension 8388608 exceed"):
+        simulate(cfg)
+    assert isinstance(_run_cell_safe((cfg, False)), CodebookSizeError)
 
 
 def test_diagnostics_run_under_a_small_size_cap(monkeypatch):

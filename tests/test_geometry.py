@@ -111,6 +111,22 @@ class TestLogCapRatio:
             got = log_cap_ratio(n, phi)
             assert abs(got - want) <= 1e-13 * abs(want), (phi, got, want)
 
+    # Near pi/2 at large dim, where hyp2f1 returned nan: the ratio is normal
+    # there, so its log is taken directly.
+    @pytest.mark.parametrize("n, phi, want", [(1000, 1.55, -1.3643901148308832),
+                                              (20000, 1.52, -28.72127684016803)])
+    def test_mpmath_oracle_near_a_right_angle(self, n, phi, want):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            x = mpmath.sin(mpmath.mpf(phi)) ** 2
+            oracle = mpmath.log(mpmath.betainc(mpmath.mpf(n - 1) / 2, 0.5, 0, x,
+                                               regularized=True) / 2)
+        assert float(oracle) == pytest.approx(want, rel=1e-15)
+        got = log_cap_ratio(n, phi)
+        assert abs(got - oracle) <= 1e-13 * abs(oracle), (got, oracle)
+        assert np.array_equal(log_cap_ratio(n, np.array([phi, 0.01])),
+                              [got, log_cap_ratio(n, 0.01)])
+
     @pytest.mark.parametrize("dim, phi", [(1, 0.5), (8, 0.0), (8, math.pi / 2), (8, 2.0)])
     def test_domain(self, dim, phi):
         with pytest.raises(ValueError):

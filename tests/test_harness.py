@@ -17,13 +17,12 @@ from gausshelp.harness import (
     ConfigError,
     SweepSpec,
     cell_config,
-    cell_work,
     emit_csv,
     parse_config,
     run_cell,
     run_sweep,
 )
-from gausshelp.scheme import WORKERS_ENV, SchemeConfig, grouped_route, simulate
+from gausshelp.scheme import WORKERS_ENV, SchemeConfig, plan, simulate
 
 MINIMAL = """
 snr = 3
@@ -276,7 +275,7 @@ class TestSweep:
         emit_csv(run_sweep(spec, workers=1), serial, zero_walltime=True)
         pooled = io.StringIO()
         emit_csv(run_sweep(spec, workers=2), pooled, zero_walltime=True)
-        work = [cell_work(*cell) for cell in recording_pool.items]
+        work = [plan(cfg.inner, diagnostics).work for cfg, diagnostics in recording_pool.items]
         assert len(work) == 8
         assert work == sorted(work, reverse=True) and work[0] > work[-1]
         assert pooled.getvalue() == serial.getvalue()  # summaries back in sweep order
@@ -288,7 +287,7 @@ class TestSweep:
                          rate_fraction=(0.4, 0.7), trials=300, base_seed=7, scheme="feedback")
         cells = [cell_config(spec, i_snr, 0, i_n, i_frac)
                  for i_snr in range(2) for i_n in range(3) for i_frac in range(2)]
-        first = max(cells, key=cell_work)
+        first = max(cells, key=lambda cfg: plan(cfg.inner).work)
         assert cells.index(first) == 10
         assert (first.inner.blocklength, first.inner.message_bits) == (16, 12)
 
@@ -300,9 +299,9 @@ class TestSweep:
         spec = SweepSpec(snr=(1.0, 3.0), helper_rate=(0.25, 0.375), blocklength=(12,),
                          rate_fraction=(0.5,), trials=300, base_seed=3)
         cells = [cell_config(spec, i_snr, i_rh, 0, 0) for i_snr in range(2) for i_rh in range(2)]
-        assert [(c.message_bits, grouped_route(c)) for c in cells] == [
+        assert [(c.message_bits, plan(c).route == "grouped") for c in cells] == [
             (7, True), (8, False), (10, True), (11, False)]
-        order = sorted(range(4), key=lambda i: -cell_work(cells[i]))
+        order = sorted(range(4), key=lambda i: -plan(cells[i]).work)
         assert order == [3, 1, 2, 0]
 
     def test_pooled_skips_are_logged_in_sweep_order(self, caplog):
@@ -317,6 +316,17 @@ class TestSweep:
         assert len(skips) == 2  # each with its own cell's reason
         assert "n=12" in skips[0] and "2^48 points in dimension 12" in skips[0]
         assert "n=16" in skips[1] and "2^64 points in dimension 16" in skips[1]
+
+    def test_astronomical_helper_rate_is_skipped_on_a_pool(self, caplog):
+        # 8e300 helper bits: ordering the cells for the pool must not form
+        # 2^helper_bits (an OverflowError that ended the sweep)
+        spec = SweepSpec(snr=(3.0,), helper_rate=(0.5, 1e300), blocklength=(8,),
+                         rate_fraction=(0.5,), trials=5, base_seed=1)
+        with caplog.at_level("WARNING"):
+            summaries = run_sweep(spec, workers=2)
+        assert [s.helper_rate_bits for s in summaries] == [0.5]
+        (skip,) = [rec.message for rec in caplog.records if "skipped" in rec.message]
+        assert "CodebookSizeError: 5 trials of " in skip
 
     def test_oversized_cell_skipped(self, caplog):
         spec = SweepSpec(snr=(3.0,), helper_rate=(0.5, 4.0), blocklength=(12,),

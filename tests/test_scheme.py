@@ -9,15 +9,15 @@ from gausshelp.codebook import HelperCodebook, build_base_codebook, derive_seed,
 from gausshelp.geometry import cap_ratio_exact
 from gausshelp.scheme import (
     CHUNK_TRIALS,
+    WORKERS_ENV,
     SchemeConfig,
     _analytic_error_probability,
     build_codebook,
     config_from_rates,
     decode,
     draw_messages,
-    exhaustive_route,
-    grouped_route,
     helper_select,
+    plan,
     run_trial,
     simulate,
     transmit,
@@ -243,7 +243,8 @@ class TestSimulate:
         ch = ChannelParams.from_snr(1.0)
         cfg = config_from_rates(16, 14 / 16, 0.25, ch, seed=41, trials=3000)
         exhaustive = replace(cfg, decoder="exhaustive")
-        assert (cfg.message_bits, cfg.helper_bits) == (14, 4) and grouped_route(exhaustive)
+        assert (cfg.message_bits, cfg.helper_bits) == (14, 4)
+        assert plan(exhaustive).route == "grouped"
         se = simulate(exhaustive, keep_records=True)
         sa = simulate(replace(cfg, decoder="analytic"))
         assert 0.05 <= se.err_rate <= 0.5
@@ -278,6 +279,47 @@ class TestSimulate:
         assert all(b > a for a, b in zip(means, means[1:]))
 
 
+def route_config(n=8, bits=12, helper_bits=3, trials=64, decoder="auto"):
+    eps = helper_bits / n / 2
+    return SchemeConfig(blocklength=n, message_bits=bits, helper_bits=helper_bits, eps=eps,
+                        channel=CH, codebook_seed=1, noise_seed=2, message_seed=3,
+                        trials=trials, decoder=decoder)
+
+
+class TestPlan:
+    # Each boundary of the route rule, either side: 2^12 messages under
+    # "auto", H = n, H n = trials, the two forced decoders and H = 1.
+    @pytest.mark.parametrize("kwargs, route", [
+        ({}, "grouped"),  # 2^12 messages, H = n = 8, H n = trials = 64
+        ({"bits": 13}, "analytic"),
+        ({"helper_bits": 4}, "stack"),  # H = 2n
+        ({"helper_bits": 4, "n": 16, "trials": 256}, "grouped"),
+        ({"trials": 63}, "stack"),
+        ({"trials": 65}, "grouped"),
+        ({"bits": 13, "decoder": "exhaustive"}, "grouped"),
+        ({"bits": 13, "decoder": "exhaustive", "trials": 63}, "stack"),
+        ({"bits": 1, "decoder": "analytic"}, "analytic"),
+        ({"helper_bits": 0, "trials": 8}, "grouped"),  # H n = n
+        ({"helper_bits": 0, "trials": 7}, "stack"),
+        ({"helper_bits": 0, "bits": 13}, "analytic"),
+    ])
+    def test_route_either_side_of_each_boundary(self, kwargs, route):
+        assert plan(route_config(**kwargs)).route == route
+
+    def test_threads_only_past_the_gate(self, monkeypatch):
+        # 2^helper_bits * n against THREAD_MIN_WORK = 2^18, at n = 16
+        assert plan(route_config(n=16, helper_bits=14), threads=4).threads == 4
+        assert plan(route_config(n=16, helper_bits=13), threads=4).threads == 1
+        monkeypatch.setenv(WORKERS_ENV, "3")
+        assert plan(route_config(n=16, helper_bits=14)).threads == 3
+
+    def test_scan_past_the_hard_limit_is_a_value_error(self):
+        cfg = route_config(bits=25, decoder="exhaustive")
+        with pytest.raises(ValueError, match=r"^message space of 2\^25 is too large to scan$"):
+            plan(cfg)
+        assert plan(replace(cfg, decoder="auto")).route == "analytic"
+
+
 class TestAnalyticErrorProbability:
     ANGLES = np.linspace(0.0, math.pi, 401)
 
@@ -305,7 +347,7 @@ class TestAnalyticErrorProbability:
         # SNR 3 without help has capacity 1 bit: at n = 2048 every trial errs
         # at rate 1.2 and none at rate 0.9, though the cap ratios underflow
         cfg = config_from_rates(2048, rate, 0.0, CH, seed=5, eps=0.0, trials=200)
-        assert not exhaustive_route(cfg)
+        assert plan(cfg).route == "analytic"
         assert simulate(cfg).errors == errors
 
 
@@ -333,7 +375,7 @@ class TestWrongMessage:
         # 74 message bits at n = 8 is far above capacity, so every trial errs
         # and draws its wrong message from the 2^74 - 1 others.
         cfg = config_from_rates(8, 74 / 8, 0.5, CH, seed=17, eps=0.1, trials=300)
-        assert cfg.message_bits == 74 and not exhaustive_route(cfg)
+        assert cfg.message_bits == 74 and plan(cfg).route == "analytic"
         s = simulate(cfg, keep_records=True)
         assert s.errors == cfg.trials
         wrong = [r.decoded for r in s.records]

@@ -27,7 +27,7 @@ from gausshelp.scheme import (
     build_codebook,
     config_from_rates,
     draw_messages,
-    exhaustive_route,
+    plan,
     simulate,
 )
 
@@ -78,7 +78,7 @@ def contract_v1(cfg):
     x = np.einsum("kij,kj->ki", rot, cb.base_points[t])
     y = x + z
     decode_angle = _angles(x, y)
-    if exhaustive_route(cfg):
+    if plan(cfg).route != "analytic":
         stack = v1_rotations(n, cb.rotation_seed_base, range(n_messages))
         decoded = np.array([int(np.argmax((stack @ cb.base_points[ti]) @ yi))
                             for ti, yi in zip(t, y)])
@@ -101,7 +101,7 @@ def assert_rates_agree(count_a, count_b, trials):
                          ids=["analytic-n16", "exhaustive-n10"])
 def test_v4_has_the_law_of_v1(n, rate, seed):
     cfg = config_from_rates(n, rate, 0.5, CH, seed=seed, eps=0.1, trials=TRIALS)
-    assert exhaustive_route(cfg) == (n == 10)
+    assert (plan(cfg).route != "analytic") == (n == 10)
     v4 = simulate(cfg, keep_records=True, diagnostics=True)
     # an independent noise stream, so the two samples are independent
     helper_angle, decode_angle, miss, error, profile = contract_v1(
@@ -125,7 +125,7 @@ def test_analytic_route_forms_no_rotation(monkeypatch):
     monkeypatch.setattr(codebook, "haar_rotations", refuse)
     monkeypatch.setattr(np.linalg, "qr", refuse)
     cfg = config_from_rates(16, 1.2, 0.5, CH, seed=21, eps=0.1, trials=300)
-    assert not exhaustive_route(cfg)
+    assert plan(cfg).route == "analytic"
     assert simulate(cfg).trials == 300
     # the diagnostics' x and z live in the channel frame, so they need R_m
     with pytest.raises(RuntimeError, match="rotation was formed"):
