@@ -21,10 +21,10 @@ class ChannelParams:
     noise_var: float = 1.0
 
     def __post_init__(self):
-        if not self.power > 0:
-            raise ValueError(f"power must be positive, got {self.power!r}")
-        if not self.noise_var > 0:
-            raise ValueError(f"noise_var must be positive, got {self.noise_var!r}")
+        if not 0 < self.power < math.inf:
+            raise ValueError(f"power must be finite and positive, got {self.power!r}")
+        if not 0 < self.noise_var < math.inf:
+            raise ValueError(f"noise_var must be finite and positive, got {self.noise_var!r}")
 
     @property
     def snr(self) -> float:
@@ -36,8 +36,8 @@ class ChannelParams:
 
 
 def _check_helper_rate(rh):
-    if not rh >= 0:  # NaN too
-        raise ValueError(f"helper rate must be nonnegative, got {rh!r}")
+    if not 0 <= rh < math.inf:  # NaN too
+        raise ValueError(f"helper rate must be finite and nonnegative, got {rh!r}")
 
 
 def rho_of_helper_rate(rh: float) -> float:

@@ -13,10 +13,11 @@ import sys
 
 from .capacity import ChannelParams, capacity_cognizant, capacity_oblivious_feedback, \
     capacity_oblivious_nofeedback
+from .codebook import CodebookSizeError
 from .converse import check_budget, estimator_slack
 from .geometry import achievable_rate_threshold, cap_rate_exponent, cap_ratio_exact
-from .harness import (CELL_SKIPS, ConfigError, SweepSpec, check_eps, emit_csv, parse_config,
-                      run_cell, run_sweep)
+from .harness import (ConfigError, SweepSpec, check_eps, emit_csv, parse_config, run_cell,
+                      run_sweep)
 from .scheme import config_from_rates, simulate
 
 
@@ -164,7 +165,7 @@ def cli(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CELL_SKIPS as exc:
+    except CodebookSizeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -5,8 +5,9 @@ the input; the feedback link reveals the time-zero noise to the encoder, whose
 quantization (an integer in the message set, computable by the helper from
 the noise alone) is then conveyed over slots 1..n with the message-cognizant
 inner scheme.  Modular reconstruction at the receiver makes the outer error
-event coincide exactly with the inner one.  The real-unit maps below are the
-reference; `simulate_feedback` quantizes through the exact `inner_message`.
+event the inner one, so a feedback run is one cognizant run on the quantized
+noises, relabelled.  The real-unit maps below are the reference;
+`simulate_feedback` quantizes through the exact `inner_message`.
 
 Random streams (contract 4, scheme.STREAM_CONTRACT): the scheme module's, and
 
@@ -23,25 +24,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .codebook import derive_seed
-from .scheme import (
-    SchemeConfig,
-    build_codebook,
-    candidate_rotations,
-    draw_messages,
-    plan,
-    run_trials,
-    summarize,
-)
-# Not called here: perfbench/spans.py traces the per-trial reference through
-# this binding, so the name stays importable from this module.
-from .scheme import run_trial  # noqa: F401
+from .scheme import SchemeConfig, draw_messages, plan, simulate
+# Not called here: perfbench/spans.py traces these bindings, so the names stay
+# importable from this module.
+from .scheme import candidate_rotations, run_trial, summarize  # noqa: F401
 
 # Index of the time-zero noise stream; the engine's chunks take 0, 1, ....
 _Z0_STREAM_OFFSET = 1 << 32
-
-
-class QuantizationBoundaryError(ArithmeticError):
-    """The outer/inner error-event identity failed (a correctness check; never expected)."""
 
 
 @dataclass(frozen=True)
@@ -95,51 +84,36 @@ def reconstruct(y0: float, m_prime_hat: int, message_bits: int, power: float) ->
     return math.floor(y0 * scale - m_prime_hat) % size
 
 
-def time_zero_noise(cfg: FeedbackConfig) -> list:
+def time_zero_noise(cfg: FeedbackConfig) -> np.ndarray:
     """The time-zero noise z0 of every block: cfg.trials normals from one generator."""
     rng = np.random.default_rng(derive_seed(cfg.inner.noise_seed, _Z0_STREAM_OFFSET))
-    return (rng.standard_normal(cfg.trials) * math.sqrt(cfg.channel.noise_var)).tolist()
+    return rng.standard_normal(cfg.trials) * math.sqrt(cfg.channel.noise_var)
 
 
 def simulate_feedback(cfg: FeedbackConfig, keep_records=False, threads=None) -> "SimSummary":
     """Run the length-(n+1) feedback scheme for cfg.trials blocks.
 
-    A pre/post transform over the cognizant engine: the time-zero draw turns
-    each outer message m into the inner message m' = inner_message(z0), the
-    engine runs the inner scheme on m', and reconstruction maps its decision
-    back.  In units of sqrt(P)/2^mb the received y0 is m + zeta, zeta =
-    z0 * 2^mb/sqrt(P), and m' = floor(zeta) mod 2^mb; the receiver's
+    One cognizant run, relabelled: the time-zero draw gives each block the
+    inner message m' = inner_message(z0), and scheme.simulate runs the inner
+    scheme on those.  In units of sqrt(P)/2^mb the received y0 is m + zeta,
+    zeta = z0 * 2^mb/sqrt(P), and m' = floor(zeta) mod 2^mb; the receiver's
     floor(m + zeta - m'_hat) is the integer m - m'_hat + floor(zeta), so its
-    decision is (m - m'_hat + m') mod 2^mb, with no float straddling a
-    quantization boundary, at any message width.  The outer error event is
-    checked to equal the inner one per trial; a violation raises.  `threads`
-    bounds the engine's threads, as in scheme.simulate.
+    decision is (m - m'_hat + m') mod 2^mb, at any message width, and it errs
+    exactly when the inner decoder does.  Every summary field but `scheme` and
+    `wall_time_s` is therefore the inner run's, and the outer messages are
+    drawn only to relabel kept records: message m, decision
+    (m - m'_hat + m') mod 2^mb and noise energy plus z0^2.  `threads` bounds
+    the engine's threads, as in scheme.simulate.
     """
     t_start = time.perf_counter()
-    inner = cfg.inner
-    mb = cfg.message_bits
-    run = plan(inner, threads=threads).admit()
-    size = 1 << mb
-
-    cb = build_codebook(inner)
-    rotations = candidate_rotations(inner, cb)
-    messages = draw_messages(inner)
-
+    inner, mb = cfg.inner, cfg.message_bits
+    plan(inner, threads=threads).admit()
     z0s = time_zero_noise(cfg)
-    m_primes = [inner_message(z0, mb, cfg.channel.power) for z0 in z0s]
-    cols = run_trials(inner, cb, m_primes, rotations, threads=run.threads)
-
-    m_hats = [(m - d + mp) % size for m, d, mp in zip(messages, cols.decoded, m_primes)]
-    outer_error = np.array([m_hat != m for m_hat, m in zip(m_hats, messages)], dtype=bool)
-    mismatch = np.flatnonzero(outer_error != cols.error)
-    if mismatch.size:
-        i = int(mismatch[0])
-        raise QuantizationBoundaryError(
-            f"trial {i}: outer error {outer_error[i]} != inner error {cols.error[i]} "
-            f"(z0={z0s[i]!r})"
-        )
-
-    cols = replace(cols, message=messages, decoded=m_hats, error=outer_error,
-                   noise_energy=cols.noise_energy + np.square(z0s))
-    return summarize(inner, cols, time.perf_counter() - t_start,
-                     scheme="feedback", keep_records=keep_records)
+    m_primes = [inner_message(z0, mb, cfg.channel.power) for z0 in z0s.tolist()]
+    s = simulate(inner, keep_records=keep_records, messages=m_primes, threads=threads)
+    if keep_records:
+        size = 1 << mb
+        for rec, m, m_prime, z0 in zip(s.records, draw_messages(inner), m_primes, z0s.tolist()):
+            rec.message, rec.decoded = m, (m - rec.decoded + m_prime) % size
+            rec.noise_energy += z0 * z0
+    return replace(s, scheme="feedback", wall_time_s=time.perf_counter() - t_start)

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 from scipy import special
 
-from .capacity import ChannelParams, DivergenceError
+from .capacity import ChannelParams, DivergenceError, _check_helper_rate
 
 # Dot products of normalized high-dimensional vectors routinely exceed [-1, 1]
 # by round-off; beyond this slack the clamp is treated as a health warning.
@@ -121,6 +121,7 @@ def achievable_rate_threshold(ch: ChannelParams, rh: float, eps: float) -> float
     Equals -log2 sin(alpha0) for theta0(rh, eps); increases as eps shrinks and
     converges to capacity_cognizant(ch, rh) in the eps -> 0 limit.
     """
+    _check_helper_rate(rh)
     if not 0.0 < eps < rh:
         raise ValueError(f"requires 0 < eps < rh, got eps={eps!r}, rh={rh!r}")
     r = ch.power / (ch.noise_var + eps)

@@ -32,7 +32,7 @@ from functools import partial
 
 from .capacity import ChannelParams, capacity_cognizant
 from .codebook import CodebookSizeError, derive_seed
-from .feedback import FeedbackConfig, QuantizationBoundaryError, simulate_feedback
+from .feedback import FeedbackConfig, simulate_feedback
 from .results import SimSummary
 from .scheme import config_from_rates, plan, resolve_workers, simulate
 
@@ -46,10 +46,6 @@ _CSV_FIELDS = tuple((column, "blocklength" if column == "n" else column) for col
     "threshold_bits", "seed", "wall_time_s",
 ))
 CSV_COLUMNS = ",".join(column for column, _ in _CSV_FIELDS)
-
-
-# Failures that skip one sweep cell (with a logged reason) instead of the sweep.
-CELL_SKIPS = (CodebookSizeError, QuantizationBoundaryError)
 
 
 class ConfigError(ValueError):
@@ -251,19 +247,18 @@ def _run_cell_safe(cell, threads=None):
     cfg, diagnostics = cell
     try:
         return run_cell(cfg, diagnostics, threads)
-    except CELL_SKIPS as exc:
+    except CodebookSizeError as exc:
         return exc
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
     """One SimSummary per grid cell, in sweep order, independent of worker count.
 
-    Cells whose resources exceed the caps, or feedback runs that fail the
-    outer = inner error-event check (which the exact time-zero map keeps from
-    firing), are skipped with a logged reason; the sweep continues.  With
-    more than one worker a pool of at most one process per cell receives the
-    cells in order of decreasing `plan(cfg).work`, and each cell runs its engine on
-    one thread; otherwise each runs it on `workers` threads.  The summaries and the skip warnings come in
+    Cells whose resources exceed the caps are skipped with a logged reason;
+    the sweep continues.  With more than one worker a pool of at most one
+    process per cell receives the cells in order of decreasing
+    `plan(cfg).work`, and each cell runs its engine on one thread; otherwise
+    each runs it on `workers` threads.  The summaries and the skip warnings come in
     sweep order, so the output is the same for every worker count.
     """
     if workers is None:
@@ -291,7 +286,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
 
     summaries = []
     for inner, outcome in zip(inners, outcomes):
-        if isinstance(outcome, CELL_SKIPS):
+        if isinstance(outcome, CodebookSizeError):
             log.warning("cell skipped (snr=%g, n=%d, rate_bits=%.6g): %s: %s",
                         inner.channel.snr, inner.blocklength, inner.rate,
                         type(outcome).__name__, outcome)

@@ -244,9 +244,10 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     and building them, H M n^2 flops, costs no more than scanning them, trials
     M n (H n <= trials); else the "stack" scan, n^2 wide, measured faster.
     Work: trials H n for the helper, M n^3 + H M n^2 + trials M n grouped,
-    M n^2 (n + trials) stacked, trials n^3 for diagnostics.  Chunks run on
-    `threads` (None: resolve_workers()) when H n >= THREAD_MIN_WORK.  A scan
-    of more than EXHAUSTIVE_HARD_LIMIT messages raises ValueError.
+    M n^2 (n + trials) stacked, trials n^3 for diagnostics, which also store
+    a chunk's rotations.  Chunks run on `threads` (None: resolve_workers())
+    when H n >= THREAD_MIN_WORK.  A scan of more than EXHAUSTIVE_HARD_LIMIT
+    messages raises ValueError.
     """
     n, trials, bits = cfg.blocklength, cfg.trials, cfg.message_bits
     # No memory holds 2^64 points, so a larger codebook is refused as one of 2^64.
@@ -276,6 +277,12 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     in_flight = min(threads + 1, -(-trials // CHUNK_TRIALS)) if threads > 1 else 1
     storage.append((in_flight * CHUNK_BLOCKS * k * (n * n if route == "stack" else n),
                     f"{in_flight} engine chunk(s) of {k} trials in dimension {n} exceed"))
+    if diagnostics:
+        # run_trials' `take` forms a chunk's k rotations on the calling thread:
+        # 4 (k, n, n) blocks at the peak (the normal entries, Q, R and the
+        # sign-fixed copy; 32.6 bytes per trial and n^2 measured at n = 128).
+        storage.append((4 * k * n * n,
+                        f"diagnostics rotations of {k} trials in dimension {n} exceed"))
     return RunPlan(route, tuple(storage), work, threads)
 
 
@@ -527,8 +534,8 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
     )
 
 
-def summarize(cfg: SchemeConfig, cols: TrialColumns, wall_time_s, scheme="cognizant",
-              corr_profile=None, keep_records=False) -> SimSummary:
+def summarize(cfg: SchemeConfig, cols: TrialColumns, wall_time_s, corr_profile=None,
+              keep_records=False) -> SimSummary:
     """Aggregate trial columns into a SimSummary (exact integer accounting)."""
     trials = len(cols.error)
     errors = int(np.count_nonzero(cols.error))
@@ -542,7 +549,7 @@ def summarize(cfg: SchemeConfig, cols: TrialColumns, wall_time_s, scheme="cogniz
     except ValueError:
         threshold = math.nan
     return SimSummary(
-        scheme=scheme,
+        scheme="cognizant",
         blocklength=cfg.blocklength,
         rate_bits=cfg.rate,
         helper_rate_bits=rh,
@@ -573,19 +580,26 @@ def simulate(cfg: SchemeConfig, keep_records=False, diagnostics=False,
     """Run cfg.trials independent transmissions and aggregate the outcome.
 
     `messages` overrides the equiprobable message draw (used to replay a
-    specific message sequence); `diagnostics` additionally estimates the
+    specific message sequence; ValueError names the first one outside
+    [0, 2^message_bits), before anything is drawn); `diagnostics` additionally estimates the
     per-index input/noise correlations across trials, from running sums that
     take O(n) memory whatever the trial count.  `threads` bounds the engine's
     threads (None: resolve_workers()); no result depends on it.
     """
     t_start = time.perf_counter()
     run = plan(cfg, diagnostics, threads).admit()
+    if messages is not None:
+        if len(messages) != cfg.trials:
+            raise ValueError(f"need {cfg.trials} messages, got {len(messages)}")
+        size = 1 << cfg.message_bits
+        bad = next((i for i, m in enumerate(messages) if not 0 <= m < size), None)
+        if bad is not None:
+            raise ValueError(f"message {messages[bad]} at index {bad} is out of range "
+                             f"for {cfg.message_bits} bits")
     cb = build_codebook(cfg)
     rotations = candidate_rotations(cfg, cb)
     if messages is None:
         messages = draw_messages(cfg)
-    elif len(messages) != cfg.trials:
-        raise ValueError(f"need {cfg.trials} messages, got {len(messages)}")
 
     sums = CorrelationSums() if diagnostics else None
     cols = run_trials(cfg, cb, messages, rotations, sums, run.threads)

@@ -190,8 +190,9 @@ def test_criterion_8_feedback_exactness(capfd, feedback_run):
             y0 = encode_time_zero(m, mb, power) + z0
             if reconstruct(y0, mp, mb, power) != m:
                 failures += 1
-    # simulate_feedback raises on any outer/inner error-event mismatch, so a
-    # completed 10^4-trial run certifies the per-trial identity
+    # simulate_feedback relabels the inner cognizant run through the integer
+    # receiver (m - m'_hat + m') mod 2^mb, so a block errs exactly when its
+    # inner decision does; criterion 9 replays the 10^4 trials against it
     _, summary = feedback_run
     ok = failures == 0 and summary.trials == 10_000 and summary.boundary_events == 0
     report(capfd, 8, ok, f"{failures} reconstruct failures on the 10^4-point grid, "

@@ -6,7 +6,7 @@ import pytest
 from gausshelp import harness, scheme
 from gausshelp.capacity import ChannelParams, capacity_cognizant
 from gausshelp.cli import cli
-from gausshelp.feedback import QuantizationBoundaryError, inner_message, time_zero_noise
+from gausshelp.feedback import inner_message, time_zero_noise
 from gausshelp.geometry import achievable_rate_threshold, cap_ratio_exact
 from gausshelp.harness import CSV_COLUMNS
 from gausshelp.scheme import WORKERS_ENV, simulate
@@ -77,6 +77,13 @@ class TestCapacityCommand:
         assert code == 1
         assert out == "" and "nonnegative" in err
 
+    @pytest.mark.parametrize("flag, named", [("--snr", "power"), ("--rh", "helper rate")])
+    def test_infinite_value_exits_one(self, capsys, flag, named):
+        args = {"--snr": "3", "--rh": "0.5", flag: "inf"}
+        code, out, err = run_cli(capsys, "capacity", *[a for kv in args.items() for a in kv])
+        assert code == 1
+        assert out == "" and err.startswith(f"error: {named} must be finite")
+
 
 class TestThresholdCommand:
     def test_value(self, capsys):
@@ -90,6 +97,13 @@ class TestThresholdCommand:
         code, _, _ = run_cli(capsys, "threshold", "--snr", "3", "--rh", "0.5",
                              "--eps", "0.9")
         assert code == 1
+
+    @pytest.mark.parametrize("flag, named", [("--snr", "power"), ("--rh", "helper rate")])
+    def test_infinite_value_exits_one(self, capsys, flag, named):
+        args = {"--snr": "3", "--rh": "0.5", "--eps": "0.1", flag: "inf"}
+        code, out, err = run_cli(capsys, "threshold", *[a for kv in args.items() for a in kv])
+        assert code == 1
+        assert out == "" and err.startswith(f"error: {named} must be finite")
 
 
 class TestCapAreaCommand:
@@ -224,18 +238,6 @@ class TestRefusedCell:
         code, out, err = run_cli(capsys, command, "--config", str(path))
         assert code == 1
         assert err.startswith("error: CodebookSizeError: codebook of 2^48 points")
-        assert out == ""
-
-    def test_quantization_boundary(self, capsys, tmp_path, monkeypatch, command):
-        def fail(cfg, threads=None):
-            raise QuantizationBoundaryError("trial 0: outer error True != inner error False")
-
-        monkeypatch.setattr(harness, "simulate_feedback", fail)
-        path = tmp_path / "run.conf"
-        path.write_text(SINGLE_CONFIG + "scheme = feedback\n")
-        code, out, err = run_cli(capsys, command, "--config", str(path))
-        assert code == 1
-        assert err == "error: QuantizationBoundaryError: trial 0: outer error True != inner error False\n"
         assert out == ""
 
     def test_feedback_wider_than_1023_bits(self, capsys, tmp_path, command):

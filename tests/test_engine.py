@@ -31,7 +31,7 @@ from gausshelp.feedback import (
     reconstruct,
     simulate_feedback,
 )
-from gausshelp.harness import _run_cell_safe
+from gausshelp.harness import SweepSpec, _run_cell_safe, run_sweep
 from gausshelp.scheme import (
     CHUNK_TRIALS,
     WORKERS_ENV,
@@ -193,14 +193,8 @@ def test_trials_count_toward_the_size_cap(monkeypatch):
     assert cfg.message_bits == 74 and plan(cfg).route == "analytic"
     cells = (cfg, FeedbackConfig(inner=cfg))
     monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", 3399)
-
-    def drawn(*args, **kwargs):
-        raise AssertionError("the cell drew something")
-
     with pytest.MonkeyPatch.context() as mp:
-        for module in (scheme, feedback):
-            for name in ("build_codebook", "draw_messages"):
-                mp.setattr(module, name, drawn)
+        refuse_draws(mp)
         with pytest.raises(CodebookSizeError, match="^200 trials of 74-bit messages exceed"):
             simulate(cfg)
         with pytest.raises(CodebookSizeError, match="^200 trials of 74-bit messages exceed"):
@@ -212,13 +206,13 @@ def test_trials_count_toward_the_size_cap(monkeypatch):
 
 
 def refuse_draws(mp):
-    """Make every draw of a cell's codebook or messages fail the test."""
+    """Make every draw of a cell's codebook, messages or time-zero noise fail the test."""
     def drawn(*args, **kwargs):
         raise AssertionError("the cell drew something")
 
-    for module in (scheme, feedback):
-        for name in ("build_codebook", "draw_messages"):
-            mp.setattr(module, name, drawn)
+    for name in ("build_codebook", "draw_messages"):
+        mp.setattr(scheme, name, drawn)
+    mp.setattr(feedback, "time_zero_noise", drawn)
 
 
 @pytest.mark.parametrize("make, threads, chunk", [
@@ -260,18 +254,48 @@ def test_a_long_block_is_refused_for_its_chunks(monkeypatch):
 
 
 def test_diagnostics_run_under_a_small_size_cap(monkeypatch):
-    # 200 trials at n = 16 under a cap of 10^4 floats: no trials x n array is
-    # kept, so the cap does not apply, and the profile from running sums
-    # matches the one from the reference's stored vectors
-    monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", 10_000)
+    # The cap is the plan's largest store, a chunk's diagnostics rotations,
+    # 4 k n^2 floats with k = min(trials, 128): the same at 200 and 2000
+    # trials.  No trials x n array is kept, so both run under it, and the
+    # profile from running sums matches the one from the reference's vectors.
+    storage = plan(analytic_config(200), diagnostics=True).storage
+    cap = max(words for words, _ in storage)
+    assert cap == storage[-1][0] == 4 * CHUNK_TRIALS * 16 * 16
+    monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", cap)
+    for trials in (200, 2000):
+        cfg = analytic_config(trials)
+        s = simulate(cfg, keep_records=True, diagnostics=True)
+        cb = build_codebook(cfg)
+        pairs = [run_trial(cfg, cb, rec.message, *draws, return_vectors=True)[1:]
+                 for rec, draws in zip(s.records, contract_draws(cfg, trials))]
+        want = empirical_correlations(pairs)
+        assert s.corr_profile.trials == want.trials == trials
+        assert np.allclose(s.corr_profile.per_index_rho, want.per_index_rho, rtol=0, atol=1e-12)
+
+
+def test_diagnostics_rotations_count_toward_the_size_cap(monkeypatch, caplog):
+    # One word below a chunk's diagnostics rotations the cell is refused
+    # before any rotation is formed, and a sweep skips it; without
+    # diagnostics it runs.
     cfg = analytic_config(200)
-    s = simulate(cfg, keep_records=True, diagnostics=True)
-    cb = build_codebook(cfg)
-    pairs = [run_trial(cfg, cb, rec.message, *draws, return_vectors=True)[1:]
-             for rec, draws in zip(s.records, contract_draws(cfg, 200))]
-    want = empirical_correlations(pairs)
-    assert s.corr_profile.trials == want.trials == 200
-    assert np.allclose(s.corr_profile.per_index_rho, want.per_index_rho, rtol=0, atol=1e-12)
+    words, _ = plan(cfg, diagnostics=True).storage[-1]
+    monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", words - 1)
+
+    def refuse(*args):
+        raise AssertionError("rotations formed before the size check")
+
+    monkeypatch.setattr(HelperCodebook, "rotations", refuse)
+    with pytest.raises(CodebookSizeError,
+                       match="^diagnostics rotations of 128 trials in dimension 16 exceed"):
+        simulate(cfg, diagnostics=True)
+    assert isinstance(_run_cell_safe((cfg, True)), CodebookSizeError)
+    spec = SweepSpec(snr=(3.0,), helper_rate=(0.5,), blocklength=(16,), rate_fraction=(0.5,),
+                     trials=200, base_seed=1, diagnostics=True)
+    with caplog.at_level("WARNING"):
+        assert run_sweep(spec, workers=1) == []
+    (skip,) = [rec.message for rec in caplog.records if "skipped" in rec.message]
+    assert "CodebookSizeError: diagnostics rotations of 128 trials" in skip
+    assert simulate(cfg).trials == 200
 
 
 def test_diagnostics_memory_does_not_grow_with_trials():

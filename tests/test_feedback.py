@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from dataclasses import replace
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gausshelp import feedback
+from gausshelp import feedback, scheme
 from gausshelp.capacity import ChannelParams
 from gausshelp.feedback import (
     FeedbackConfig,
@@ -18,7 +19,7 @@ from gausshelp.feedback import (
     time_zero_noise,
 )
 from gausshelp.harness import SweepSpec, cell_config
-from gausshelp.scheme import SchemeConfig, config_from_rates, run_trials, simulate
+from gausshelp.scheme import SchemeConfig, config_from_rates, plan, run_trials, simulate
 
 CH = ChannelParams.from_snr(3.0)
 
@@ -180,15 +181,15 @@ class TestIntegerTimeZeroMap:
                              trials=len(offsets), decoder="analytic")
         seen = {}
 
-        def decide(cfg, cb, m_primes, rotations, **kwargs):
-            cols = run_trials(cfg, cb, m_primes, rotations, **kwargs)
+        def decide(cfg, cb, m_primes, *args, **kwargs):
+            cols = run_trials(cfg, cb, m_primes, *args, **kwargs)
             decoded = [(mp + off) % size for mp, off in zip(m_primes, offsets)]
             seen.update(m_primes=list(m_primes), decoded=decoded)
             return replace(cols, decoded=decoded,
                            error=np.array([d != mp for d, mp in zip(decoded, m_primes)]))
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(feedback, "run_trials", decide)
+            mp.setattr(scheme, "run_trials", decide)
             s = simulate_feedback(FeedbackConfig(inner=inner), keep_records=True)
         for rec, m_prime, d in zip(s.records, seen["m_primes"], seen["decoded"]):
             assert 0 <= m_prime < size and 0 <= rec.decoded < size
@@ -210,11 +211,67 @@ class TestIntegerTimeZeroMap:
             inner_errors.extend(cols.error.tolist())
             return cols
 
-        monkeypatch.setattr(feedback, "run_trials", spy)
+        monkeypatch.setattr(scheme, "run_trials", spy)
         s = simulate_feedback(cfg, keep_records=True)
         assert s.trials == 300 and s.boundary_events == 0
         assert [rec.error for rec in s.records] == inner_errors
         assert s.errors == sum(inner_errors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mb=st.integers(1, 16), snr=st.floats(0.1, 100.0), seed=st.integers(0, 2**31),
+           blocks=st.lists(st.tuples(st.integers(-2**20, 2**20), st.floats(0.01, 0.99),
+                                     st.integers(0, 2**16 - 1)), min_size=1, max_size=8))
+    def test_relabelled_decision_is_the_receivers(self, mb, snr, seed, blocks):
+        # z0 = (j + f) sqrt(P)/2^mb sits at least 0.01 of a step from every
+        # quantization edge, where the float receiver is exact too: for any
+        # inner decision d, the relabelled record decides
+        # reconstruct(encode_time_zero(m) + z0, d).
+        size, ch = 1 << mb, ChannelParams.from_snr(snr)
+        z0s = np.array([(j + f) * math.sqrt(ch.power) / size for j, f, _ in blocks])
+        decisions = [d % size for _, _, d in blocks]
+        inner = SchemeConfig(blocklength=4, message_bits=mb, helper_bits=0, eps=0.0, channel=ch,
+                             codebook_seed=seed, noise_seed=seed + 1, message_seed=seed + 2,
+                             trials=len(blocks), decoder="analytic")
+
+        def decide(cfg, cb, m_primes, *args, **kwargs):
+            cols = run_trials(cfg, cb, m_primes, *args, **kwargs)
+            return replace(cols, decoded=decisions,
+                           error=np.array([d != mp for d, mp in zip(decisions, m_primes)]))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scheme, "run_trials", decide)
+            mp.setattr(feedback, "time_zero_noise", lambda cfg: z0s)
+            s = simulate_feedback(FeedbackConfig(inner=inner), keep_records=True)
+        for rec, z0, d in zip(s.records, z0s.tolist(), decisions):
+            y0 = encode_time_zero(rec.message, mb, ch.power) + z0
+            assert rec.decoded == reconstruct(y0, d, mb, ch.power)
+
+
+def same_value(a, b):
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+class TestRelabelledInnerRun:
+    """A feedback summary is the inner run's on the quantized time-zero noise."""
+
+    @pytest.mark.parametrize("cfg, route", [
+        (feedback_config(rate=1.2, trials=200), "analytic"),
+        (feedback_config(rh=0.25, trials=200), "grouped"),
+        (feedback_config(trials=200), "stack"),
+        (cell_config(SweepSpec(snr=(3.0,), helper_rate=(0.0,), blocklength=(1024,),
+                               rate_fraction=(1.01,), trials=20, base_seed=1, scheme="feedback"),
+                     0, 0, 0, 0), "analytic"),
+    ], ids=["analytic", "grouped", "stack", "1035-bit"])
+    def test_summary_equals_the_inner_run(self, cfg, route):
+        assert plan(cfg.inner).route == route
+        fb = simulate_feedback(cfg)
+        m_primes = [inner_message(z0, cfg.message_bits, cfg.channel.power)
+                    for z0 in time_zero_noise(cfg).tolist()]
+        inner = simulate(cfg.inner, messages=m_primes)
+        assert (fb.scheme, inner.scheme) == ("feedback", "cognizant")
+        for f in dataclasses.fields(fb):
+            if f.name not in ("scheme", "wall_time_s"):
+                assert same_value(getattr(fb, f.name), getattr(inner, f.name)), f.name
 
 
 class TestTimeZeroRange:
@@ -238,7 +295,7 @@ class TestTimeZeroRange:
 
     def test_noise_past_the_float_range_runs(self, monkeypatch):
         # At 1023 bits and P = 3, z0 * 2^mb / sqrt(P) overflows a double once |z0| > 2 sqrt(P)
-        monkeypatch.setattr(feedback, "time_zero_noise", lambda cfg: [4.0, -4.0])
+        monkeypatch.setattr(feedback, "time_zero_noise", lambda cfg: np.array([4.0, -4.0]))
         s = simulate_feedback(self.wide_config(1023))
         assert s.trials == 2 and s.boundary_events == 0
 

@@ -9,8 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from gausshelp.capacity import ChannelParams, capacity_cognizant
-from gausshelp.codebook import CodebookSizeError
-from gausshelp.feedback import FeedbackConfig, QuantizationBoundaryError, simulate_feedback
+from gausshelp.feedback import FeedbackConfig
 from gausshelp import harness
 from gausshelp.harness import (
     CSV_COLUMNS,
@@ -350,22 +349,6 @@ class TestSweep:
             assert [s.boundary_events for s in summaries] == [0, 0]
             assert not [rec for rec in caplog.records if "skipped" in rec.message]
 
-    def test_quantization_boundary_cell_skipped(self, caplog, monkeypatch):
-        # the identity check cannot fire on the real map, so it is forced here
-        def fail_wide(cfg, threads=None):
-            if cfg.inner.blocklength == 48:
-                raise QuantizationBoundaryError("trial 6: outer error True != inner error False")
-            return simulate_feedback(cfg, threads=threads)
-
-        monkeypatch.setattr(harness, "simulate_feedback", fail_wide)
-        spec = SweepSpec(snr=(3.0,), helper_rate=(0.25,), blocklength=(12, 48),
-                         rate_fraction=(0.7,), trials=30, base_seed=1, scheme="feedback")
-        with caplog.at_level("WARNING"):
-            summaries = run_sweep(spec, workers=1)
-        assert [s.blocklength for s in summaries] == [12]
-        (skip,) = [rec.message for rec in caplog.records if "skipped" in rec.message]
-        assert "n=48" in skip and "QuantizationBoundaryError" in skip and "trial 6" in skip
-
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched run_cell reaches the workers only through fork")
     def test_pool_workers_run_the_engine_on_one_thread(self, monkeypatch):
@@ -394,7 +377,6 @@ class TestSweep:
             assert [s.blocklength for s in summaries] == [8, 1024]
             assert all(s.boundary_events == 0 for s in summaries)
             assert not [rec for rec in caplog.records if "skipped" in rec.message]
-        assert harness.CELL_SKIPS == (CodebookSizeError, QuantizationBoundaryError)
 
     def test_cell_rate_tracks_capacity(self):
         spec, _ = parse_config(SWEEP)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gausshelp import scheme
 from gausshelp.capacity import ChannelParams
 from gausshelp.codebook import HelperCodebook, build_base_codebook, derive_seed, haar_rotation
 from gausshelp.geometry import cap_ratio_exact
@@ -267,6 +268,26 @@ class TestSimulate:
         assert all(r.message == 3 for r in s.records)
         with pytest.raises(ValueError):
             simulate(cfg, messages=[1, 2])
+
+    @pytest.mark.parametrize("bits, route, bad", [
+        # Sent as all 20 messages, these once ran: -1 with message 63's
+        # rotation, 20/20 errors; 2^40 on 20 bits, 18/20 errors; 2^40 on 6
+        # bits raised IndexError from the rotation stack.
+        (6, "stack", -1), (20, "analytic", 1 << 40), (6, "stack", 1 << 40)])
+    def test_out_of_range_message_refused_before_drawing(self, monkeypatch, bits, route, bad):
+        cfg = replace(config_from_rates(8, 0.75, 0.5, CH, seed=3, trials=20), message_bits=bits)
+        assert plan(cfg).route == route
+        messages = [5] * 20
+        messages[7] = bad
+
+        def drawn(*args, **kwargs):
+            raise AssertionError("the cell drew something")
+
+        for name in ("build_codebook", "draw_messages"):
+            monkeypatch.setattr(scheme, name, drawn)
+        with pytest.raises(ValueError, match=rf"^message {bad} at index 7 is out of range "
+                                             rf"for {bits} bits$"):
+            simulate(cfg, messages=messages)
 
     def test_helper_alignment_tightens_with_blocklength(self):
         means = []
