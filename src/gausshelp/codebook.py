@@ -7,7 +7,10 @@ function of its seeds.  Only the exhaustive decoder holds per-message data in
 bulk: it stacks every message's rotation (scheme.candidate_rotations), and
 its grouped route builds every per-help-index codebook {R_m' b_t : m'}.  A
 rotation's Gaussian entries are SplitMix64 words of that seed mapped
-through the normal quantile (haar_rotations), with no generator per message.
+through the normal quantile (_normal_draw), with no generator per message.
+Where only products R_m v are wanted (the diagnostics' inputs and noises),
+the rotation is applied as the Householder reflectors of its QR
+(HelperCodebook.rotate), a bounded slice of messages at a time, never formed.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from scipy import special
 
 from .capacity import ChannelParams
 from .results import wilson_interval
-from .search import ScreenedSearch
+from . import search
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -52,43 +55,90 @@ def derive_seeds(base, indices) -> np.ndarray:
     indices of any size (message indices reach 2^74) give the same seeds as
     derive_seed.
     """
-    idx = np.fromiter((int(i) & _MASK64 for i in indices), dtype=np.uint64, count=len(indices))
+    if (isinstance(indices, range) and indices.step == 1
+            and 0 <= indices.start < indices.stop <= 1 << 63):
+        idx = np.arange(indices.start, indices.stop, dtype=np.uint64)  # no Python loop
+    else:
+        idx = np.fromiter((int(i) & _MASK64 for i in indices), dtype=np.uint64, count=len(indices))
     if not isinstance(base, np.ndarray):
         base = int(base) & _MASK64
     x = np.asarray(base, dtype=np.uint64)[..., None] + (idx + np.uint64(1)) * np.uint64(_GAMMA)
-    x ^= x >> np.uint64(30)
+    shifted = np.empty_like(x)  # one buffer for the three xor-shifts
+    x ^= np.right_shift(x, np.uint64(30), out=shifted)
     x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=shifted)
     x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=shifted)
     return x
+
+
+def _normal_draw(n: int, seeds) -> np.ndarray:
+    """The contract's standard-normal n x n matrix per seed, as a (len(seeds), n, n) stack.
+
+    Entry k of seed s's matrix (row-major) is
+    ndtri(((derive_seed(s, k) >> 12) + 1/2) * 2^-52): the top 52 bits of a
+    SplitMix64 word, centred in their cell so the uniform lies strictly in
+    (0, 1).  The uniform is formed in the words' own buffer.
+    """
+    if n < 2:
+        raise ValueError(f"rotation dimension must be at least 2, got {n}")
+    # 52 bits, not 53: ((x >> 11) + 1/2) * 2^-53 rounds the top word to 1.0, where ndtri is inf.
+    g = derive_seeds(np.asarray(seeds, dtype=np.uint64), range(n * n))
+    g >>= np.uint64(12)
+    # Exponent bits of 1.0 make the double 1 + j 2^-52; minus 1 - 2^-53 it is
+    # (j + 1/2) 2^-52, exactly (Sterbenz).
+    g |= np.uint64(0x3FF0000000000000)
+    g = g.view(np.float64)
+    g -= 1.0 - 2.0**-53
+    special.ndtri(g, out=g)
+    return g.reshape(-1, n, n)
 
 
 def haar_rotations(n: int, seeds) -> np.ndarray:
     """Haar-uniform n x n orthogonal matrices, one per seed, as a (len(seeds), n, n) stack.
 
-    QR of an IID standard-normal matrix per seed s, with the diagonal of R
-    normalized positive so the factorization is unique and the Q factor
-    Haar-distributed.  Entry k of s's matrix (row-major) is
-    ndtri(((derive_seed(s, k) >> 12) + 1/2) * 2^-52): the top 52 bits of a
-    SplitMix64 word, centred in their cell so the uniform lies strictly in
-    (0, 1).  All entries and the QR are formed in one pass over the stack;
-    each matrix is bitwise the one a single-seed call gives.
+    QR of the seed's IID standard-normal matrix (_normal_draw), with the
+    diagonal of R normalized positive so the factorization is unique and the
+    Q factor Haar-distributed.  All entries and the QR are formed in one pass
+    over the stack; each matrix is bitwise the one a single-seed call gives.
     """
-    if n < 2:
-        raise ValueError(f"rotation dimension must be at least 2, got {n}")
-    # 52 bits, not 53: ((x >> 11) + 1/2) * 2^-53 rounds the top word to 1.0, where ndtri is inf.
-    words = derive_seeds(np.asarray(seeds, dtype=np.uint64), range(n * n))
-    g = (words >> np.uint64(12)).astype(np.float64)
-    del words  # not held through the QR
-    g += 0.5
-    g *= 2.0**-52
-    special.ndtri(g, out=g)
-    q, r = np.linalg.qr(g.reshape(-1, n, n))
+    q, r = np.linalg.qr(_normal_draw(n, seeds))
     # sign(diag R) per matrix, with 0 counted as positive.
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
     return q * d[:, None, :]
+
+
+def reflector_slice(n: int) -> int:
+    """Messages whose n x n draws HelperCodebook.rotate factors at a time.
+
+    A quarter of TILE_FLOATS of draws: a slice peaks at about twice its draw
+    (the draw and its QR copy), so two engine threads' slices stay within
+    one tile, and how their peaks overlap, which the scheduler decides,
+    moves a run's peak memory by little.
+    """
+    return max(1, search.TILE_FLOATS // (4 * n * n))
+
+
+def _reflect(n: int, seeds: np.ndarray, w: np.ndarray) -> None:
+    """w[j] <- R_s w[j] in place for seed s = seeds[j], w of shape (len(seeds), p, n).
+
+    R_s = Q D is haar_rotations' matrix: Q = H_0 ... H_{n-1}, the reflectors
+    H_i = I - tau_i v_i v_i^T that LAPACK geqrf leaves for s's draw (numpy's
+    complete QR forms Q from the same ones), and D = sign(diag R), 0 counted
+    positive.  So D is applied first, then H_{n-1} ... H_0, each a rank-one
+    step over all seeds at once; products agree with haar_rotations' up to
+    round-off.
+    """
+    # numpy returns geqrf's output transposed: row i holds v_i past the diagonal, R_ii on it.
+    h, tau = np.linalg.qr(_normal_draw(n, seeds), mode="raw")
+    diag = np.arange(n)
+    w *= np.where(h[:, diag, diag] < 0, -1.0, 1.0)[:, None, :]
+    h[:, diag, diag] = 1.0
+    for i in reversed(range(n)):
+        v, wi = h[:, i, i:], w[..., i:]
+        dots = np.einsum("kj,kpj->kp", v, wi) * tau[:, i, None]
+        wi -= dots[..., None] * v[:, None, :]
 
 
 def haar_rotation(n: int, seed: int) -> np.ndarray:
@@ -119,11 +169,29 @@ class HelperCodebook:
             raise ValueError(f"message index must be nonnegative, got {m}")
         return haar_rotation(self.blocklength, derive_seed(self.rotation_seed_base, m))
 
-    def rotations(self, messages) -> np.ndarray:
-        """Stacked rotations of several messages, (len(messages), n, n)."""
+    def _seeds(self, messages) -> np.ndarray:
         if any(m < 0 for m in messages):
             raise ValueError(f"message indices must be nonnegative, got {min(messages)}")
-        return haar_rotations(self.blocklength, derive_seeds(self.rotation_seed_base, messages))
+        return derive_seeds(self.rotation_seed_base, messages)
+
+    def rotations(self, messages) -> np.ndarray:
+        """Stacked rotations of several messages, (len(messages), n, n)."""
+        return haar_rotations(self.blocklength, self._seeds(messages))
+
+    def rotate(self, messages, vectors) -> np.ndarray:
+        """R_m v for each message m = messages[j] and row v of vectors[j], (len(messages), ..., n).
+
+        R_m is applied as its Householder reflectors (_reflect), never
+        formed, to reflector_slice(n) messages at a time; a row's result does
+        not depend on the slice it is in.
+        """
+        n, seeds = self.blocklength, self._seeds(messages)
+        out = np.array(vectors, dtype=np.float64)
+        rows = out.reshape(len(seeds), -1, n)
+        step = reflector_slice(n)
+        for lo in range(0, len(seeds), step):
+            _reflect(n, seeds[lo:lo + step], rows[lo:lo + step])
+        return out
 
 
 def build_base_codebook(n: int, ch: ChannelParams, rh: float, eps: float, seed: int) -> HelperCodebook:
@@ -193,7 +261,7 @@ def covering_deficiency(
     if probes < 1:
         raise ValueError(f"need at least one probe, got {probes}")
     pts = cb.base_points if message is None else message_codebook(cb, message)
-    search = ScreenedSearch(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+    scan = search.ScreenedSearch(pts / np.linalg.norm(pts, axis=1, keepdims=True))
     cos_thresh = math.cos(theta0)
     rng = np.random.default_rng(seed)
     misses = 0
@@ -201,7 +269,7 @@ def covering_deficiency(
     while done < probes:
         block = min(chunk, probes - done)
         dirs = sample_sphere(cb.blocklength, block, rng)
-        best = search.argmax(dirs)[1]
+        best = scan.argmax(dirs)[1]
         misses += int(np.count_nonzero(best < cos_thresh))
         done += block
     lo, hi = wilson_interval(misses, probes)

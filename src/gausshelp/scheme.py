@@ -18,10 +18,11 @@ noise z is isotropic and independent of message m's rotation R_m, so the
 engine draws w = R_m^T z ~ N(0, sigma^2 I), the noise in the message's frame:
 the help index, the decode angle angle(b_t, b_t + w) and |w|^2 need no
 rotation.  R_m is applied only for the exhaustive decoder's y = R_m (b_t + w)
-and the diagnostics' x = R_m b_t and z = R_m w.  The helper and exhaustive
-searches go through search.ScreenedSearch (`plan` picks the decode route and
-sizes the run); chunks run on up to `threads` threads, and no result depends
-on how many.
+and the diagnostics' x = R_m b_t and z = R_m w; off the candidate stack, R_m
+is applied as its Householder reflectors (HelperCodebook.rotate), never
+formed.  The helper and exhaustive searches go through search.ScreenedSearch
+(`plan` picks the decode route and sizes the run); chunks run on up to
+`threads` threads, and no result depends on how many.
 
 Stream contract STREAM_CONTRACT = 4, each stream drawn in the order given:
 
@@ -57,7 +58,7 @@ import numpy as np
 
 from .capacity import ChannelParams, capacity_cognizant
 from .codebook import (MAX_CODEBOOK_FLOATS, CodebookSizeError, HelperCodebook,
-                       build_base_codebook, derive_seed)
+                       build_base_codebook, derive_seed, reflector_slice)
 from .converse import CorrelationSums, correlation_budget
 from .geometry import (COS_CLAMP_TOL, achievable_rate_threshold, angle_between,
                        cap_ratio_exact, log_cap_ratio, theta0)
@@ -85,13 +86,16 @@ STREAM_CONTRACT = 4
 # Bound on the CPUs gausshelp uses: sweep worker processes or engine threads.
 WORKERS_ENV = "GAUSSHELP_WORKERS"
 
-# Least helper-search work per trial, 2^helper_bits * n, for which run_trials
-# runs its chunks on threads.  The search's GEMM and reductions release the
-# GIL; the per-trial decisions and the hand-offs between threads hold it.  On
-# a 2-vCPU host (medians of 9 runs, us per trial, one thread -> two) the
-# criterion-5 cells read n = 16: 4.3 -> 10.0; n = 24 with diagnostics:
-# 99 -> 108; n = 24 without: 26 -> 21, the one cell below the gate that gains.
-THREAD_MIN_WORK = 1 << 18
+# Least work per trial a chunk does, 2^helper_bits * n plus n^3 with
+# diagnostics (plan), for which run_trials runs its chunks on threads.  The
+# search's GEMM, the rotation draw and its QR release the GIL; per-trial
+# decisions, reflector steps and hand-offs hold it.  On a 2-vCPU host
+# (medians of 7 interleaved runs, us per trial, one thread -> two), cells of
+# 2^14.3 to 2^15.3 without diagnostics lost or broke even (n = 16 with 2^11
+# helper points 8.8 -> 10.7, n = 20 with 2^10 6.7 -> 10.3) and cells of 2^16
+# and more gained (n = 16 with 2^12 18.8 -> 16.1; criterion-5 n = 24
+# 28.1 -> 17.9, with diagnostics 58.1 -> 43.7).
+THREAD_MIN_WORK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -224,7 +228,7 @@ class RunPlan:
     route: str  # "analytic", "grouped" or "stack"
     storage: tuple  # (64-bit words, what) per store, checked in order against MAX_CODEBOOK_FLOATS
     work: int  # estimated work in flops-like units; a sweep runs the largest cell first
-    threads: int  # the engine's threads: 1 unless the helper search passes THREAD_MIN_WORK
+    threads: int  # the engine's threads: 1 unless a trial's work passes THREAD_MIN_WORK
 
     def admit(self) -> RunPlan:
         """This plan, unless a store outgrows the size cap: then CodebookSizeError."""
@@ -245,15 +249,16 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     M n (H n <= trials); else the "stack" scan, n^2 wide, measured faster.
     Work: trials H n for the helper, M n^3 + H M n^2 + trials M n grouped,
     M n^2 (n + trials) stacked, trials n^3 for diagnostics, which also store
-    a chunk's rotations.  Chunks run on `threads` (None: resolve_workers())
-    when H n >= THREAD_MIN_WORK.  A scan of more than EXHAUSTIVE_HARD_LIMIT
-    messages raises ValueError.
+    one reflector slice of rotations per chunk in flight.  Chunks run on
+    `threads` (None: resolve_workers()) when a trial's share, H n plus the
+    diagnostics' n^3, is at least THREAD_MIN_WORK.  A scan of more than
+    EXHAUSTIVE_HARD_LIMIT messages raises ValueError.
     """
     n, trials, bits = cfg.blocklength, cfg.trials, cfg.message_bits
     # No memory holds 2^64 points, so a larger codebook is refused as one of 2^64.
     help_size = 1 << min(cfg.helper_bits, 64)
-    threads = threads or resolve_workers()
-    threads = threads if help_size * n >= THREAD_MIN_WORK else 1
+    per_trial = help_size * n + (n ** 3 if diagnostics else 0)
+    threads = (threads or resolve_workers()) if per_trial >= THREAD_MIN_WORK else 1
     # 2^message_bits <= EXHAUSTIVE_LIMIT, compared as bit counts.
     exhaustive = cfg.decoder == "exhaustive" or (cfg.decoder == "auto"
                                                  and bits < EXHAUSTIVE_LIMIT.bit_length())
@@ -264,7 +269,7 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     storage = [
         (trials * (3 * -(-bits // 64) + 11), f"{trials} trials of {bits}-bit messages exceed"),
         (help_size * n, f"codebook of 2^{cfg.helper_bits} points in dimension {n} exceeds")]
-    work = trials * help_size * n + (trials * n ** 3 if diagnostics else 0)
+    work = trials * per_trial
     if exhaustive:
         if bits >= EXHAUSTIVE_HARD_LIMIT.bit_length():
             raise ValueError(f"message space of 2^{bits} is too large to scan")
@@ -278,10 +283,13 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     storage.append((in_flight * CHUNK_BLOCKS * k * (n * n if route == "stack" else n),
                     f"{in_flight} engine chunk(s) of {k} trials in dimension {n} exceed"))
     if diagnostics:
-        # run_trials' `take` forms a chunk's k rotations on the calling thread:
-        # 4 (k, n, n) blocks at the peak (the normal entries, Q, R and the
-        # sign-fixed copy; 32.6 bytes per trial and n^2 measured at n = 128).
-        storage.append((4 * k * n * n,
+        # Each chunk in flight rotates reflector_slice(n) messages at a time
+        # (a scan indexes all k of its stack's) into its x and z, 2 k n: at
+        # the peak the draw and its QR copy, or the draw's words, their
+        # xor-shift buffer and the n^2 indices, 2 rows + 1 n^2 floats (within
+        # 4% of HelperCodebook.rotate's traced peak at n = 16 to 725).
+        rows = k if exhaustive else min(k, reflector_slice(n))
+        storage.append((in_flight * ((2 * rows + 1) * n + 2 * k) * n,
                         f"diagnostics rotations of {k} trials in dimension {n} exceed"))
     return RunPlan(route, tuple(storage), work, threads)
 
@@ -450,19 +458,20 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
     """Trial i sends messages[i]; the batched equivalent of run_trial per trial.
 
     Runs CHUNK_TRIALS trials at a time, each chunk on its own noise stream
-    (module docstring).  `rotations` is candidate_rotations(cfg, cb).  Each
-    chunk's inputs and noises, if wanted, are added to `correlations`, not kept.
-    Chunks run on `threads` threads (None: resolve_workers(); a sweep's workers
-    pass 1) when the helper search is large enough to pay (THREAD_MIN_WORK),
-    each writing only its own rows.  The calling thread takes their decisions,
-    and for diagnostics forms their rotations and sums x and z, in chunk order,
-    so every result is the serial loop's, bitwise, and one stack of rotations
-    is alive at a time.
+    (module docstring).  `rotations` is candidate_rotations(cfg, cb).  For
+    `correlations` each chunk computes its inputs x = R_m b_t and noises
+    z = R_m w, by applying R_m's reflectors (HelperCodebook.rotate) or from
+    the candidate stack on a scan; they are added to the sums, not kept.
+    Chunks run on `threads` threads (None: resolve_workers(); a sweep's
+    workers pass 1) when their work pays (plan, THREAD_MIN_WORK), each writing
+    only its own rows.  The calling thread takes their decisions and adds
+    their x and z in chunk order, so every result is the serial loop's,
+    bitwise.
     """
     messages = list(messages)
     trials, n = len(messages), cfg.blocklength
     n_messages = 1 << cfg.message_bits
-    run = plan(cfg, threads=threads)
+    run = plan(cfg, correlations is not None, threads)
     exhaustive, grouped = run.route != "analytic", run.route == "grouped"
     scale = math.sqrt(n * cb.power)
 
@@ -479,7 +488,7 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
         candidates = ScreenedSearch(rotations.reshape(n_messages, n * n))
 
     def chunk(lo):
-        """Fill rows lo:hi of the columns; return their messages, decisions, b_t and w."""
+        """Fill rows lo:hi of the columns; return their decisions and, for diagnostics, x and z."""
         hi = min(lo + CHUNK_TRIALS, trials)
         ms = messages[lo:hi]
         rng = np.random.default_rng(derive_seed(cfg.noise_seed, lo // CHUNK_TRIALS))
@@ -495,11 +504,15 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
         bt = cb.base_points[t]
         decode_angle[lo:hi] = _row_angles(bt, bt + w)
 
+        x = z = None
         if exhaustive:
             # Receive y = R_m (b_t + w), R_m from the candidate stack; the score
             # of m' is (R_m' b_t) . y, read from trial i's own codebook C[t_i]
             # on the grouped route, else as vec(R_m') . vec(y b_t^T).
-            y = np.einsum("kij,kj->ki", rotations[ms], bt + w)
+            rot = rotations[ms]
+            y = np.einsum("kij,kj->ki", rot, bt + w)
+            if correlations is not None:
+                x, z = np.einsum("kij,kj->ki", rot, bt), np.einsum("kij,kj->ki", rot, w)
             if grouped:
                 found, _ = candidates.argmax(y, t)
             else:
@@ -510,15 +523,15 @@ def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
             p_err = _analytic_error_probability(n, decode_angle[lo:hi], n_messages - 1)
             found = [_wrong_message(rng, m, u_wrong, n_messages) if u_err < p else m
                      for m, (u_err, u_wrong), p in zip(ms, u.tolist(), p_err.tolist())]
-        return ms, found, bt, w
+            if correlations is not None:
+                x, z = cb.rotate(ms, np.stack([bt, w], axis=1)).transpose(1, 0, 2)
+        return found, x, z
 
     def take(result):
-        ms, found, bt, w = result
+        found, x, z = result
         decoded.extend(found)
         if correlations is not None:
-            # x = R_m b_t and z = R_m w in the channel frame, one chunk's at a time.
-            rot = rotations[ms] if exhaustive else cb.rotations(ms)
-            correlations.add(np.einsum("kij,kj->ki", rot, bt), np.einsum("kij,kj->ki", rot, w))
+            correlations.add(x, z)
 
     _in_order(chunk, range(0, trials, CHUNK_TRIALS), run.threads, take)
 

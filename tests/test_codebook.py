@@ -57,7 +57,11 @@ class TestDeriveSeeds:
         assert derive_seeds(base, indices).tolist() == [derive_seed(base, i) for i in indices]
 
     def test_range_input(self):
-        assert derive_seeds(7, range(5, 9)).tolist() == [derive_seed(7, i) for i in range(5, 9)]
+        # either side of the arange path's bound 2^63, steps and empty ranges
+        for indices in (range(5, 9), range(0, 144), range(2**63 - 3, 2**63),
+                        range(2**63 - 2, 2**63 + 2), range(2**74, 2**74 + 3), range(9, 3, -2),
+                        range(4, 4)):
+            assert derive_seeds(7, indices).tolist() == [derive_seed(7, i) for i in indices]
 
     def test_broadcasts_over_an_array_of_bases(self):
         got = derive_seeds(np.array(self.BASES, dtype=np.uint64), self.INDICES)
@@ -207,6 +211,11 @@ def _reflector_apply(n, seeds, x, transpose):
     return w * sign if transpose else w
 
 
+def seeded_codebook(n, rotation_seed_base):
+    """A one-point codebook whose message m rotates by derive_seed(rotation_seed_base, m)."""
+    return HelperCodebook(n, CH.power, 1, np.zeros((1, n)), rotation_seed_base)
+
+
 class TestHaarReflectors:
     @pytest.mark.parametrize("n", range(2, 41))
     def test_products_match_the_rotation_stack(self, n):
@@ -217,6 +226,11 @@ class TestHaarReflectors:
         refl = _reflector_apply(n, seeds, z, transpose=False)
         assert np.max(np.abs(refl_t - np.einsum("kji,kj->ki", rot, z))) < 1e-13
         assert np.max(np.abs(refl - np.einsum("kij,kj->ki", rot, z))) < 1e-13
+        # the production applier, on two vectors per message m < 9 (seed derive_seed(11, m))
+        pairs = np.stack([z, z[::-1]], axis=1)
+        applied = seeded_codebook(n, 11).rotate(range(9), pairs)
+        assert np.max(np.abs(applied - np.einsum("kij,kpj->kpi", rot, pairs))) < 1e-13
+        assert np.max(np.abs(applied[:, 0] - refl)) < 1e-13
 
     def test_codebook_reflectors_are_its_rotations(self):
         cb = build_base_codebook(6, CH, 0.5, 0.1, seed=3)
@@ -226,8 +240,23 @@ class TestHaarReflectors:
         for j, e in enumerate(np.eye(6)):
             column = _reflector_apply(6, seeds, np.tile(e, (3, 1)), transpose=False)
             assert np.max(np.abs(column - rot[:, :, j])) < 1e-14
-        with pytest.raises(ValueError):
-            cb.rotations([-1])
+        # row j of R_m I is R_m e_j, column j of R_m
+        images = cb.rotate(messages, np.tile(np.eye(6), (3, 1, 1)))
+        assert np.max(np.abs(images - rot.transpose(0, 2, 1))) < 1e-14
+        for bad in (cb.rotations, lambda ms: cb.rotate(ms, np.zeros((1, 6)))):
+            with pytest.raises(ValueError):
+                bad([-1])
+
+    @pytest.mark.parametrize("n", [2, 12, 24])
+    def test_a_row_does_not_depend_on_its_slice(self, n, monkeypatch):
+        cb = seeded_codebook(n, 13)
+        z = np.random.default_rng(n).standard_normal((50, 2, n))
+        whole = cb.rotate(range(50), z)
+        assert codebook.reflector_slice(n) >= 50
+        for slice_ in (1, 3, 7):
+            monkeypatch.setattr(search, "TILE_FLOATS", 4 * slice_ * n * n + 1)
+            assert codebook.reflector_slice(n) == slice_
+            assert np.array_equal(cb.rotate(range(50), z), whole)
 
 
 class TestBuildBaseCodebook:

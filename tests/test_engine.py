@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gausshelp import feedback, scheme
+from gausshelp import feedback, scheme, search
 from gausshelp.capacity import ChannelParams
 from gausshelp.cli import cli
-from gausshelp.codebook import CodebookSizeError, HelperCodebook, derive_seed
+from gausshelp.codebook import CodebookSizeError, HelperCodebook, derive_seed, reflector_slice
 from gausshelp.converse import CorrelationSums, empirical_correlations
 from gausshelp.feedback import (
     _Z0_STREAM_OFFSET,
@@ -31,6 +31,7 @@ from gausshelp.feedback import (
     reconstruct,
     simulate_feedback,
 )
+from gausshelp.geometry import achievable_rate_threshold
 from gausshelp.harness import SweepSpec, _run_cell_safe, run_sweep
 from gausshelp.scheme import (
     CHUNK_TRIALS,
@@ -254,13 +255,14 @@ def test_a_long_block_is_refused_for_its_chunks(monkeypatch):
 
 
 def test_diagnostics_run_under_a_small_size_cap(monkeypatch):
-    # The cap is the plan's largest store, a chunk's diagnostics rotations,
-    # 4 k n^2 floats with k = min(trials, 128): the same at 200 and 2000
-    # trials.  No trials x n array is kept, so both run under it, and the
-    # profile from running sums matches the one from the reference's vectors.
+    # The cap is the plan's largest store, a chunk's diagnostics rotations
+    # and its x and z, (2 k + 1) n^2 + 2 k n floats with k = min(trials, 128)
+    # (one reflector slice at n = 16): the same at 200 and 2000 trials.  No
+    # trials x n array is kept, so both run under it, and the profile from
+    # running sums matches the one from the reference's vectors.
     storage = plan(analytic_config(200), diagnostics=True).storage
     cap = max(words for words, _ in storage)
-    assert cap == storage[-1][0] == 4 * CHUNK_TRIALS * 16 * 16
+    assert cap == storage[-1][0] == ((2 * CHUNK_TRIALS + 1) * 16 + 2 * CHUNK_TRIALS) * 16
     monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", cap)
     for trials in (200, 2000):
         cfg = analytic_config(trials)
@@ -282,9 +284,10 @@ def test_diagnostics_rotations_count_toward_the_size_cap(monkeypatch, caplog):
     monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", words - 1)
 
     def refuse(*args):
-        raise AssertionError("rotations formed before the size check")
+        raise AssertionError("rotations formed or applied before the size check")
 
     monkeypatch.setattr(HelperCodebook, "rotations", refuse)
+    monkeypatch.setattr(HelperCodebook, "rotate", refuse)
     with pytest.raises(CodebookSizeError,
                        match="^diagnostics rotations of 128 trials in dimension 16 exceed"):
         simulate(cfg, diagnostics=True)
@@ -296,6 +299,38 @@ def test_diagnostics_rotations_count_toward_the_size_cap(monkeypatch, caplog):
     (skip,) = [rec.message for rec in caplog.records if "skipped" in rec.message]
     assert "CodebookSizeError: diagnostics rotations of 128 trials" in skip
     assert simulate(cfg).trials == 200
+
+
+def test_diagnostics_slices_leave_the_sums_bitwise(monkeypatch):
+    # Under a tile cap of 4 * 3 n^2 floats each chunk applies its rotations 3
+    # messages at a time, and the plan's store shrinks to one such slice (and
+    # the chunk's x and z); the running sums are bitwise those of whole-chunk
+    # slices.
+    cfg = analytic_config(300)
+    cb, messages = build_codebook(cfg), scheme.draw_messages(cfg)
+
+    def sums():
+        added = CorrelationSums()
+        scheme.run_trials(cfg, cb, messages, None, added, threads=1)
+        return added.sums.tobytes()
+
+    whole = sums()
+    monkeypatch.setattr(search, "TILE_FLOATS", 4 * 3 * 16 * 16)
+    assert reflector_slice(16) == 3
+    assert plan(cfg, diagnostics=True).storage[-1][0] == ((2 * 3 + 1) * 16 + 2 * CHUNK_TRIALS) * 16
+    assert sums() == whole
+
+
+def test_a_long_block_is_admitted_with_diagnostics():
+    # A whole chunk's rotations at n = 725, 4 * 128 * 725^2 floats in the
+    # formed-Q store, exceeded the cap; one reflector slice is one message,
+    # (2 + 1) 725^2 floats, plus the chunk's x and z.
+    cfg = config_from_rates(725, 0.5, 0.0, CH, seed=5, eps=0.0, trials=128)
+    assert reflector_slice(725) == 1
+    assert 4 * CHUNK_TRIALS * 725 ** 2 > scheme.MAX_CODEBOOK_FLOATS
+    run = plan(cfg, diagnostics=True).admit()
+    assert run.storage[-1] == ((3 * 725 + 2 * CHUNK_TRIALS) * 725,
+                               "diagnostics rotations of 128 trials in dimension 725 exceed")
 
 
 def test_diagnostics_memory_does_not_grow_with_trials():
@@ -371,6 +406,26 @@ def record_engine_threads(monkeypatch):
 
     monkeypatch.setattr(scheme, "_in_order", recording)
     return used
+
+
+def criterion5_config(n, trials):
+    rate = 0.7 * achievable_rate_threshold(CH, 0.5, 0.1)
+    return config_from_rates(n, rate, 0.5, CH, seed=1, eps=0.1, trials=trials)
+
+
+@pytest.mark.parametrize("n, diagnostics, threads", [
+    (16, False, 1),  # 2^8 * 16 per trial
+    (24, False, 2),  # 2^12 * 24
+    (24, True, 2),  # 2^12 * 24 + 24^3
+])
+def test_the_thread_gate_on_the_criterion_5_cells(monkeypatch, n, diagnostics, threads):
+    # The gate compares a trial's chunk work, helper search plus the
+    # diagnostics' n^3, with THREAD_MIN_WORK.
+    cfg = criterion5_config(n, 2 * CHUNK_TRIALS)
+    assert plan(cfg, diagnostics, threads=2).threads == threads
+    used = record_engine_threads(monkeypatch)
+    simulate(cfg, diagnostics=diagnostics, threads=2)
+    assert used == [threads]
 
 
 class TestEngineThreads:
@@ -546,8 +601,9 @@ class TestEngineThreads:
         simulate(analytic_config(CHUNK_TRIALS), diagnostics=True, threads=4)  # one chunk
         simulate(analytic_config(3 * CHUNK_TRIALS), diagnostics=True, threads=1)  # one thread
         assert pools == []
-        # The real gate on the helper search, 2^helper_bits * n per trial:
-        # 2^8 * 16 and 2^5 * 10 run serially, 2^14 * 28 on threads.
+        # The real gate on a trial's work, 2^helper_bits * n plus n^3 with
+        # diagnostics: 2^8 * 16 + 16^3 and 2^5 * 10 run serially, 2^14 * 28
+        # on threads.
         monkeypatch.setattr(scheme, "THREAD_MIN_WORK", MIN_WORK)
         simulate(analytic_config(3 * CHUNK_TRIALS), diagnostics=True, threads=4)
         simulate(exhaustive_config(3 * CHUNK_TRIALS), threads=4)
@@ -558,8 +614,9 @@ class TestEngineThreads:
 
     def test_threaded_diagnostics_memory_does_not_grow_with_trials(self):
         # As test_diagnostics_memory_does_not_grow_with_trials, on 2 threads:
-        # the rotations are formed on the calling thread one chunk at a time,
-        # so the threads add no per-chunk stack of them.
+        # each chunk applies its rotations on its own thread, a reflector slice
+        # at a time, and at most threads + 1 chunks are in flight, so the
+        # threads add no store that grows with the trials.
         n, few, many = 32, 512, 8192
 
         def extra_peak(trials):

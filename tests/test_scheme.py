@@ -328,11 +328,17 @@ class TestPlan:
         assert plan(route_config(**kwargs)).route == route
 
     def test_threads_only_past_the_gate(self, monkeypatch):
-        # 2^helper_bits * n against THREAD_MIN_WORK = 2^18, at n = 16
-        assert plan(route_config(n=16, helper_bits=14), threads=4).threads == 4
-        assert plan(route_config(n=16, helper_bits=13), threads=4).threads == 1
+        # 2^helper_bits * n, plus n^3 with diagnostics, against
+        # THREAD_MIN_WORK = 2^16: at n = 16 helper points alone, at one
+        # helper point the diagnostics term, 40 + 40^3 < 2^16 <= 41 + 41^3
+        assert plan(route_config(n=16, helper_bits=12), threads=4).threads == 4
+        assert plan(route_config(n=16, helper_bits=11), threads=4).threads == 1
+        assert plan(route_config(n=16, helper_bits=11), True, threads=4).threads == 1
+        for n, threads in ((40, 1), (41, 4)):
+            assert plan(route_config(n=n, helper_bits=0), True, threads=4).threads == threads
+            assert plan(route_config(n=n, helper_bits=0), threads=4).threads == 1
         monkeypatch.setenv(WORKERS_ENV, "3")
-        assert plan(route_config(n=16, helper_bits=14)).threads == 3
+        assert plan(route_config(n=16, helper_bits=12)).threads == 3
 
     def test_scan_past_the_hard_limit_is_a_value_error(self):
         cfg = route_config(bits=25, decoder="exhaustive")
