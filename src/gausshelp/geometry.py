@@ -28,7 +28,9 @@ def angle_between(x, y) -> float:
     ny = float(np.linalg.norm(y))
     if nx == 0.0 or ny == 0.0:
         raise ValueError("the zero vector has no direction")
-    c = float(np.dot(x, y)) / (nx * ny)
+    # math.fsum rounds the exact sum of the products once, in no summation
+    # order a BLAS kernel picks, so angle_between(x, y) == angle_between(y, x).
+    c = math.fsum(x * y) / (nx * ny)
     if abs(c) > 1.0 + COS_CLAMP_TOL:
         warnings.warn(f"cosine {c!r} clamped to [-1, 1]; exceeds round-off slack", RuntimeWarning)
     return math.acos(min(1.0, max(-1.0, c)))

@@ -65,20 +65,19 @@ from .geometry import (COS_CLAMP_TOL, achievable_rate_threshold, angle_between,
 from .results import SimSummary, TrialColumns, TrialRecord, wilson_interval
 from .search import ScreenedSearch
 
-# Largest message space scanned exhaustively when decoder="auto".
+# Largest message space scanned exhaustively; larger ones take the analytic law.
 EXHAUSTIVE_LIMIT = 1 << 12
-# Hard cap on exhaustive decoding regardless of mode.
-EXHAUSTIVE_HARD_LIMIT = 1 << 24
 
 # Trials per engine chunk.  Each chunk draws from its own noise generator, so
 # the chunk size is part of the stream contract.
 CHUNK_TRIALS = 128
 
 # Float64 (k, n) blocks a chunk of k trials holds at its peak: w, b_t, b_t + w
-# and the search's copy of its query ((k, n^2) on the stack scan).
+# and the search's copy of its query.  On the stack scan they are (k, n^2):
+# the chunk's rotations, its query and the search's copies of it (traced peak
+# 4.0 k n^2 at n = 96 and 160).  The grouped scan also holds the chunk's
+# rotations, (k, n, n) (traced 1.06 k n^2 in all at n = 96).
 CHUNK_BLOCKS = 4
-
-_DECODERS = ("auto", "exhaustive", "analytic")
 
 # Version of the random streams documented in the module docstring.
 STREAM_CONTRACT = 4
@@ -111,7 +110,6 @@ class SchemeConfig:
     noise_seed: int
     message_seed: int
     trials: int = 10000
-    decoder: str = "auto"
     base_seed: int | None = None  # echoed into summaries/CSV when set
 
     def __post_init__(self):
@@ -123,8 +121,6 @@ class SchemeConfig:
             raise ValueError(f"helper_bits must be nonnegative, got {self.helper_bits}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.decoder not in _DECODERS:
-            raise ValueError(f"decoder must be one of {_DECODERS}, got {self.decoder!r}")
         if self.helper_bits > 0:
             if not 0.0 < self.eps < self.helper_bits / self.blocklength:
                 raise ValueError(
@@ -241,9 +237,9 @@ class RunPlan:
 def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     """The decode route, stores, work estimate and engine threads of a run of cfg.
 
-    Decoder "exhaustive" scans the M messages, "analytic" draws the error from
-    the cap-area law, "auto" scans when M <= EXHAUSTIVE_LIMIT.  A scan is
-    "grouped", against one codebook per help index, C_t = {R_m' b_t}, t < H =
+    The decoder scans the M messages when M <= EXHAUSTIVE_LIMIT, else draws
+    the error from the cap-area law ("analytic").  A scan is "grouped",
+    against one codebook per help index, C_t = {R_m' b_t}, t < H =
     2^helper_bits, when these are no larger than the rotation stack (H <= n)
     and building them, H M n^2 flops, costs no more than scanning them, trials
     M n (H n <= trials); else the "stack" scan, n^2 wide, measured faster.
@@ -251,8 +247,7 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     M n^2 (n + trials) stacked, trials n^3 for diagnostics, which also store
     one reflector slice of rotations per chunk in flight.  Chunks run on
     `threads` (None: resolve_workers()) when a trial's share, H n plus the
-    diagnostics' n^3, is at least THREAD_MIN_WORK.  A scan of more than
-    EXHAUSTIVE_HARD_LIMIT messages raises ValueError.
+    diagnostics' n^3, is at least THREAD_MIN_WORK.
     """
     n, trials, bits = cfg.blocklength, cfg.trials, cfg.message_bits
     # No memory holds 2^64 points, so a larger codebook is refused as one of 2^64.
@@ -260,8 +255,7 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     per_trial = help_size * n + (n ** 3 if diagnostics else 0)
     threads = (threads or resolve_workers()) if per_trial >= THREAD_MIN_WORK else 1
     # 2^message_bits <= EXHAUSTIVE_LIMIT, compared as bit counts.
-    exhaustive = cfg.decoder == "exhaustive" or (cfg.decoder == "auto"
-                                                 and bits < EXHAUSTIVE_LIMIT.bit_length())
+    exhaustive = bits < EXHAUSTIVE_LIMIT.bit_length()
     grouped = exhaustive and help_size <= n and help_size * n <= trials
     route = "grouped" if grouped else "stack" if exhaustive else "analytic"
     # Per trial: drawn words, message and decision, ceil(bits/64) words each, plus 11 for
@@ -271,8 +265,6 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
         (help_size * n, f"codebook of 2^{cfg.helper_bits} points in dimension {n} exceeds")]
     work = trials * per_trial
     if exhaustive:
-        if bits >= EXHAUSTIVE_HARD_LIMIT.bit_length():
-            raise ValueError(f"message space of 2^{bits} is too large to scan")
         n_messages = 1 << bits
         work += n_messages * n * (n * n + (help_size * n + trials if grouped else trials * n))
         storage.append((n_messages * n * (n + help_size * grouped),
@@ -280,7 +272,8 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
                         f"{' with its per-help-index codebooks' if grouped else ''} exceeds"))
     k = min(trials, CHUNK_TRIALS)
     in_flight = min(threads + 1, -(-trials // CHUNK_TRIALS)) if threads > 1 else 1
-    storage.append((in_flight * CHUNK_BLOCKS * k * (n * n if route == "stack" else n),
+    chunk = k * (CHUNK_BLOCKS * (n * n if route == "stack" else n) + grouped * n * n)
+    storage.append((in_flight * chunk,
                     f"{in_flight} engine chunk(s) of {k} trials in dimension {n} exceed"))
     if diagnostics:
         # Each chunk in flight rotates reflector_slice(n) messages at a time

@@ -1,19 +1,17 @@
 """Exact row-wise maximum inner-product search, screened in float32.
 
-`ScreenedSearch(b).argmax(a)` returns, for every row of a, the index and the
-value of the largest entry of a @ b.T: the helper's closest base point and
-the exhaustive decoder's best candidate.  Indices are exactly those of the
-float64 scan (`_argmax_f64`), ties included; values are float64.
-
-Grouped rows.  b may instead be a stack of G codebooks (G, N, d), and
-`argmax(a, group)` searches row i of a in b[group[i]].  The rows are sorted
-by group; per tile of N, one float32 GEMM per group present writes that
-group's rows of one score buffer, and the reductions and the screen below
-run once per tile, as for one codebook.  One scale s = 1/max ||b_gj|| serves
-every group, so the bound holds unchanged; a row the screen cannot decide
-goes to the float64 scan of its own codebook.  The float32 copy keeps b's
-memory layout, so a caller can store the codebooks (d, G, N) and have each
-group's GEMM read rows N long.
+`ScreenedSearch(b).argmax(a, group)` returns, for every row a_i of a, the
+index and the value of the largest entry of a_i @ b[group[i]].T: the helper's
+closest base point and the exhaustive decoder's best candidate.  b is a stack
+of G codebooks (G, N, d); one codebook (N, d) is a stack of one, and a
+missing group is all zeros.  Indices are exactly those of the float64 scan of
+each row's own codebook (`_argmax_f64`), ties included; values are float64.
+The rows are sorted by group (unless there is one codebook); per tile of N,
+one float32 GEMM per group present writes that group's rows of one score
+buffer, and the reductions and the screen below run once per tile.  One
+scale s = 1/max ||b_gj|| serves every group, so the bound below holds
+unchanged.  The float32 copy keeps b's memory layout, so a caller can store
+the codebooks (d, G, N) and have each group's GEMM read rows N long.
 
 Screen.  Each query row a_i is scaled by c_i = 1/||a_i|| and b by the one
 positive scalar s = 1/max_j ||b_j||; neither changes any row's argmax.  The
@@ -45,7 +43,8 @@ Such a row keeps w, and its score a_i . b_w is recomputed in float64.  Any
 other row (a near tie, including exact ties, or a norm outside
 [2^-500, 2^500], such as a zero or non-finite row) goes to the float64 scan,
 which breaks ties to the smallest index on scores that do not depend on the
-other query rows; a zero row gives index 0, value 0.
+other query rows, against its own codebook; a zero row gives index 0,
+value 0.
 """
 
 from __future__ import annotations
@@ -83,30 +82,25 @@ def _tile_rows(k: int) -> int:
     return max(1, TILE_FLOATS // k)
 
 
-def _best_two(a: np.ndarray, b: np.ndarray, groups=None):
-    """Row-wise argmax, max and runner-up of a @ b.T over tiles of b's rows.
+def _best_two(a: np.ndarray, b: np.ndarray, groups):
+    """Row-wise argmax, max and runner-up of each row's scores, over tiles of b's rows.
 
-    With `groups`, b is a stack of codebooks (G, N, d) and groups lists
-    triples (g, lo, hi): rows lo:hi of a are scored against b[g], one GEMM
-    per group into one tile buffer.  Scores stay in the operands' common
-    dtype.  Ties break to the smallest index; a runner-up equal to the max
-    marks a tie.
+    b is a stack of codebooks (G, N, d) and groups lists triples (g, lo, hi):
+    rows lo:hi of a are scored against b[g], one GEMM per group into one tile
+    buffer.  Scores stay in the operands' common dtype.  Ties break to the
+    smallest index; a runner-up equal to the max marks a tie.
     """
-    k, n_rows = a.shape[0], b.shape[-2]
+    k, n_rows = a.shape[0], b.shape[1]
     rows = np.arange(k)
     index = np.zeros(k, dtype=np.int64)
     best = np.full(k, -np.inf, dtype=np.result_type(a, b))
     second = np.full_like(best, -np.inf)
     tile = _tile_rows(k)
-    if groups is not None:
-        buffer = np.empty(k * min(tile, n_rows), dtype=best.dtype)
+    buffer = np.empty(k * min(tile, n_rows), dtype=best.dtype)
     for lo in range(0, n_rows, tile):
-        if groups is None:
-            scores = a @ b[lo:lo + tile].T
-        else:
-            scores = buffer[:k * min(tile, n_rows - lo)].reshape(k, -1)
-            for g, r0, r1 in groups:
-                np.matmul(a[r0:r1], b[g, lo:lo + tile].T, out=scores[r0:r1])
+        scores = buffer[:k * min(tile, n_rows - lo)].reshape(k, -1)
+        for g, r0, r1 in groups:
+            np.matmul(a[r0:r1], b[g, lo:lo + tile].T, out=scores[r0:r1])
         i = scores.argmax(axis=1)
         v = scores[rows, i]
         scores[rows, i] = -np.inf
@@ -136,7 +130,7 @@ def _argmax_f64(a: np.ndarray, b: np.ndarray, top: float | None = None):
     computed if not given.
     """
     k, d = a.shape
-    best_index, best, second = _best_two(a, b)
+    best_index, best, second = _best_two(a, b[None], [(0, 0, k)])
     if top is None:
         top = float(_row_norms(b).max(initial=0.0))
     norms = _row_norms(a)
@@ -163,14 +157,14 @@ def _argmax_f64(a: np.ndarray, b: np.ndarray, top: float | None = None):
 
 
 class ScreenedSearch:
-    """Rows b to search by inner product, with their scaled float32 copy built once.
+    """Codebooks b to search by inner product, with their scaled float32 copy built once.
 
-    b is one codebook (N, d), or a stack of G codebooks (G, N, d) that
-    argmax searches per query row, row i against b[group[i]].
+    b is a stack of G codebooks (G, N, d), or one codebook (N, d), kept as
+    b[None]; argmax searches row i of its queries against b[group[i]].
     """
 
     def __init__(self, b: np.ndarray):
-        self.b = b
+        self.b = b = b if b.ndim == 3 else b[None]
         self.top = top = math.sqrt(np.einsum("...j,...j->...", b, b).max())
         self.b32 = None
         if _NORM_LO <= top <= _NORM_HI:
@@ -179,42 +173,38 @@ class ScreenedSearch:
         self.bound = score_bound(b.shape[-1])
 
     def argmax(self, a: np.ndarray, group=None):
-        """Row-wise (argmax, max) of a @ self.b.T: int64 indices, float64 values.
+        """Row-wise (argmax, max) of a_i @ self.b[group[i]].T: int64 indices, float64 values.
 
-        For a stack of codebooks, group[i] names the codebook of row i.
+        group[i] names the codebook of row i; None searches codebook 0.
         """
         k = a.shape[0]
+        if group is None:
+            group = np.zeros(k, dtype=np.int64)
         norms = _row_norms(a)
         ok = (norms >= _NORM_LO) & (norms <= _NORM_HI) & (self.b32 is not None)
         index = np.zeros(k, dtype=np.int64)
         value = np.zeros(k)
         if ok.any():
-            index[ok], gap = self._screen(a[ok] / norms[ok, None],
-                                          None if group is None else group[ok])
+            index[ok], gap = self._screen(a[ok] / norms[ok, None], group[ok])
             ok[ok] = gap > 2.0 * self.bound
-            won = self.b[index[ok]] if group is None else self.b[group[ok], index[ok]]
-            value[ok] = np.einsum("ij,ij->i", a[ok], won)
-        if group is None and not ok.all():
-            index[~ok], value[~ok] = _argmax_f64(a[~ok], self.b, self.top)
-        elif not ok.all():
-            for g in np.unique(group[~ok]):
-                rows = np.flatnonzero(~ok & (group == g))
-                index[rows], value[rows] = _argmax_f64(a[rows], self.b[g], self.top)
+            value[ok] = np.einsum("ij,ij->i", a[ok], self.b[group[ok], index[ok]])
+        for g in set(group[~ok].tolist()):
+            rows = np.flatnonzero(~ok & (group == g))
+            index[rows], value[rows] = _argmax_f64(a[rows], self.b[g], self.top)
         return index, value
 
     def _screen(self, unit: np.ndarray, group):
         """float32 argmax of each unit row against its codebook, and its lead over the runner-up.
 
-        Rows are sorted by group so that each group's rows are one block of the tile.
+        Rows are sorted by group so that each group's rows are one block of
+        the tile; with one codebook they already are.
         """
-        if group is None:
-            index, best, second = _best_two(unit.astype(np.float32), self.b32)
-            return index, best.astype(np.float64) - second
-        order = np.argsort(group, kind="stable")
-        present, starts = np.unique(group[order], return_index=True)
-        ends = np.append(starts[1:], len(order))
-        found, best, second = _best_two(unit[order].astype(np.float32), self.b32,
-                                        list(zip(present, starts, ends)))
-        index, gap = np.empty_like(found), np.empty(len(order))
+        order, groups = slice(None), [(0, 0, len(unit))]
+        if len(self.b) > 1:
+            order = np.argsort(group, kind="stable")
+            present, starts = np.unique(group[order], return_index=True)
+            groups = list(zip(present, starts, np.append(starts[1:], len(unit))))
+        found, best, second = _best_two(unit[order].astype(np.float32), self.b32, groups)
+        index, gap = np.empty_like(found), np.empty(len(unit))
         index[order], gap[order] = found, best.astype(np.float64) - second
         return index, gap

@@ -154,10 +154,11 @@ class TestEngineMatchesRunTrial:
 
 
 def test_oversized_rotation_stack_fails_fast():
-    # 2^24 rotations of 16 x 16 would take about 34 GB; refused before allocating,
-    # and a sweep turns the refusal into a skipped cell
-    cfg = replace(config_from_rates(16, 1.5, 0.25, CH, seed=1, trials=1),
-                  message_bits=24, decoder="exhaustive")
+    # 2^12 rotations of 257 x 257, 4096 * 257^2 floats, just over the cap;
+    # refused before allocating, and a sweep turns the refusal into a skipped cell
+    cfg = replace(config_from_rates(257, 0.05, 0.0, CH, seed=1, trials=1), message_bits=12)
+    assert plan(cfg).route == "stack"
+    assert 4096 * 257 ** 2 > scheme.MAX_CODEBOOK_FLOATS >= 4096 * 256 ** 2
     with pytest.raises(CodebookSizeError, match="rotation stack"):
         simulate(cfg)
     assert isinstance(_run_cell_safe((cfg, False)), CodebookSizeError)
@@ -182,6 +183,23 @@ def test_grouped_codebooks_count_toward_the_size_cap(monkeypatch):
     assert isinstance(_run_cell_safe((cfg, False)), CodebookSizeError)
     monkeypatch.setattr(HelperCodebook, "rotations", rotations)
     assert simulate(replace(cfg, trials=help_size * n - 1)).trials == help_size * n - 1
+
+
+def test_grouped_chunk_rotations_count_toward_the_size_cap():
+    # A grouped chunk copies its k rotations, (k, n, n): with two messages at
+    # n = 1500, no helper and 1500 trials the stack fits but the copy, 128 *
+    # 1500^2 floats, does not; the cell is refused and a sweep skips it.  The
+    # exhaustive-decode benchmark's cell (2^12 messages at n = 12, 2^3 helper
+    # points, grouped past 96 trials) still fits on two threads.
+    cfg = replace(config_from_rates(1500, 0.0, 0.0, CH, seed=1, trials=1500), message_bits=1)
+    run = plan(cfg)
+    assert run.route == "grouped" and CHUNK_TRIALS * 1500 ** 2 > scheme.MAX_CODEBOOK_FLOATS
+    with pytest.raises(CodebookSizeError,
+                       match=r"^1 engine chunk\(s\) of 128 trials in dimension 1500 exceed"):
+        run.admit()
+    assert isinstance(_run_cell_safe((cfg, False)), CodebookSizeError)
+    bench = config_from_rates(12, 1.0, 0.25, CH, seed=1, trials=10 ** 5)
+    assert plan(bench, threads=2).admit().route == "grouped"
 
 
 def test_trials_count_toward_the_size_cap(monkeypatch):

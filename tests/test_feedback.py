@@ -178,7 +178,7 @@ class TestIntegerTimeZeroMap:
         inner = SchemeConfig(blocklength=4, message_bits=mb, helper_bits=0, eps=0.0,
                              channel=ChannelParams.from_snr(snr), codebook_seed=seed,
                              noise_seed=seed + 1, message_seed=seed + 2,
-                             trials=len(offsets), decoder="analytic")
+                             trials=len(offsets))
         seen = {}
 
         def decide(cfg, cb, m_primes, *args, **kwargs):
@@ -189,6 +189,7 @@ class TestIntegerTimeZeroMap:
                            error=np.array([d != mp for d, mp in zip(decoded, m_primes)]))
 
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scheme, "EXHAUSTIVE_LIMIT", 1)  # the analytic route at every mb
             mp.setattr(scheme, "run_trials", decide)
             s = simulate_feedback(FeedbackConfig(inner=inner), keep_records=True)
         for rec, m_prime, d in zip(s.records, seen["m_primes"], seen["decoded"]):
@@ -231,7 +232,7 @@ class TestIntegerTimeZeroMap:
         decisions = [d % size for _, _, d in blocks]
         inner = SchemeConfig(blocklength=4, message_bits=mb, helper_bits=0, eps=0.0, channel=ch,
                              codebook_seed=seed, noise_seed=seed + 1, message_seed=seed + 2,
-                             trials=len(blocks), decoder="analytic")
+                             trials=len(blocks))
 
         def decide(cfg, cb, m_primes, *args, **kwargs):
             cols = run_trials(cfg, cb, m_primes, *args, **kwargs)
@@ -239,6 +240,7 @@ class TestIntegerTimeZeroMap:
                            error=np.array([d != mp for d, mp in zip(decisions, m_primes)]))
 
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scheme, "EXHAUSTIVE_LIMIT", 1)  # the analytic route at every mb
             mp.setattr(scheme, "run_trials", decide)
             mp.setattr(feedback, "time_zero_noise", lambda cfg: z0s)
             s = simulate_feedback(FeedbackConfig(inner=inner), keep_records=True)

@@ -48,10 +48,6 @@ class TestConfig:
             SchemeConfig(blocklength=8, message_bits=4, helper_bits=0, eps=0.1,
                          channel=CH, codebook_seed=1, noise_seed=2, message_seed=3)
 
-    def test_unknown_decoder(self):
-        with pytest.raises(ValueError):
-            replace(small_config(), decoder="magic")
-
     def test_zero_helper_theta0_is_pi(self):
         cfg = config_from_rates(8, 1.0, 0.0, CH, seed=1, eps=None, trials=10)
         assert cfg.eps == 0.0
@@ -230,24 +226,28 @@ class TestSimulate:
         assert s.covering_misses == sum(r.covering_miss for r in s.records)
         assert s.ci_low <= s.err_rate <= s.ci_high
 
-    def test_analytic_route_agrees_with_exhaustive(self):
+    def test_analytic_route_agrees_with_exhaustive(self, monkeypatch):
         # the two decode routes must produce statistically identical error rates
         cfg = small_config(n=12, rate=0.9, trials=3000)
-        se = simulate(replace(cfg, decoder="exhaustive"))
-        sa = simulate(replace(cfg, decoder="analytic"))
+        assert plan(cfg).route != "analytic"
+        se = simulate(cfg)
+        monkeypatch.setattr(scheme, "EXHAUSTIVE_LIMIT", 1)
+        assert plan(cfg).route == "analytic"
+        sa = simulate(cfg)
         assert se.ci_low <= sa.ci_high and sa.ci_low <= se.ci_high
 
-    def test_exhaustive_decoder_follows_the_analytic_law_at_2_14_messages(self):
+    def test_exhaustive_decoder_follows_the_analytic_law_at_2_14_messages(self, monkeypatch):
         # 2^14 messages at n = 16 with 16 helper points: the exact decoder,
         # on its per-help-index codebooks, against the analytic law, both as a
         # second route and over the exact run's own decode angles.
         ch = ChannelParams.from_snr(1.0)
         cfg = config_from_rates(16, 14 / 16, 0.25, ch, seed=41, trials=3000)
-        exhaustive = replace(cfg, decoder="exhaustive")
         assert (cfg.message_bits, cfg.helper_bits) == (14, 4)
-        assert plan(exhaustive).route == "grouped"
-        se = simulate(exhaustive, keep_records=True)
-        sa = simulate(replace(cfg, decoder="analytic"))
+        assert plan(cfg).route == "analytic"
+        sa = simulate(cfg)
+        monkeypatch.setattr(scheme, "EXHAUSTIVE_LIMIT", 1 << 14)
+        assert plan(cfg).route == "grouped"
+        se = simulate(cfg, keep_records=True)
         assert 0.05 <= se.err_rate <= 0.5
         assert se.ci_low <= sa.ci_high and sa.ci_low <= se.ci_high
         angles = np.array([r.decode_angle for r in se.records])
@@ -300,16 +300,16 @@ class TestSimulate:
         assert all(b > a for a, b in zip(means, means[1:]))
 
 
-def route_config(n=8, bits=12, helper_bits=3, trials=64, decoder="auto"):
+def route_config(n=8, bits=12, helper_bits=3, trials=64):
     eps = helper_bits / n / 2
     return SchemeConfig(blocklength=n, message_bits=bits, helper_bits=helper_bits, eps=eps,
                         channel=CH, codebook_seed=1, noise_seed=2, message_seed=3,
-                        trials=trials, decoder=decoder)
+                        trials=trials)
 
 
 class TestPlan:
-    # Each boundary of the route rule, either side: 2^12 messages under
-    # "auto", H = n, H n = trials, the two forced decoders and H = 1.
+    # Each boundary of the route rule, either side: 2^12 messages, H = n,
+    # H n = trials, EXHAUSTIVE_LIMIT moved either way and H = 1.
     @pytest.mark.parametrize("kwargs, route", [
         ({}, "grouped"),  # 2^12 messages, H = n = 8, H n = trials = 64
         ({"bits": 13}, "analytic"),
@@ -317,14 +317,16 @@ class TestPlan:
         ({"helper_bits": 4, "n": 16, "trials": 256}, "grouped"),
         ({"trials": 63}, "stack"),
         ({"trials": 65}, "grouped"),
-        ({"bits": 13, "decoder": "exhaustive"}, "grouped"),
-        ({"bits": 13, "decoder": "exhaustive", "trials": 63}, "stack"),
-        ({"bits": 1, "decoder": "analytic"}, "analytic"),
+        ({"bits": 13, "limit": 1 << 13}, "grouped"),
+        ({"bits": 13, "limit": 1 << 13, "trials": 63}, "stack"),
+        ({"bits": 1, "limit": 1}, "analytic"),
         ({"helper_bits": 0, "trials": 8}, "grouped"),  # H n = n
         ({"helper_bits": 0, "trials": 7}, "stack"),
         ({"helper_bits": 0, "bits": 13}, "analytic"),
     ])
-    def test_route_either_side_of_each_boundary(self, kwargs, route):
+    def test_route_either_side_of_each_boundary(self, monkeypatch, kwargs, route):
+        kwargs = dict(kwargs)
+        monkeypatch.setattr(scheme, "EXHAUSTIVE_LIMIT", kwargs.pop("limit", scheme.EXHAUSTIVE_LIMIT))
         assert plan(route_config(**kwargs)).route == route
 
     def test_threads_only_past_the_gate(self, monkeypatch):
@@ -339,12 +341,6 @@ class TestPlan:
             assert plan(route_config(n=n, helper_bits=0), threads=4).threads == 1
         monkeypatch.setenv(WORKERS_ENV, "3")
         assert plan(route_config(n=16, helper_bits=12)).threads == 3
-
-    def test_scan_past_the_hard_limit_is_a_value_error(self):
-        cfg = route_config(bits=25, decoder="exhaustive")
-        with pytest.raises(ValueError, match=r"^message space of 2\^25 is too large to scan$"):
-            plan(cfg)
-        assert plan(replace(cfg, decoder="auto")).route == "analytic"
 
 
 class TestAnalyticErrorProbability:

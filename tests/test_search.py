@@ -1,5 +1,6 @@
 """The float32-screened search against the plain float64 tile scan."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -169,6 +170,23 @@ def test_non_finite_and_empty_inputs():
     assert index.shape == value.shape == (0,)
     # A codebook the screen cannot scale falls back whole.
     assert_same_as_f64(np.ones((2, 2)), np.zeros((3, 2)))
+
+
+def test_search_holds_one_score_tile():
+    # 128 rows against 2^16 points fill four float32 tiles of TILE_FLOATS
+    # scores; one argmax holds one of them at a time, plus the query's copies,
+    # a few (k, d) blocks.  A fresh tile per GEMM held two at once.
+    rng = np.random.default_rng(5)
+    k, d = 128, 32
+    s = ScreenedSearch(rng.standard_normal((1 << 16, d)))
+    a = rng.standard_normal((k, d))
+    tracemalloc.start()
+    try:
+        s.argmax(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * search.TILE_FLOATS + 16 * k * d * 8
 
 
 @pytest.mark.parametrize("d", [1, 32, 144, 1600])
