@@ -23,7 +23,6 @@ from .codebook import (
     derive_seeds,
     haar_rotation,
     haar_rotations,
-    message_codebook,
 )
 from .converse import (
     CorrelationProfile,

@@ -16,8 +16,8 @@ from .capacity import ChannelParams, capacity_cognizant, capacity_oblivious_feed
 from .codebook import CodebookSizeError
 from .converse import check_budget, estimator_slack
 from .geometry import achievable_rate_threshold, cap_rate_exponent, cap_ratio_exact
-from .harness import (ConfigError, SweepSpec, check_eps, emit_csv, parse_config, run_cell,
-                      run_sweep)
+from .harness import (ConfigError, SweepSpec, check_eps, check_products, emit_csv,
+                      parse_config, run_cell, run_sweep)
 from .scheme import config_from_rates, simulate
 
 
@@ -144,7 +144,12 @@ def cli(argv=None) -> int:
             if args.eps is not None:
                 check_eps(args.eps, (args.rh,))
             ch = ChannelParams.from_snr(args.snr)
-            rate = args.rate_fraction * capacity_cognizant(ch, args.rh)
+            capacity = capacity_cognizant(ch, args.rh)
+            check_products(args.n, ("--snr", (args.snr,), 1.0, "n*P"),
+                           ("--rh", (args.rh,), 1.0, "n*R_h"),
+                           ("--rate-fraction", (args.rate_fraction,), capacity,
+                            "n*R = n * rate_fraction * capacity"))
+            rate = args.rate_fraction * capacity
             cfg = config_from_rates(args.n, rate, args.rh, ch, args.seed,
                                     eps=args.eps, trials=args.trials)
             summary = simulate(cfg, diagnostics=True)

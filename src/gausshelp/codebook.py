@@ -224,15 +224,6 @@ def build_base_codebook(n: int, ch: ChannelParams, rh: float, eps: float, seed: 
     )
 
 
-def message_codebook(cb: HelperCodebook, m: int, rotation: np.ndarray | None = None) -> np.ndarray:
-    """Codebook for message m: the base points under m's rotation, (help_size, n).
-
-    `rotation` overrides the derived rotation; used by tests to force identity.
-    """
-    rot = cb.rotation(m) if rotation is None else rotation
-    return cb.base_points @ rot.T
-
-
 @dataclass
 class DeficiencyEstimate:
     fraction: float
@@ -247,20 +238,20 @@ def covering_deficiency(
     theta0: float,
     probes: int,
     seed: int,
-    message: int | None = None,
     chunk: int = 4096,
 ) -> DeficiencyEstimate:
     """Fraction of uniform probe directions farther than theta0 from every codeword.
 
     Measures the codebook's covering quality empirically, with a Wilson 95%
-    interval attached.  With `message` given, the per-message codebook is
-    probed instead of the base one.  Probes are scored in tiles of at most
-    TILE_FLOATS cosines (search.ScreenedSearch), so memory stays flat in the
-    codebook size, and the miss test uses the exact float64 best cosine.
+    interval attached.  The probes are isotropic, so the deficiency of every
+    message's rotated codebook has the base one's law.  Probes are scored in
+    tiles of at most TILE_FLOATS cosines (search.ScreenedSearch), so memory
+    stays flat in the codebook size, and the miss test uses the exact float64
+    best cosine.
     """
     if probes < 1:
         raise ValueError(f"need at least one probe, got {probes}")
-    pts = cb.base_points if message is None else message_codebook(cb, message)
+    pts = cb.base_points
     scan = search.ScreenedSearch(pts / np.linalg.norm(pts, axis=1, keepdims=True))
     cos_thresh = math.cos(theta0)
     rng = np.random.default_rng(seed)

@@ -73,6 +73,18 @@ def check_eps(eps: float, helper_rates) -> None:
             raise ConfigError("eps must be 0 when helper_rate_bits is 0")
 
 
+def check_products(n: int, *checks) -> None:
+    """Refuse a value v of any (key, values, scale, product) where n * v * scale overflows.
+
+    The products are n*P, n*R_h and n*R at a config's longest blocklength n.
+    """
+    for key, values, scale, product in checks:
+        for v in values:
+            if n * v * scale == math.inf:
+                raise ConfigError(f"{key} = {v!r} is too large: {product} overflows "
+                                  f"at blocklength {n}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid of experiment cells over (snr, helper rate, blocklength, rate fraction)."""
@@ -154,6 +166,12 @@ def parse_config(text: str):
         raise ConfigError("helper_rate_bits values must be nonnegative")
     if any(v < 2 for v in blocklength):
         raise ConfigError("blocklength values must be at least 2")
+    # P = snr at unit noise variance; R = fraction * capacity, which grows with snr and R_h
+    n = max(blocklength)
+    top = capacity_cognizant(ChannelParams.from_snr(max(snr)), max(helper_rate))
+    check_products(n, ("snr", snr, 1.0, "n*P"), ("helper_rate_bits", helper_rate, 1.0, "n*R_h"),
+                   ("rate_fraction", rate_fraction or (), top,
+                    "n*R = n * rate_fraction * capacity"))
 
     trials = _parse_number("trials", seen["trials"][1], seen["trials"][0], int) \
         if "trials" in seen else 10000
@@ -191,6 +209,7 @@ def parse_config(text: str):
             rate = _parse_number("rate_bits", seen["rate_bits"][1], seen["rate_bits"][0], float)
             if rate <= 0:
                 raise ConfigError("rate_bits must be positive")
+            check_products(n, ("rate_bits", (rate,), 1.0, "n*R"))
         cfg = config_from_rates(blocklength[0], rate, rh, ch, seed, eps=eps, trials=trials)
         if scheme == "feedback":
             return FeedbackConfig(inner=cfg), diagnostics

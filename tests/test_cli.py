@@ -253,6 +253,57 @@ class TestRefusedCell:
         assert row.split(",")[7] == str(cognizant_replay(cfg).errors)
 
 
+PRODUCTS = {"snr": "n*P", "helper_rate_bits": "n*R_h", "rate_bits": "n*R",
+            "rate_fraction": "n*R = n * rate_fraction * capacity"}
+
+
+def _refuse_any_run(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a refused config ran")
+
+    for name in ("run_cell", "run_sweep", "simulate"):
+        monkeypatch.setattr(f"gausshelp.cli.{name}", fail)
+
+
+@pytest.mark.parametrize("command, key, values", [
+    ("simulate", "rate_fraction", "1e308"),
+    ("sweep", "rate_fraction", "0.5, 1e308"),
+    ("simulate", "rate_bits", "1e308"),
+    ("simulate", "helper_rate_bits", "1e308"),
+    ("sweep", "helper_rate_bits", "0.5, 1e308"),
+    ("simulate", "snr", "1e308"),
+    ("sweep", "snr", "3, 1e308"),
+])
+def test_overflowing_product_with_the_blocklength_refused(capsys, monkeypatch, tmp_path,
+                                                          command, key, values):
+    # n*R, n*R_h or n*P past the float range at n = 8: once an OverflowError
+    # traceback, or for snr a NaN codebook that ended the sweep with exit 1
+    lines = {"snr": "3", "helper_rate_bits": "0.5", "blocklength": "8",
+             "rate_fraction": "0.5", "trials": "5"}
+    if key == "rate_bits":
+        del lines["rate_fraction"]
+    lines[key] = values
+    path, out_path = tmp_path / "run.conf", tmp_path / "out.csv"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    _refuse_any_run(monkeypatch)
+    code, out, err = run_cli(capsys, command, "--config", str(path), "--out", str(out_path))
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err == (f"config error: {key} = 1e+308 is too large: {PRODUCTS[key]} overflows "
+                   "at blocklength 8\n")
+
+
+@pytest.mark.parametrize("flag, key", [("--rate-fraction", "rate_fraction"),
+                                       ("--rh", "helper_rate_bits"), ("--snr", "snr")])
+def test_diagnose_refuses_an_overflowing_product_with_the_blocklength(capsys, monkeypatch,
+                                                                       flag, key):
+    _refuse_any_run(monkeypatch)
+    flags = {"--snr": "3", "--rh": "0.5", "--n": "8", flag: "1e308"}
+    code, out, err = run_cli(capsys, "diagnose", *(x for kv in flags.items() for x in kv))
+    assert code == 2 and out == ""
+    assert err == (f"config error: {flag} = 1e+308 is too large: {PRODUCTS[key]} overflows "
+                   "at blocklength 8\n")
+
+
 class TestSweepCommand:
     def test_two_rows(self, capsys, tmp_path):
         path = tmp_path / "grid.conf"

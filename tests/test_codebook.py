@@ -19,7 +19,6 @@ from gausshelp.codebook import (
     derive_seeds,
     haar_rotation,
     haar_rotations,
-    message_codebook,
     sample_sphere,
 )
 
@@ -297,21 +296,18 @@ class TestBuildBaseCodebook:
 
 
 class TestMessageCodebook:
-    def test_identity_rotation_hook(self):
-        cb = build_base_codebook(8, CH, 0.5, 0.1, seed=3)
-        pts = message_codebook(cb, 0, rotation=np.eye(8))
-        assert np.allclose(pts, cb.base_points)
+    """Message m's codebook, the base points under m's rotation (rows R_m b_t)."""
 
     def test_pairwise_angles_preserved(self):
         cb = build_base_codebook(8, CH, 0.5, 0.1, seed=3)
         base_gram = cb.base_points @ cb.base_points.T
-        rot_pts = message_codebook(cb, 12345)
+        rot_pts = cb.base_points @ cb.rotations([12345])[0].T
         assert np.max(np.abs(rot_pts @ rot_pts.T - base_gram)) < 1e-8
 
     def test_fixed_help_index_across_messages_is_uniform(self):
         cb = build_base_codebook(16, CH, 0.25, 0.1, seed=9)
         n, scale = 16, math.sqrt(16 * CH.power)
-        entries = np.array([message_codebook(cb, m)[2] / scale for m in range(1000)])
+        entries = cb.rotations(range(1000)) @ cb.base_points[2] / scale
         se = math.sqrt(1.0 / (n * entries.size))
         assert abs(entries.mean()) < 3.0 * se
 
@@ -386,23 +382,21 @@ class TestCoveringDeficiency:
     def test_rotation_invariance_matched_probes(self):
         cb = build_base_codebook(6, CH, 0.5, 0.1, seed=8)
         t0 = 0.9
-        rot = cb.rotation(4)
+        rot = cb.rotations([4])[0]
         dirs = sample_sphere(6, 20_000, np.random.default_rng(10))
         unit_base = cb.base_points / np.linalg.norm(cb.base_points, axis=1, keepdims=True)
-        unit_msg = message_codebook(cb, 4) / math.sqrt(6 * CH.power)
+        unit_msg = cb.base_points @ rot.T / math.sqrt(6 * CH.power)
         miss_base = np.count_nonzero((dirs @ unit_base.T).max(axis=1) < math.cos(t0))
         miss_msg = np.count_nonzero(((dirs @ rot.T) @ unit_msg.T).max(axis=1) < math.cos(t0))
         assert miss_base == miss_msg
 
-    @pytest.mark.parametrize("message", [None, 3])
-    def test_tiled_scoring_equals_the_untiled_reference(self, monkeypatch, message):
+    def test_tiled_scoring_equals_the_untiled_reference(self, monkeypatch):
         cb = build_base_codebook(8, CH, 0.75, 0.1, seed=12)  # 64 points
         t0 = theta0_of(0.75, 0.1)
         # 7 codebook rows per tile for a block of 1000 probes: the tiles split the codebook.
         monkeypatch.setattr(search, "TILE_FLOATS", 7 * 1000)
-        est = covering_deficiency(cb, t0, probes=2500, seed=13, message=message, chunk=1000)
-        pts = cb.base_points if message is None else message_codebook(cb, message)
-        unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        est = covering_deficiency(cb, t0, probes=2500, seed=13, chunk=1000)
+        unit = cb.base_points / np.linalg.norm(cb.base_points, axis=1, keepdims=True)
         rng = np.random.default_rng(13)
         misses = sum(int(np.count_nonzero((sample_sphere(8, block, rng) @ unit.T).max(axis=1)
                                           < math.cos(t0)))

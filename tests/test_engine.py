@@ -372,13 +372,14 @@ def test_diagnostics_memory_does_not_grow_with_trials():
     assert extra_peak(many) - extra_peak(few) < 8 * (many - few) * n / 2
 
 
-def test_golden_sweep_csv(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_golden_sweep_csv(tmp_path, workers):
     """`gausshelp sweep --repro` on a cognizant and a feedback grid, byte for byte."""
     out = io.BytesIO()
     for grid in ("golden_cognizant.conf", "golden_feedback.conf"):
         path = tmp_path / f"{grid}.csv"
         assert cli(["sweep", "--config", str(DATA / grid), "--out", str(path),
-                    "--repro", "--workers", "1"]) == 0
+                    "--repro", "--workers", str(workers)]) == 0
         out.write(path.read_bytes())
     assert out.getvalue() == (DATA / "golden_sweep.csv").read_bytes()
 
