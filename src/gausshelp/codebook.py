@@ -6,11 +6,12 @@ seed derived from the codebook's base seed, so the whole pipeline is a pure
 function of its seeds.  Only the exhaustive decoder holds per-message data in
 bulk: it stacks every message's rotation (scheme.candidate_rotations), and
 its grouped route builds every per-help-index codebook {R_m' b_t : m'}.  A
-rotation's Gaussian entries are SplitMix64 words of that seed mapped
-through the normal quantile (_normal_draw), with no generator per message.
-Where only products R_m v are wanted (the diagnostics' inputs and noises),
-the rotation is applied as the Householder reflectors of its QR
-(HelperCodebook.rotate), a bounded slice of messages at a time, never formed.
+rotation is Stewart's product of Householder reflectors of n(n+1)/2
+Gaussian normals, SplitMix64 words of that seed mapped through the normal
+quantile (_normal_draw), with no generator per message and no QR.  Where
+only products R_m v are wanted (the diagnostics' inputs and noises), the
+reflectors are applied to the vectors (HelperCodebook.rotate), a bounded
+slice of messages at a time, and R_m is never formed.
 """
 
 from __future__ import annotations
@@ -72,18 +73,16 @@ def derive_seeds(base, indices) -> np.ndarray:
     return x
 
 
-def _normal_draw(n: int, seeds) -> np.ndarray:
-    """The contract's standard-normal n x n matrix per seed, as a (len(seeds), n, n) stack.
+def _normal_draw(count: int, seeds) -> np.ndarray:
+    """The contract's first `count` standard normals per seed, as a (len(seeds), count) array.
 
-    Entry k of seed s's matrix (row-major) is
-    ndtri(((derive_seed(s, k) >> 12) + 1/2) * 2^-52): the top 52 bits of a
-    SplitMix64 word, centred in their cell so the uniform lies strictly in
-    (0, 1).  The uniform is formed in the words' own buffer.
+    Normal k of seed s is ndtri(((derive_seed(s, k) >> 12) + 1/2) * 2^-52):
+    the top 52 bits of a SplitMix64 word, centred in their cell so the
+    uniform lies strictly in (0, 1).  The uniform is formed in the words' own
+    buffer.
     """
-    if n < 2:
-        raise ValueError(f"rotation dimension must be at least 2, got {n}")
     # 52 bits, not 53: ((x >> 11) + 1/2) * 2^-53 rounds the top word to 1.0, where ndtri is inf.
-    g = derive_seeds(np.asarray(seeds, dtype=np.uint64), range(n * n))
+    g = derive_seeds(np.asarray(seeds, dtype=np.uint64), range(count))
     g >>= np.uint64(12)
     # Exponent bits of 1.0 make the double 1 + j 2^-52; minus 1 - 2^-53 it is
     # (j + 1/2) 2^-52, exactly (Sterbenz).
@@ -91,31 +90,62 @@ def _normal_draw(n: int, seeds) -> np.ndarray:
     g = g.view(np.float64)
     g -= 1.0 - 2.0**-53
     special.ndtri(g, out=g)
-    return g.reshape(-1, n, n)
+    return g
+
+
+def _reflectors(n: int, seeds):
+    """Stewart's reflectors of each seed's draw, with the seeds on the last axis.
+
+    The seed's n(n+1)/2 normals (_normal_draw) are cut into x_k, normals
+    k(k-1)/2 to k(k+1)/2 - 1, for k = 1..n.  Returns (u, beta, sign):
+    u[k(k-1)/2:k(k+1)/2, j] = x_k + s_k |x_k| e_1 with s_k = sign(x_k[0]),
+    0 counted positive, and beta[k-1, j] = 1 / (|x_k| (|x_k| + |x_k[0]|)),
+    so H_k = I - beta_k u_k u_k^T is the reflector taking x_k to
+    -s_k |x_k| e_1, and sign[k-1, j] = s_k.
+    """
+    if n < 2:
+        raise ValueError(f"rotation dimension must be at least 2, got {n}")
+    u = _normal_draw(n * (n + 1) // 2, seeds).T.copy()
+    starts = np.arange(n) * np.arange(1, n + 1) // 2
+    x0 = u[starts]
+    norm = np.sqrt(np.add.reduceat(u * u, starts, axis=0))
+    sign = np.where(x0 < 0, -1.0, 1.0)
+    beta = 1.0 / (norm * (norm + np.abs(x0)))
+    u[starts] += sign * norm
+    return u, beta, sign
 
 
 def haar_rotations(n: int, seeds) -> np.ndarray:
     """Haar-uniform n x n orthogonal matrices, one per seed, as a (len(seeds), n, n) stack.
 
-    QR of the seed's IID standard-normal matrix (_normal_draw), with the
-    diagonal of R normalized positive so the factorization is unique and the
-    Q factor Haar-distributed.  All entries and the QR are formed in one pass
-    over the stack; each matrix is bitwise the one a single-seed call gives.
+    Stewart's construction (SIAM J. Numer. Anal. 17, 1980) from the seed's
+    reflectors (_reflectors): Q_1 = s_1, Q_k = H_k diag(-s_k, Q_{k-1}), and
+    the rotation is Q_n, whose first column is x_n / |x_n|.  The recursion
+    grows contiguous (k, k, seeds) arrays, so each step is a few long vector
+    operations over all seeds, and the stack is returned as a transposed view
+    of the last; each matrix is bitwise the one a single-seed call gives.
     """
-    q, r = np.linalg.qr(_normal_draw(n, seeds))
-    # sign(diag R) per matrix, with 0 counted as positive.
-    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    d[d == 0] = 1.0
-    return q * d[:, None, :]
+    u, beta, sign = _reflectors(n, seeds)
+    q = sign[:1, None].copy()
+    for k in range(2, n + 1):
+        uk = u[k * (k - 1) // 2:k * (k + 1) // 2, None]
+        p = np.zeros((k, k, u.shape[1]))
+        p[0, 0] = -sign[k - 1]
+        p[1:, 1:] = q
+        # H_k P = P - beta_k u_k (u_k^T P)
+        p -= uk * ((uk * p).sum(axis=0) * beta[k - 1])
+        q = p
+    return q.transpose(2, 0, 1)
 
 
 def reflector_slice(n: int) -> int:
-    """Messages whose n x n draws HelperCodebook.rotate factors at a time.
+    """Messages whose reflectors are built at a time (HelperCodebook.rotate, the stack).
 
-    A quarter of TILE_FLOATS of draws: a slice peaks at about twice its draw
-    (the draw and its QR copy), so two engine threads' slices stay within
-    one tile, and how their peaks overlap, which the scheduler decides,
-    moves a run's peak memory by little.
+    A quarter of TILE_FLOATS of n^2 floats per message: rotate's slice peaks
+    at about twice its draw of n(n+1)/2 words per message (the words and
+    their xor-shift buffer, or the draw and its transposed copy), so two
+    engine threads' slices stay within half a tile, and how their peaks
+    overlap, which the scheduler decides, moves a run's peak by little.
     """
     return max(1, search.TILE_FLOATS // (4 * n * n))
 
@@ -123,22 +153,20 @@ def reflector_slice(n: int) -> int:
 def _reflect(n: int, seeds: np.ndarray, w: np.ndarray) -> None:
     """w[j] <- R_s w[j] in place for seed s = seeds[j], w of shape (len(seeds), p, n).
 
-    R_s = Q D is haar_rotations' matrix: Q = H_0 ... H_{n-1}, the reflectors
-    H_i = I - tau_i v_i v_i^T that LAPACK geqrf leaves for s's draw (numpy's
-    complete QR forms Q from the same ones), and D = sign(diag R), 0 counted
-    positive.  So D is applied first, then H_{n-1} ... H_0, each a rank-one
-    step over all seeds at once; products agree with haar_rotations' up to
-    round-off.
+    R_s is haar_rotations' matrix, applied by the same steps to vectors:
+    Q_1 = s_1 on the last coordinate, then for k = 2..n the sign -s_k on
+    coordinate n - k and H_k on the last k, each a rank-one step over all
+    seeds at once on a (n, p, seeds) copy of w; products agree with
+    haar_rotations' up to round-off.
     """
-    # numpy returns geqrf's output transposed: row i holds v_i past the diagonal, R_ii on it.
-    h, tau = np.linalg.qr(_normal_draw(n, seeds), mode="raw")
-    diag = np.arange(n)
-    w *= np.where(h[:, diag, diag] < 0, -1.0, 1.0)[:, None, :]
-    h[:, diag, diag] = 1.0
-    for i in reversed(range(n)):
-        v, wi = h[:, i, i:], w[..., i:]
-        dots = np.einsum("kj,kpj->kp", v, wi) * tau[:, i, None]
-        wi -= dots[..., None] * v[:, None, :]
+    u, beta, sign = _reflectors(n, seeds)
+    v = w.transpose(2, 1, 0).copy()
+    v[n - 1] *= sign[0]
+    for k in range(2, n + 1):
+        uk, vk = u[k * (k - 1) // 2:k * (k + 1) // 2, None], v[n - k:]
+        vk[0] *= -sign[k - 1]
+        vk -= uk * ((uk * vk).sum(axis=0) * beta[k - 1])
+    w[...] = v.transpose(2, 1, 0)
 
 
 def haar_rotation(n: int, seed: int) -> np.ndarray:

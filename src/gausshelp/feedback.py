@@ -9,7 +9,7 @@ event the inner one, so a feedback run is one cognizant run on the quantized
 noises, relabelled.  The real-unit maps below are the reference;
 `simulate_feedback` quantizes through the exact `inner_message`.
 
-Random streams (contract 4, scheme.STREAM_CONTRACT): the scheme module's, and
+Random streams (scheme.STREAM_CONTRACT): the scheme module's, and
 
 * the time-zero noises of all blocks, in block order: one draw of trials
   normals scaled by sigma from default_rng(derive_seed(noise_seed, 2^32)).

@@ -24,7 +24,7 @@ formed.  The helper and exhaustive searches go through search.ScreenedSearch
 (`plan` picks the decode route and sizes the run); chunks run on up to
 `threads` threads, and no result depends on how many.
 
-Stream contract STREAM_CONTRACT = 4, each stream drawn in the order given:
+Stream contract STREAM_CONTRACT = 5, each stream drawn in the order given:
 
 * engine chunk c (the k <= CHUNK_TRIALS trials from c * CHUNK_TRIALS on)
   draws from default_rng(derive_seed(noise_seed, c)): a (k, n) standard
@@ -33,9 +33,13 @@ Stream contract STREAM_CONTRACT = 4, each stream drawn in the order given:
   then, when M - 1 exceeds 2^53 (the values a uniform double resolves), the
   wrong messages of the erring trials in row order, by rejection on
   rng.bytes.  So CHUNK_TRIALS is part of the contract;
-* message m's rotation is the sign-fixed QR factor of the n x n matrix whose
-  row-major entry k is ndtri(((derive_seed(s, k) >> 12) + 1/2) * 2^-52),
-  s = derive_seed(rotation_seed_base, m) (codebook.haar_rotations);
+* message m's rotation R_m is Stewart's product of reflectors
+  (codebook.haar_rotations).  With s = derive_seed(rotation_seed_base, m),
+  normal j is ndtri(((derive_seed(s, j) >> 12) + 1/2) * 2^-52), and x_k is
+  normals k(k-1)/2 to k(k+1)/2 - 1 (k = 1..n, n(n+1)/2 in all).  With
+  s_k = sign(x_k[0]), 0 counted positive, u_k = x_k + s_k |x_k| e_1 and
+  H_k = I - u_k u_k^T / (|x_k| (|x_k| + |x_k[0]|)): Q_1 = s_1,
+  Q_k = H_k diag(-s_k, Q_{k-1}), and R_m = Q_n;
 * the messages are one draw of ceil(message_bits/32) uint32 words per trial
   from default_rng(message_seed), equal to one rng.bytes call per trial.
 
@@ -53,6 +57,7 @@ import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -80,20 +85,21 @@ CHUNK_TRIALS = 128
 CHUNK_BLOCKS = 4
 
 # Version of the random streams documented in the module docstring.
-STREAM_CONTRACT = 4
+STREAM_CONTRACT = 5
 
 # Bound on the CPUs gausshelp uses: sweep worker processes or engine threads.
 WORKERS_ENV = "GAUSSHELP_WORKERS"
 
 # Least work per trial a chunk does, 2^helper_bits * n plus n^3 with
 # diagnostics (plan), for which run_trials runs its chunks on threads.  The
-# search's GEMM, the rotation draw and its QR release the GIL; per-trial
-# decisions, reflector steps and hand-offs hold it.  On a 2-vCPU host
-# (medians of 7 interleaved runs, us per trial, one thread -> two), cells of
-# 2^14.3 to 2^15.3 without diagnostics lost or broke even (n = 16 with 2^11
-# helper points 8.8 -> 10.7, n = 20 with 2^10 6.7 -> 10.3) and cells of 2^16
-# and more gained (n = 16 with 2^12 18.8 -> 16.1; criterion-5 n = 24
-# 28.1 -> 17.9, with diagnostics 58.1 -> 43.7).
+# search's GEMM and the rotation draw's whole-slice passes release the GIL;
+# per-trial decisions, reflector steps and hand-offs hold it.  On a 2-vCPU
+# host (medians of 7 interleaved runs, us per trial, one thread -> two),
+# cells of 2^14.3 to 2^15.3 without diagnostics lost or broke even (n = 16
+# with 2^11 helper points 10.6 -> 10.8, n = 20 with 2^10 8.3 -> 10.5) and
+# cells of 2^16 and more gained (n = 16 with 2^12 13.3 -> 12.9; criterion-5
+# n = 24 17.4 -> 16.3, with diagnostics 42.9 -> 38.0, though 2 of 5 sets of
+# runs read a loss there).
 THREAD_MIN_WORK = 1 << 16
 
 
@@ -234,6 +240,11 @@ class RunPlan:
         return self
 
 
+def _count(value: int) -> str:
+    """An integer for a message: in decimal below 10^12, else to 3 significant digits."""
+    return str(value) if value < 10**12 else f"{Decimal(value):.3g}"
+
+
 def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     """The decode route, stores, work estimate and engine threads of a run of cfg.
 
@@ -261,8 +272,9 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     # Per trial: drawn words, message and decision, ceil(bits/64) words each, plus 11 for
     # list slots, int headers and result columns (113 bytes measured at 12 bits).
     storage = [
-        (trials * (3 * -(-bits // 64) + 11), f"{trials} trials of {bits}-bit messages exceed"),
-        (help_size * n, f"codebook of 2^{cfg.helper_bits} points in dimension {n} exceeds")]
+        (trials * (3 * -(-bits // 64) + 11),
+         f"{_count(trials)} trials of {_count(bits)}-bit messages exceed"),
+        (help_size * n, f"codebook of 2^{_count(cfg.helper_bits)} points in dimension {n} exceeds")]
     work = trials * per_trial
     if exhaustive:
         n_messages = 1 << bits
@@ -277,12 +289,14 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
                     f"{in_flight} engine chunk(s) of {k} trials in dimension {n} exceed"))
     if diagnostics:
         # Each chunk in flight rotates reflector_slice(n) messages at a time
-        # (a scan indexes all k of its stack's) into its x and z, 2 k n: at
-        # the peak the draw and its QR copy, or the draw's words, their
-        # xor-shift buffer and the n^2 indices, 2 rows + 1 n^2 floats (within
-        # 4% of HelperCodebook.rotate's traced peak at n = 16 to 725).
+        # (a scan indexes all k of its stack's) into its x and z, 2 k n.  A
+        # slice's draw is rows n(n+1)/2 words; at the peak 2 rows + 1 of
+        # those (the words and their xor-shift buffer, or the draw and its
+        # transposed copy, and the word indices), plus 2 rows n for the
+        # slice's vectors (within 2% of HelperCodebook.rotate's traced peak
+        # at n = 16 to 725).
         rows = k if exhaustive else min(k, reflector_slice(n))
-        storage.append((in_flight * ((2 * rows + 1) * n + 2 * k) * n,
+        storage.append((in_flight * ((2 * rows + 1) * n * (n + 1) // 2 + 2 * (rows + k) * n),
                         f"diagnostics rotations of {k} trials in dimension {n} exceed"))
     return RunPlan(route, tuple(storage), work, threads)
 
@@ -313,7 +327,7 @@ def run_trial(cfg: SchemeConfig, cb: HelperCodebook, m: int, w, uniforms=None, r
     `w` is the noise in the message's frame, scaled by sigma; it is rotated
     into the channel's, z = R_m w.  On the analytic route `uniforms` holds the
     error draw and the wrong-message draw, and `rng` is the generator a wrong
-    message among more than 2^53 others is drawn from (stream contract 4: the
+    message among more than 2^53 others is drawn from (the stream contract: the
     chunk's).  `rotations` optionally carries the precomputed candidate
     rotations for the exhaustive decoder.
     """
@@ -384,13 +398,18 @@ def draw_messages(cfg: SchemeConfig) -> list[int]:
 
 
 def candidate_rotations(cfg: SchemeConfig, cb: HelperCodebook):
-    """Stacked per-message rotations on an exhaustive route (sized by plan(cfg).admit())."""
+    """Stacked per-message rotations on an exhaustive route (sized by plan(cfg).admit()).
+
+    Built a reflector slice at a time on the calling thread: its many small
+    numpy steps hold the GIL, so a pool would not pay.
+    """
     if plan(cfg).route == "analytic":
         return None
     n_messages, n = 1 << cfg.message_bits, cfg.blocklength
     stack = np.empty((n_messages, n, n))
-    for lo in range(0, n_messages, CHUNK_TRIALS):
-        hi = min(lo + CHUNK_TRIALS, n_messages)
+    step = reflector_slice(n)
+    for lo in range(0, n_messages, step):
+        hi = min(lo + step, n_messages)
         stack[lo:hi] = cb.rotations(range(lo, hi))
     return stack
 

@@ -240,6 +240,18 @@ class TestRefusedCell:
         assert err.startswith("error: CodebookSizeError: codebook of 2^48 points")
         assert out == ""
 
+    def test_a_huge_message_width_is_written_compactly(self, capsys, tmp_path, command):
+        # rate_fraction = 1e300 at n = 8 gives messages of about 1.5e301 bits,
+        # a finite product, so the per-trial store refuses the cell; its
+        # message names the trial count and writes the width in 3 digits.
+        path = tmp_path / "run.conf"
+        path.write_text("snr = 3\nhelper_rate_bits = 0.5\nblocklength = 8\n"
+                        "rate_fraction = 1e300\ntrials = 5\n")
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 1 and out == ""
+        assert err == ("error: CodebookSizeError: 5 trials of 1.48e+301-bit messages exceed "
+                       "the size cap\n")
+
     def test_feedback_wider_than_1023_bits(self, capsys, tmp_path, command):
         # 1024 message bits: once refused because 2^mb is no double, the cell
         # now runs, and its errors are the cognizant replay's

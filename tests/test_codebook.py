@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
-from scipy.stats import kstest
+from scipy.stats import beta, kstest
 
 from gausshelp import codebook, search
 from gausshelp.capacity import ChannelParams
@@ -73,13 +73,36 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 
 def contract_draw(n, seed, inv_cdf=special.ndtri):
-    """Seed's n x n Gaussian draw, entry by entry from stream contract 4.
+    """Seed's n(n+1)/2 Gaussian normals, one by one from stream contract 5.
 
-    Row-major entry k is inv_cdf(((derive_seed(seed, k) >> 12) + 1/2) * 2^-52),
+    Normal k is inv_cdf(((derive_seed(seed, k) >> 12) + 1/2) * 2^-52),
     formed with the scalar derive_seed, not with the code under test.
     """
     return np.array([float(inv_cdf(((derive_seed(seed, k) >> 12) + 0.5) * 2.0**-52))
-                     for k in range(n * n)]).reshape(n, n)
+                     for k in range(n * (n + 1) // 2)])
+
+
+def stewart_rotation(n, seed):
+    """Seed's rotation under stream contract 5, a product of explicit n x n matrices.
+
+    With x_k = normals k(k-1)/2 .. k(k+1)/2 - 1 of contract_draw, s_k the
+    sign of x_k[0] (0 counted positive) and H_k = I - u u^T / (|x_k|
+    (|x_k| + |x_k[0]|)), u = x_k + s_k |x_k| e_1, factor k is
+    diag(I_(n-k), H_k diag(-s_k, I_(k-1))), and R = F_n F_(n-1) ... F_1
+    (F_1 = diag(I_(n-1), s_1), since H_1 = -1).
+    """
+    g = contract_draw(n, seed)
+    rot = np.eye(n)
+    for k in range(n, 0, -1):
+        x = g[k * (k - 1) // 2:k * (k + 1) // 2]
+        s = -1.0 if x[0] < 0 else 1.0
+        norm = np.linalg.norm(x)
+        u = x + s * norm * np.eye(k)[0]
+        f = np.eye(n)
+        f[n - k:, n - k:] = ((np.eye(k) - np.outer(u, u) / (norm * (norm + abs(x[0]))))
+                             @ np.diag([-s] + [1.0] * (k - 1)))
+        rot = rot @ f
+    return rot
 
 
 def _unshift(y, s):
@@ -102,15 +125,16 @@ def seed_whose_first_word_is(word):
 
 @pytest.fixture
 def drawn(monkeypatch):
-    """The Gaussian stacks haar_rotations hands to np.linalg.qr, in call order."""
-    stacks, qr = [], np.linalg.qr
+    """The normals codebook._normal_draw hands the rotation code, in call order."""
+    draws, draw = [], codebook._normal_draw
 
-    def capture(a, *args, **kwargs):
-        stacks.append(a.copy())
-        return qr(a, *args, **kwargs)
+    def capture(*args):
+        g = draw(*args)
+        draws.append(g.copy())
+        return g
 
-    monkeypatch.setattr(np.linalg, "qr", capture)
-    return stacks
+    monkeypatch.setattr(codebook, "_normal_draw", capture)
+    return draws
 
 
 class TestRotationDraw:
@@ -120,27 +144,32 @@ class TestRotationDraw:
     def test_matches_an_independent_oracle(self, n, drawn):
         haar_rotations(n, list(self.SEEDS))
         inv_cdf = statistics.NormalDist().inv_cdf
-        for g, seed in zip(drawn[0], self.SEEDS):
+        (g,) = drawn
+        assert g.shape == (len(self.SEEDS), n * (n + 1) // 2)
+        for row, seed in zip(g, self.SEEDS):
             want = contract_draw(n, seed, inv_cdf)
-            assert np.allclose(g, want, rtol=1e-12, atol=0), seed
+            assert np.allclose(row, want, rtol=1e-12, atol=0), seed
 
     @pytest.mark.parametrize("word, sign", [(0, -1.0), (2**64 - 1, 1.0)])
     def test_extreme_words_map_to_finite_normals(self, word, sign, drawn):
         seed = seed_whose_first_word_is(word)
         assert derive_seed(seed, 0) == word
         rot = haar_rotation(4, seed)
-        first = drawn[0][0, 0, 0]
+        first = drawn[0][0, 0]
         assert np.isfinite(first) and abs(first - sign * 8.20953615) < 1e-8
         assert np.max(np.abs(rot.T @ rot - np.eye(4))) < 1e-12
+        # normal 0 is x_1, so it sets s_1 and no other entry
+        assert np.max(np.abs(rot - stewart_rotation(4, seed))) < 1e-13
 
     def test_entries_are_standard_normal(self, drawn):
         haar_rotations(10, derive_seeds(17, range(1000)))
         assert kstest(drawn[0].ravel(), "norm").pvalue > 0.01
 
     def test_entries_are_uncorrelated(self, drawn):
-        # neighbours within a block, and the same entry of consecutive messages
+        # neighbours within a draw, and the same normal of consecutive messages
         haar_rotations(16, derive_seeds(29, range(800)))
-        g = drawn[0].reshape(800, 256)
+        g = drawn[0]
+        assert g.shape == (800, 136)
         for a, b in ((g[:, :-1], g[:, 1:]), (g[:-1], g[1:])):
             r = np.corrcoef(a.ravel(), b.ravel())[0, 1]
             assert abs(r) < 4.0 / math.sqrt(a.size), r
@@ -167,9 +196,12 @@ class TestHaarRotation:
         stack = haar_rotations(n, seeds)
         assert stack.shape == (40, n, n)
         for seed, rot in zip(seeds, stack):
-            # the unbatched 2-D QR of the contract's draw, sign-fixed
-            q, r = np.linalg.qr(contract_draw(n, seed))
-            assert np.array_equal(rot, q * np.where(np.diag(r) < 0, -1.0, 1.0))
+            assert np.array_equal(rot, haar_rotation(n, seed))
+            # the product of the contract's explicit reflector matrices
+            assert np.max(np.abs(rot - stewart_rotation(n, seed))) < 1e-13
+            # whose first column is x_n / |x_n|
+            x_n = contract_draw(n, seed)[-n:]
+            assert np.max(np.abs(rot[:, 0] - x_n / np.linalg.norm(x_n))) < 1e-15
 
     def test_codebook_rotations_are_its_per_message_rotations(self):
         cb = build_base_codebook(6, CH, 0.5, 0.1, seed=3)
@@ -190,24 +222,58 @@ class TestHaarRotation:
         assert abs(np.mean(coords**2) - 1.0 / n) < 3.0 * se_sq
 
 
-def _reflector_apply(n, seeds, x, transpose):
-    """R_j x_j (or R_j^T x_j) for each row j, with R = Q D kept as Householder reflectors.
+class TestHaarLaw:
+    """The rotations' law against Haar measure on O(n).
 
-    An independent construction of haar_rotations: the contract's draw, LAPACK
-    geqrf's reflectors H_i = I - tau_i v_i v_i^T (Q = H_0 ... H_{n-1}) and
-    D = sign(diag R), applied in n rank-one steps without forming Q.
+    For Haar Q, tr Q has mean 0 and variance 1, and tr Q^2 mean 1 and
+    variance 2 (Diaconis & Shahshahani, J. Appl. Probab. 31A, 1994: exact
+    once n exceeds the moment's degree, and at n = 2 by direct computation
+    over O(2)); each column is uniform on the sphere, and det Q = +-1 with
+    probability 1/2 each.  Every bound is 4.5 standard errors of its
+    estimate.
     """
-    g = np.array([contract_draw(n, int(seed)) for seed in seeds])
-    h, tau = np.linalg.qr(g, mode="raw")
-    v = np.ascontiguousarray(h)  # numpy returns geqrf's output transposed: v_i in row i
-    diag = np.arange(n)
-    sign = np.where(v[:, diag, diag] < 0, -1.0, 1.0)
-    v[:, diag, diag] = 1.0
-    w = x.copy() if transpose else x * sign
-    for i in range(n) if transpose else reversed(range(n)):
-        vi, wi = v[:, i, i:], w[:, i:]
-        wi -= (np.einsum("kj,kj->k", vi, wi) * tau[:, i])[:, None] * vi
-    return w * sign if transpose else w
+
+    TRIALS = 20_000
+
+    @staticmethod
+    def stats(n, trials):
+        tr, tr_sq, first, det = [], [], [], []
+        for lo in range(0, trials, 500):
+            q = haar_rotations(n, derive_seeds(41, range(lo, min(lo + 500, trials))))
+            tr.append(np.trace(q, axis1=1, axis2=2))
+            tr_sq.append(np.einsum("kij,kji->k", q, q))
+            first.append(q[:, :, 0].copy())
+            det.append(np.linalg.det(q))
+        return tuple(np.concatenate(a) for a in (tr, tr_sq, first, det))
+
+    @pytest.mark.parametrize("n", [2, 12, 32])
+    def test_trace_moments_determinant_and_first_column(self, n):
+        t = self.TRIALS
+        tr, tr_sq, first, det = self.stats(n, t)
+        # the variances of (tr Q)^2 and (tr Q^2 - 1)^2 are 2 and 8 in the
+        # normal limit (2 and 6 at n = 2)
+        assert abs(tr.mean()) < 4.5 * math.sqrt(1.0 / t)
+        assert abs(np.mean(tr**2) - 1.0) < 4.5 * math.sqrt(2.0 / t)
+        assert abs(tr_sq.mean() - 1.0) < 4.5 * math.sqrt(2.0 / t)
+        assert abs(np.mean((tr_sq - 1.0) ** 2) - 2.0) < 4.5 * math.sqrt(8.0 / t)
+        assert np.max(np.abs(np.abs(det) - 1.0)) < 1e-12
+        assert abs(np.count_nonzero(det > 0) - t / 2) < 4.5 * math.sqrt(t / 4)
+        # the first column, projected on e_1 and on a fixed random direction:
+        # u_1^2 ~ Beta(1/2, (n-1)/2) for u uniform on the sphere, with either sign
+        a = np.random.default_rng(n).standard_normal(n)
+        for proj in (first[:, 0], first @ (a / np.linalg.norm(a))):
+            assert kstest(proj**2, beta(0.5, (n - 1) / 2).cdf).pvalue > 1e-3
+            assert abs(np.count_nonzero(proj > 0) - t / 2) < 4.5 * math.sqrt(t / 4)
+
+
+def _reflector_apply(n, seeds, x, transpose):
+    """R_j x_j (or R_j^T x_j) for each row j, with R_j = stewart_rotation(n, seeds[j]).
+
+    An independent construction of haar_rotations and of the reflector steps:
+    the explicit product of the contract's n x n reflector matrices.
+    """
+    rot = np.array([stewart_rotation(n, int(seed)) for seed in seeds])
+    return np.einsum("kji,kj->ki" if transpose else "kij,kj->ki", rot, x)
 
 
 def seeded_codebook(n, rotation_seed_base):

@@ -1,6 +1,6 @@
 """The chunked trial engine against the per-trial reference, and its pinned output.
 
-The replay rebuilds every trial's draws from stream contract 4 as the scheme
+The replay rebuilds every trial's draws from the stream contract as the scheme
 module documents it, not through the engine's code, and checks the engine
 against run_trial trial for trial.
 """
@@ -83,7 +83,7 @@ def boundary_stack_config(trials):
 
 
 def contract_draws(cfg, trials):
-    """Each trial's (w, uniforms, generator) under stream contract 4, in trial order.
+    """Each trial's (w, uniforms, generator) under the stream contract, in trial order.
 
     Chunk c draws from default_rng(derive_seed(noise_seed, c)): a (k, n)
     standard normal block scaled by sigma, then on the analytic route a (k, 2)
@@ -274,13 +274,14 @@ def test_a_long_block_is_refused_for_its_chunks(monkeypatch):
 
 def test_diagnostics_run_under_a_small_size_cap(monkeypatch):
     # The cap is the plan's largest store, a chunk's diagnostics rotations
-    # and its x and z, (2 k + 1) n^2 + 2 k n floats with k = min(trials, 128)
-    # (one reflector slice at n = 16): the same at 200 and 2000 trials.  No
-    # trials x n array is kept, so both run under it, and the profile from
-    # running sums matches the one from the reference's vectors.
+    # and its x and z, (2 k + 1) n (n + 1) / 2 + 4 k n floats with
+    # k = min(trials, 128) (one reflector slice at n = 16): the same at 200
+    # and 2000 trials.  No trials x n array is kept, so both run under it, and
+    # the profile from running sums matches the one from the reference's
+    # vectors.
     storage = plan(analytic_config(200), diagnostics=True).storage
     cap = max(words for words, _ in storage)
-    assert cap == storage[-1][0] == ((2 * CHUNK_TRIALS + 1) * 16 + 2 * CHUNK_TRIALS) * 16
+    assert cap == storage[-1][0] == (2 * CHUNK_TRIALS + 1) * 8 * 17 + 4 * CHUNK_TRIALS * 16
     monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", cap)
     for trials in (200, 2000):
         cfg = analytic_config(trials)
@@ -335,19 +336,20 @@ def test_diagnostics_slices_leave_the_sums_bitwise(monkeypatch):
     whole = sums()
     monkeypatch.setattr(search, "TILE_FLOATS", 4 * 3 * 16 * 16)
     assert reflector_slice(16) == 3
-    assert plan(cfg, diagnostics=True).storage[-1][0] == ((2 * 3 + 1) * 16 + 2 * CHUNK_TRIALS) * 16
+    assert plan(cfg, diagnostics=True).storage[-1][0] == (
+        (2 * 3 + 1) * 8 * 17 + 2 * (3 + CHUNK_TRIALS) * 16)
     assert sums() == whole
 
 
 def test_a_long_block_is_admitted_with_diagnostics():
     # A whole chunk's rotations at n = 725, 4 * 128 * 725^2 floats in the
     # formed-Q store, exceeded the cap; one reflector slice is one message,
-    # (2 + 1) 725^2 floats, plus the chunk's x and z.
+    # (2 + 1) 725 * 726 / 2 floats, plus its vectors and the chunk's x and z.
     cfg = config_from_rates(725, 0.5, 0.0, CH, seed=5, eps=0.0, trials=128)
     assert reflector_slice(725) == 1
     assert 4 * CHUNK_TRIALS * 725 ** 2 > scheme.MAX_CODEBOOK_FLOATS
     run = plan(cfg, diagnostics=True).admit()
-    assert run.storage[-1] == ((3 * 725 + 2 * CHUNK_TRIALS) * 725,
+    assert run.storage[-1] == (3 * 725 * 363 + 2 * (1 + CHUNK_TRIALS) * 725,
                                "diagnostics rotations of 128 trials in dimension 725 exceed")
 
 

@@ -408,7 +408,7 @@ class TestWrongMessage:
         drawn = [d - (d > r.message) for d, r in zip(wrong, s.records)]
         assert any(w & ((1 << 20) - 1) for w in drawn)
         assert len(set(wrong)) == len(wrong)
-        # Replayed from chunk 0's generator (stream contract 4): the normal
+        # Replayed from chunk 0's generator (the stream contract): the normal
         # block, the uniform block, then the rejection draws in row order.
         cb = build_codebook(cfg)
         rng = np.random.default_rng(derive_seed(cfg.noise_seed, 0))

@@ -1,23 +1,28 @@
-"""Stream contract 4 against the construction of contract 1, in law.
+"""Stream contract 5 against the construction of contract 1, in law.
 
 Contract 1 drew each trial's noise z in the channel frame from a generator of
 its own and undid message m's rotation, w = R_m^T z.  Contract 2 drew w
 directly from the trial's generator; contract 3 draws the w of a whole engine
 chunk from one generator.  Contracts 1 to 3 drew R_m's Gaussian entries from
-default_rng(derive_seed(rotation_seed_base, m)); contract 4 maps SplitMix64
-words to them through the normal quantile.  All give IID w ~ N(0, sigma^2 I)
+default_rng(derive_seed(rotation_seed_base, m)) and took R_m as the QR
+factor of that matrix; contract 4 maps SplitMix64 words to the entries
+through the normal quantile, and contract 5 builds R_m from n(n+1)/2 such
+normals as Stewart's product of reflectors.  All give IID w ~ N(0, sigma^2 I)
 and Haar R_m, so every per-trial outcome has the same law; the tests here
-rebuild contract 1, rotations included, and compare the two samples, and
-check that the analytic route forms no rotation at all.
+rebuild contract 1, rotations included, and compare the two samples, check
+that the analytic route forms no rotation at all, and keep the documents
+that state the contract in step with scheme.STREAM_CONTRACT.
 """
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from gausshelp import codebook
+from gausshelp import codebook, scheme
 from gausshelp.capacity import ChannelParams
 from gausshelp.codebook import derive_seed, derive_seeds
 from gausshelp.converse import CorrelationSums, estimator_slack
@@ -99,34 +104,53 @@ def assert_rates_agree(count_a, count_b, trials):
 
 @pytest.mark.parametrize("n, rate, seed", [(16, 1.2, 21), (10, 0.9, 22)],
                          ids=["analytic-n16", "exhaustive-n10"])
-def test_v4_has_the_law_of_v1(n, rate, seed):
+def test_current_contract_has_the_law_of_v1(n, rate, seed):
     cfg = config_from_rates(n, rate, 0.5, CH, seed=seed, eps=0.1, trials=TRIALS)
     assert (plan(cfg).route != "analytic") == (n == 10)
-    v4 = simulate(cfg, keep_records=True, diagnostics=True)
+    current = simulate(cfg, keep_records=True, diagnostics=True)
     # an independent noise stream, so the two samples are independent
     helper_angle, decode_angle, miss, error, profile = contract_v1(
         replace(cfg, noise_seed=derive_seed(cfg.noise_seed, 1)))
 
-    records = v4.records
+    records = current.records
     assert ks_2samp([r.helper_angle for r in records], helper_angle).pvalue > 0.01
     assert ks_2samp([r.decode_angle for r in records], decode_angle).pvalue > 0.01
     assert_rates_agree(sum(r.covering_miss for r in records), miss.sum(), TRIALS)
     assert_rates_agree(sum(r.error for r in records), error.sum(), TRIALS)
     assert 0 < error.sum() < TRIALS
     corr_sum = float(np.sum(profile.per_index_rho ** 2))
-    slack = estimator_slack(v4.corr_profile) + estimator_slack(profile)
-    assert abs(v4.corr_sum - corr_sum) <= slack, (v4.corr_sum, corr_sum, slack)
+    slack = estimator_slack(current.corr_profile) + estimator_slack(profile)
+    assert abs(current.corr_sum - corr_sum) <= slack, (current.corr_sum, corr_sum, slack)
 
 
 def test_analytic_route_forms_no_rotation(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("a rotation was formed")
 
+    # neither the full matrices nor the reflectors the diagnostics apply
     monkeypatch.setattr(codebook, "haar_rotations", refuse)
-    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(codebook, "_reflectors", refuse)
     cfg = config_from_rates(16, 1.2, 0.5, CH, seed=21, eps=0.1, trials=300)
     assert plan(cfg).route == "analytic"
     assert simulate(cfg).trials == 300
     # the diagnostics' x and z live in the channel frame, so they need R_m
     with pytest.raises(RuntimeError, match="rotation was formed"):
         simulate(cfg, diagnostics=True)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_the_documents_state_the_current_contract():
+    # Where the README says which contract the engine runs on, it names the
+    # current one, as do its streams section's heading and the scheme
+    # docstring; its history paragraph reaches it.
+    n = scheme.STREAM_CONTRACT
+    text = README.read_text()
+    assert set(re.findall(r"on stream contract (\d+)", text)) == {str(n)}
+    assert re.findall(r"^Contract (\d+)'s streams", text, re.M) == [str(n)]
+    history = next(p for p in text.split("\n\n") if p.startswith("Contract 1 drew"))
+    mentioned = {int(c) for c in re.findall(r"[Cc]ontracts? (\d+)", history)}
+    assert mentioned == set(range(1, n + 1)), mentioned
+    assert f"compares contract {n} with" in " ".join(history.split())
+    assert re.findall(r"Stream contract STREAM_CONTRACT = (\d+)", scheme.__doc__) == [str(n)]
