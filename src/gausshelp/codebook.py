@@ -32,6 +32,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 # Refuse codebooks above ~2 GiB of float64 storage.
 MAX_CODEBOOK_FLOATS = 1 << 28
 
+# Probe directions covering_deficiency draws and scores at a time.
+DEFICIENCY_CHUNK = 4096
+
 
 class CodebookSizeError(MemoryError):
     """The requested codebook would exceed the in-memory size cap."""
@@ -266,7 +269,6 @@ def covering_deficiency(
     theta0: float,
     probes: int,
     seed: int,
-    chunk: int = 4096,
 ) -> DeficiencyEstimate:
     """Fraction of uniform probe directions farther than theta0 from every codeword.
 
@@ -286,7 +288,7 @@ def covering_deficiency(
     misses = 0
     done = 0
     while done < probes:
-        block = min(chunk, probes - done)
+        block = min(DEFICIENCY_CHUNK, probes - done)
         dirs = sample_sphere(cb.blocklength, block, rng)
         best = scan.argmax(dirs)[1]
         misses += int(np.count_nonzero(best < cos_thresh))

@@ -143,11 +143,7 @@ def parse_config(text: str):
 
     def lists(key, cast):
         lineno, raw = seen[key]
-        values = tuple(_parse_number(key, part.strip(), lineno, cast)
-                       for part in raw.split(","))
-        if not values:
-            raise ConfigError(f"line {lineno}: no values for {key!r}")
-        return values
+        return tuple(_parse_number(key, part.strip(), lineno, cast) for part in raw.split(","))
 
     for required in ("snr", "helper_rate_bits", "blocklength"):
         if required not in seen:
@@ -317,8 +313,6 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, int):
         return str(value)
     if value != value:  # NaN

@@ -90,16 +90,15 @@ STREAM_CONTRACT = 5
 # Bound on the CPUs gausshelp uses: sweep worker processes or engine threads.
 WORKERS_ENV = "GAUSSHELP_WORKERS"
 
-# Least work per trial a chunk does, 2^helper_bits * n plus n^3 with
-# diagnostics (plan), for which run_trials runs its chunks on threads.  The
-# search's GEMM and the rotation draw's whole-slice passes release the GIL;
-# per-trial decisions, reflector steps and hand-offs hold it.  On a 2-vCPU
-# host (medians of 7 interleaved runs, us per trial, one thread -> two),
-# cells of 2^14.3 to 2^15.3 without diagnostics lost or broke even (n = 16
-# with 2^11 helper points 10.6 -> 10.8, n = 20 with 2^10 8.3 -> 10.5) and
-# cells of 2^16 and more gained (n = 16 with 2^12 13.3 -> 12.9; criterion-5
-# n = 24 17.4 -> 16.3, with diagnostics 42.9 -> 38.0, though 2 of 5 sets of
-# runs read a loss there).
+# Least helper search per trial, 2^helper_bits * n (plan), for which
+# run_trials runs its chunks on threads.  The search's GEMM releases the GIL;
+# per-trial decisions, Stewart's reflector steps and hand-offs hold it, so
+# the diagnostics' n^3 stays out of the gate.  On a 2-vCPU host (medians of
+# 7 interleaved runs, us per trial, one thread -> two), cells of 2^14.3 to
+# 2^15.3 lost or broke even (n = 16 with 2^11 helper points 10.6 -> 10.8,
+# n = 20 with 2^10 8.3 -> 10.5) and cells of 2^16 and more gained (n = 16
+# with 2^12 13.3 -> 12.9; criterion-5 n = 24 17.4 -> 16.3); cells that only
+# the diagnostics' n^3 lifted past 2^16 lost (README).
 THREAD_MIN_WORK = 1 << 16
 
 
@@ -230,7 +229,7 @@ class RunPlan:
     route: str  # "analytic", "grouped" or "stack"
     storage: tuple  # (64-bit words, what) per store, checked in order against MAX_CODEBOOK_FLOATS
     work: int  # estimated work in flops-like units; a sweep runs the largest cell first
-    threads: int  # the engine's threads: 1 unless a trial's work passes THREAD_MIN_WORK
+    threads: int  # the engine's threads: 1 unless a trial's helper search passes THREAD_MIN_WORK
 
     def admit(self) -> RunPlan:
         """This plan, unless a store outgrows the size cap: then CodebookSizeError."""
@@ -256,15 +255,15 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     M n (H n <= trials); else the "stack" scan, n^2 wide, measured faster.
     Work: trials H n for the helper, M n^3 + H M n^2 + trials M n grouped,
     M n^2 (n + trials) stacked, trials n^3 for diagnostics, which also store
-    one reflector slice of rotations per chunk in flight.  Chunks run on
-    `threads` (None: resolve_workers()) when a trial's share, H n plus the
-    diagnostics' n^3, is at least THREAD_MIN_WORK.
+    each chunk's x and z and, on the analytic route, one reflector slice of
+    rotations per chunk in flight.  Chunks run on `threads` (None:
+    resolve_workers()) when a trial's helper search, H n, is at least
+    THREAD_MIN_WORK; the diagnostics' n^3 counts toward the work, not the gate.
     """
     n, trials, bits = cfg.blocklength, cfg.trials, cfg.message_bits
     # No memory holds 2^64 points, so a larger codebook is refused as one of 2^64.
     help_size = 1 << min(cfg.helper_bits, 64)
-    per_trial = help_size * n + (n ** 3 if diagnostics else 0)
-    threads = (threads or resolve_workers()) if per_trial >= THREAD_MIN_WORK else 1
+    threads = (threads or resolve_workers()) if help_size * n >= THREAD_MIN_WORK else 1
     # 2^message_bits <= EXHAUSTIVE_LIMIT, compared as bit counts.
     exhaustive = bits < EXHAUSTIVE_LIMIT.bit_length()
     grouped = exhaustive and help_size <= n and help_size * n <= trials
@@ -275,7 +274,7 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
         (trials * (3 * -(-bits // 64) + 11),
          f"{_count(trials)} trials of {_count(bits)}-bit messages exceed"),
         (help_size * n, f"codebook of 2^{_count(cfg.helper_bits)} points in dimension {n} exceeds")]
-    work = trials * per_trial
+    work = trials * (help_size * n + (n ** 3 if diagnostics else 0))
     if exhaustive:
         n_messages = 1 << bits
         work += n_messages * n * (n * n + (help_size * n + trials if grouped else trials * n))
@@ -288,15 +287,16 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     storage.append((in_flight * chunk,
                     f"{in_flight} engine chunk(s) of {k} trials in dimension {n} exceed"))
     if diagnostics:
-        # Each chunk in flight rotates reflector_slice(n) messages at a time
-        # (a scan indexes all k of its stack's) into its x and z, 2 k n.  A
-        # slice's draw is rows n(n+1)/2 words; at the peak 2 rows + 1 of
-        # those (the words and their xor-shift buffer, or the draw and its
-        # transposed copy, and the word indices), plus 2 rows n for the
-        # slice's vectors (within 2% of HelperCodebook.rotate's traced peak
-        # at n = 16 to 725).
-        rows = k if exhaustive else min(k, reflector_slice(n))
-        storage.append((in_flight * ((2 * rows + 1) * n * (n + 1) // 2 + 2 * (rows + k) * n),
+        # Each chunk in flight holds its x and z, 2 k n, which a scan forms
+        # from the chunk's stack rows.  The analytic route rotates
+        # reflector_slice(n) messages at a time: a slice's draw is rows
+        # n(n+1)/2 words; at the peak 2 rows + 1 of those (the words and
+        # their xor-shift buffer, or the draw and its transposed copy, and
+        # the word indices), plus 2 rows n for the slice's vectors (within 2%
+        # of HelperCodebook.rotate's traced peak at n = 16 to 725).
+        rows = min(k, reflector_slice(n))
+        slice_words = 0 if exhaustive else (2 * rows + 1) * n * (n + 1) // 2 + 2 * rows * n
+        storage.append((in_flight * (slice_words + 2 * k * n),
                         f"diagnostics rotations of {k} trials in dimension {n} exceed"))
     return RunPlan(route, tuple(storage), work, threads)
 
@@ -465,26 +465,28 @@ def _in_order(fn, items, threads: int, take) -> None:
         pool.shutdown(cancel_futures=True)
 
 
-def run_trials(cfg: SchemeConfig, cb: HelperCodebook, messages, rotations,
-               correlations: CorrelationSums | None = None, threads=None) -> TrialColumns:
+def run_trials(cfg: SchemeConfig, messages, correlations: CorrelationSums | None = None,
+               threads=None) -> TrialColumns:
     """Trial i sends messages[i]; the batched equivalent of run_trial per trial.
 
-    Runs CHUNK_TRIALS trials at a time, each chunk on its own noise stream
-    (module docstring).  `rotations` is candidate_rotations(cfg, cb).  For
-    `correlations` each chunk computes its inputs x = R_m b_t and noises
-    z = R_m w, by applying R_m's reflectors (HelperCodebook.rotate) or from
-    the candidate stack on a scan; they are added to the sums, not kept.
-    Chunks run on `threads` threads (None: resolve_workers(); a sweep's
-    workers pass 1) when their work pays (plan, THREAD_MIN_WORK), each writing
-    only its own rows.  The calling thread takes their decisions and adds
-    their x and z in chunk order, so every result is the serial loop's,
-    bitwise.
+    Builds cfg's codebook and, on a scan route, its candidate_rotations stack
+    (on the calling thread), then runs CHUNK_TRIALS trials at a time, each
+    chunk on its own noise stream (module docstring).  For `correlations`
+    each chunk computes its inputs x = R_m b_t and noises z = R_m w, by
+    applying R_m's reflectors (HelperCodebook.rotate) or from the candidate
+    stack on a scan; they are added to the sums, not kept.  Chunks run on
+    `threads` threads (None: resolve_workers(); a sweep's workers pass 1)
+    when the helper search pays (plan, THREAD_MIN_WORK), each writing only
+    its own rows.  The calling thread takes their decisions and adds their x
+    and z in chunk order, so every result is the serial loop's, bitwise.
     """
     messages = list(messages)
     trials, n = len(messages), cfg.blocklength
     n_messages = 1 << cfg.message_bits
     run = plan(cfg, correlations is not None, threads)
     exhaustive, grouped = run.route != "analytic", run.route == "grouped"
+    cb = build_codebook(cfg)
+    rotations = candidate_rotations(cfg, cb)
     scale = math.sqrt(n * cb.power)
 
     help_index = np.empty(trials, dtype=np.int64)
@@ -608,8 +610,10 @@ def simulate(cfg: SchemeConfig, keep_records=False, diagnostics=False,
     specific message sequence; ValueError names the first one outside
     [0, 2^message_bits), before anything is drawn); `diagnostics` additionally estimates the
     per-index input/noise correlations across trials, from running sums that
-    take O(n) memory whatever the trial count.  `threads` bounds the engine's
-    threads (None: resolve_workers()); no result depends on it.
+    take O(n) memory whatever the trial count.  The run is planned and
+    admitted before anything is drawn; run_trials then builds the codebook
+    and the candidate stack.  `threads` bounds the engine's threads (None:
+    resolve_workers()); no result depends on it.
     """
     t_start = time.perf_counter()
     run = plan(cfg, diagnostics, threads).admit()
@@ -621,13 +625,11 @@ def simulate(cfg: SchemeConfig, keep_records=False, diagnostics=False,
         if bad is not None:
             raise ValueError(f"message {messages[bad]} at index {bad} is out of range "
                              f"for {cfg.message_bits} bits")
-    cb = build_codebook(cfg)
-    rotations = candidate_rotations(cfg, cb)
     if messages is None:
         messages = draw_messages(cfg)
 
     sums = CorrelationSums() if diagnostics else None
-    cols = run_trials(cfg, cb, messages, rotations, sums, run.threads)
+    cols = run_trials(cfg, messages, sums, run.threads)
     return summarize(
         cfg, cols, time.perf_counter() - t_start,
         corr_profile=sums.profile() if diagnostics else None, keep_records=keep_records,

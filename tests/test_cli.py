@@ -115,9 +115,10 @@ class TestCapAreaCommand:
         assert float(lines["cap_rate_exponent"]) == pytest.approx(
             -math.log2(math.sin(1.0)), rel=1e-8)
 
-    @pytest.mark.parametrize("phi", ["0", "2"])
+    @pytest.mark.parametrize("phi", ["0", "2", "4"])
     def test_bad_angle_prints_nothing(self, capsys, phi):
-        # the exponent diverges at 0 and is undefined past pi/2; neither line is printed
+        # the exponent diverges at 0 and is undefined past pi/2, and the cap
+        # ratio past pi; neither line is printed
         code, out, err = run_cli(capsys, "cap-area", "--n", "8", "--phi", phi)
         assert code == 1
         assert out == "" and err.startswith("error: ")

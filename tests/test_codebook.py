@@ -347,6 +347,14 @@ class TestBuildBaseCodebook:
         with pytest.raises(ValueError):
             build_base_codebook(8, CH, 0.5, 0.5, seed=1)
 
+    @pytest.mark.parametrize("n, rh, message", [
+        (1, 0.5, "blocklength must be at least 2, got 1"),
+        (8, -0.5, "helper rate must be nonnegative, got -0.5"),
+    ])
+    def test_blocklength_and_rate_domain(self, n, rh, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_base_codebook(n, CH, rh, 0.1, seed=1)
+
     def test_size_cap(self):
         with pytest.raises(CodebookSizeError):
             build_base_codebook(4, CH, 16.0, 0.1, seed=1)
@@ -461,7 +469,8 @@ class TestCoveringDeficiency:
         t0 = theta0_of(0.75, 0.1)
         # 7 codebook rows per tile for a block of 1000 probes: the tiles split the codebook.
         monkeypatch.setattr(search, "TILE_FLOATS", 7 * 1000)
-        est = covering_deficiency(cb, t0, probes=2500, seed=13, chunk=1000)
+        monkeypatch.setattr(codebook, "DEFICIENCY_CHUNK", 1000)
+        est = covering_deficiency(cb, t0, probes=2500, seed=13)
         unit = cb.base_points / np.linalg.norm(cb.base_points, axis=1, keepdims=True)
         rng = np.random.default_rng(13)
         misses = sum(int(np.count_nonzero((sample_sphere(8, block, rng) @ unit.T).max(axis=1)

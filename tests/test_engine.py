@@ -326,11 +326,11 @@ def test_diagnostics_slices_leave_the_sums_bitwise(monkeypatch):
     # the chunk's x and z); the running sums are bitwise those of whole-chunk
     # slices.
     cfg = analytic_config(300)
-    cb, messages = build_codebook(cfg), scheme.draw_messages(cfg)
+    messages = scheme.draw_messages(cfg)
 
     def sums():
         added = CorrelationSums()
-        scheme.run_trials(cfg, cb, messages, None, added, threads=1)
+        scheme.run_trials(cfg, messages, added, threads=1)
         return added.sums.tobytes()
 
     whole = sums()
@@ -353,6 +353,34 @@ def test_a_long_block_is_admitted_with_diagnostics():
                                "diagnostics rotations of 128 trials in dimension 725 exceed")
 
 
+def diagnostics_extra_peak(cfg, threads=None):
+    """Traced peak of simulate(cfg) with diagnostics less the one without, in bytes."""
+    peaks = []
+    for diagnostics in (True, False):
+        tracemalloc.start()
+        try:
+            simulate(cfg, diagnostics=diagnostics, threads=threads)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks[0] - peaks[1]
+
+
+@pytest.mark.parametrize("n, helper_bits, route", [(96, 0, "grouped"), (64, 7, "stack")])
+def test_scan_diagnostics_store_is_the_chunks_x_and_z(n, helper_bits, route):
+    # A scan reads R_m off the candidate stack and forms no reflector slice,
+    # so diagnostics add only the chunk's x and z, 2 k n words: no more than
+    # the chunk's own store, and (with 16 messages, one thread and 128
+    # trials) within 5% of the traced growth of the peak.
+    cfg = replace(config_from_rates(n, 0.05, helper_bits / n, CH, seed=3, trials=CHUNK_TRIALS),
+                  message_bits=4)
+    run = plan(cfg, diagnostics=True, threads=1)
+    (chunk, _), (diagnostics, what) = run.storage[-2:]
+    assert run.route == route and what.startswith("diagnostics")
+    assert diagnostics == 2 * CHUNK_TRIALS * n <= chunk
+    assert diagnostics_extra_peak(cfg, threads=1) / 8 == pytest.approx(diagnostics, rel=0.05)
+
+
 def test_diagnostics_memory_does_not_grow_with_trials():
     # The extra peak that diagnostics add (the per-chunk rotations and
     # vectors) is the same at 512 and 8192 trials; one stored trials x n
@@ -360,16 +388,8 @@ def test_diagnostics_memory_does_not_grow_with_trials():
     n, few, many = 32, 512, 8192
 
     def extra_peak(trials):
-        cfg = config_from_rates(n, 1.2, 0.25, CH, seed=31, eps=0.1, trials=trials)
-        peaks = []
-        for diagnostics in (True, False):
-            tracemalloc.start()
-            try:
-                simulate(cfg, diagnostics=diagnostics)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        return peaks[0] - peaks[1]
+        return diagnostics_extra_peak(
+            config_from_rates(n, 1.2, 0.25, CH, seed=31, eps=0.1, trials=trials))
 
     assert extra_peak(many) - extra_peak(few) < 8 * (many - few) * n / 2
 
@@ -437,11 +457,10 @@ def criterion5_config(n, trials):
 @pytest.mark.parametrize("n, diagnostics, threads", [
     (16, False, 1),  # 2^8 * 16 per trial
     (24, False, 2),  # 2^12 * 24
-    (24, True, 2),  # 2^12 * 24 + 24^3
+    (24, True, 2),  # 2^12 * 24: the diagnostics' 24^3 leaves the gate alone
 ])
 def test_the_thread_gate_on_the_criterion_5_cells(monkeypatch, n, diagnostics, threads):
-    # The gate compares a trial's chunk work, helper search plus the
-    # diagnostics' n^3, with THREAD_MIN_WORK.
+    # The gate compares a trial's helper search with THREAD_MIN_WORK.
     cfg = criterion5_config(n, 2 * CHUNK_TRIALS)
     assert plan(cfg, diagnostics, threads=2).threads == threads
     used = record_engine_threads(monkeypatch)
@@ -461,9 +480,8 @@ class TestEngineThreads:
         def run_all(threads):
             cfg, exh = analytic_config(trials), exhaustive_config(trials)
             sums = CorrelationSums()
-            cb = build_codebook(cfg)
-            cols = scheme.run_trials(cfg, cb, scheme.draw_messages(cfg), None,
-                                     sums if trials > 1 else None, threads=threads)
+            cols = scheme.run_trials(cfg, scheme.draw_messages(cfg), sums if trials > 1 else None,
+                                     threads=threads)
             return (columns_bits(cols), sums.sums if trials > 1 else None,
                     summary_bits(simulate(cfg, keep_records=True, diagnostics=trials > 1,
                                           threads=threads)),
@@ -517,13 +535,11 @@ class TestEngineThreads:
         # 8 threads switching every microsecond over 10 chunks that write into
         # the shared columns: a lost or misplaced row would change a column.
         cfg = exhaustive_config(10 * CHUNK_TRIALS - 7)
-        cb = build_codebook(cfg)
-        rotations = candidate_rotations(cfg, cb)
         messages = scheme.draw_messages(cfg)
 
         def run(threads):
             sums = CorrelationSums()
-            cols = scheme.run_trials(cfg, cb, messages, rotations, sums, threads)
+            cols = scheme.run_trials(cfg, messages, sums, threads)
             return columns_bits(cols), sums.sums.tobytes()
 
         want = run(1)
@@ -541,7 +557,6 @@ class TestEngineThreads:
         # The first chunk is held back, so later chunks finish before it; the
         # running sums must still see the chunks in order, from this thread.
         cfg = analytic_config(4 * CHUNK_TRIALS + 5)
-        cb = build_codebook(cfg)
         messages = scheme.draw_messages(cfg)
         derive_seed = scheme.derive_seed
 
@@ -559,7 +574,7 @@ class TestEngineThreads:
                 add(self, xs, zs)
 
             monkeypatch.setattr(CorrelationSums, "add", recording_add)
-            cols = scheme.run_trials(cfg, cb, messages, None, CorrelationSums(), threads)
+            cols = scheme.run_trials(cfg, messages, CorrelationSums(), threads)
             monkeypatch.setattr(CorrelationSums, "add", add)
             return added, cols.decoded
 
@@ -622,9 +637,8 @@ class TestEngineThreads:
         simulate(analytic_config(CHUNK_TRIALS), diagnostics=True, threads=4)  # one chunk
         simulate(analytic_config(3 * CHUNK_TRIALS), diagnostics=True, threads=1)  # one thread
         assert pools == []
-        # The real gate on a trial's work, 2^helper_bits * n plus n^3 with
-        # diagnostics: 2^8 * 16 + 16^3 and 2^5 * 10 run serially, 2^14 * 28
-        # on threads.
+        # The real gate on a trial's helper search, 2^helper_bits * n: 2^8 * 16
+        # (with diagnostics) and 2^5 * 10 run serially, 2^14 * 28 on threads.
         monkeypatch.setattr(scheme, "THREAD_MIN_WORK", MIN_WORK)
         simulate(analytic_config(3 * CHUNK_TRIALS), diagnostics=True, threads=4)
         simulate(exhaustive_config(3 * CHUNK_TRIALS), threads=4)
@@ -641,15 +655,7 @@ class TestEngineThreads:
         n, few, many = 32, 512, 8192
 
         def extra_peak(trials):
-            cfg = config_from_rates(n, 1.2, 0.25, CH, seed=31, eps=0.1, trials=trials)
-            peaks = []
-            for diagnostics in (True, False):
-                tracemalloc.start()
-                try:
-                    simulate(cfg, diagnostics=diagnostics, threads=2)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
-            return peaks[0] - peaks[1]
+            return diagnostics_extra_peak(
+                config_from_rates(n, 1.2, 0.25, CH, seed=31, eps=0.1, trials=trials), threads=2)
 
         assert extra_peak(many) - extra_peak(few) < 8 * (many - few) * n / 2

@@ -181,8 +181,8 @@ class TestIntegerTimeZeroMap:
                              trials=len(offsets))
         seen = {}
 
-        def decide(cfg, cb, m_primes, *args, **kwargs):
-            cols = run_trials(cfg, cb, m_primes, *args, **kwargs)
+        def decide(cfg, m_primes, *args, **kwargs):
+            cols = run_trials(cfg, m_primes, *args, **kwargs)
             decoded = [(mp + off) % size for mp, off in zip(m_primes, offsets)]
             seen.update(m_primes=list(m_primes), decoded=decoded)
             return replace(cols, decoded=decoded,
@@ -234,8 +234,8 @@ class TestIntegerTimeZeroMap:
                              codebook_seed=seed, noise_seed=seed + 1, message_seed=seed + 2,
                              trials=len(blocks))
 
-        def decide(cfg, cb, m_primes, *args, **kwargs):
-            cols = run_trials(cfg, cb, m_primes, *args, **kwargs)
+        def decide(cfg, m_primes, *args, **kwargs):
+            cols = run_trials(cfg, m_primes, *args, **kwargs)
             return replace(cols, decoded=decisions,
                            error=np.array([d != mp for d, mp in zip(decisions, m_primes)]))
 

@@ -176,6 +176,15 @@ class TestAlpha0:
         t0 = 0.7
         assert alpha0(ch, 0.0, t0) == pytest.approx(t0, abs=1e-5)
 
+    @pytest.mark.parametrize("eps, t0, message", [
+        (-0.1, 0.7, "eps must be nonnegative"),
+        (0.0, 0.0, "theta0 must lie in"),
+        (0.0, 1.6, "theta0 must lie in"),
+    ])
+    def test_domain(self, eps, t0, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            alpha0(ChannelParams.from_snr(3.0), eps, t0)
+
 
 class TestAchievableRateThreshold:
     def test_converges_to_capacity(self):

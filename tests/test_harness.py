@@ -125,6 +125,19 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match="snr"):
             parse_config(MINIMAL.replace("snr = 3", "snr = -1"))
 
+    @pytest.mark.parametrize("text, message", [
+        (MINIMAL + "diagnostics = yes\n", "line 7: diagnostics must be 'on' or 'off', got 'yes'"),
+        (MINIMAL.replace("helper_rate_bits = 0.5", "helper_rate_bits = -0.5"),
+         "helper_rate_bits values must be nonnegative"),
+        (SWEEP.replace("helper_rate_bits = 0.5", "helper_rate_bits = 0.5, -0.5"),
+         "helper_rate_bits values must be nonnegative"),
+        (MINIMAL.replace("rate_bits = 1.2", "rate_bits = 0"), "rate_bits must be positive"),
+        (MINIMAL.replace("rate_bits = 1.2", "rate_bits = -1.2"), "rate_bits must be positive"),
+    ], ids=["diagnostics", "helper-rate", "grid-helper-rate", "rate-zero", "rate-negative"])
+    def test_out_of_range_value_refused(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
+
     @pytest.mark.parametrize("text", [MINIMAL, SWEEP], ids=["single", "grid"])
     def test_feedback_diagnostics_refused(self, text):
         with pytest.raises(ConfigError, match="diagnostics.*scheme"):
@@ -171,6 +184,9 @@ class TestParseErrors:
             SweepSpec(trials=0, **grid)
         with pytest.raises(ConfigError, match="diagnostics.*trials"):
             SweepSpec(trials=1, diagnostics=True, **grid)
+        for axis in ("snr", "helper_rate", "blocklength", "rate_fraction"):
+            with pytest.raises(ConfigError, match=f"^{axis} values must be nonempty$"):
+                SweepSpec(trials=50, **{**grid, axis: ()})
 
     def test_run_cell_refuses_feedback_diagnostics(self):
         cfg, _ = parse_config(MINIMAL + "scheme = feedback\n")

@@ -1,8 +1,9 @@
 import math
+from dataclasses import MISSING, fields
 
 import pytest
 
-from gausshelp.results import Z95, wilson_interval
+from gausshelp.results import Z95, SimSummary, wilson_interval
 
 
 def wilson_reference(k, n):
@@ -23,3 +24,20 @@ def test_wilson_values_and_exact_ordering(k, n):
     assert lo == pytest.approx(ref_lo, abs=1e-12)
     assert hi == pytest.approx(ref_hi, abs=1e-12)
     assert 0.0 <= lo <= k / n <= hi <= 1.0
+
+
+@pytest.mark.parametrize("k,n", [(-1, 10), (11, 10), (0, -1)])
+def test_wilson_refuses_bad_counts(k, n):
+    with pytest.raises(ValueError, match=rf"^need 0 <= successes <= trials, got {k}/{n}$"):
+        wilson_interval(k, n)
+
+
+def test_wilson_of_zero_trials_is_nan():
+    assert all(math.isnan(bound) for bound in wilson_interval(0, 0))
+
+
+def test_summary_refuses_more_errors_than_trials():
+    required = {f.name: 0 for f in fields(SimSummary) if f.default is MISSING}
+    assert SimSummary(**{**required, "trials": 3, "errors": 3}).errors == 3
+    with pytest.raises(ValueError, match="^errors cannot exceed trials$"):
+        SimSummary(**{**required, "trials": 3, "errors": 4})

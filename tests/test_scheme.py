@@ -48,6 +48,18 @@ class TestConfig:
             SchemeConfig(blocklength=8, message_bits=4, helper_bits=0, eps=0.1,
                          channel=CH, codebook_seed=1, noise_seed=2, message_seed=3)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("blocklength", 1, "blocklength must be at least 2, got 1"),
+        ("message_bits", 0, "message_bits must be at least 1, got 0"),
+        ("helper_bits", -1, "helper_bits must be nonnegative, got -1"),
+        ("trials", 0, "trials must be at least 1, got 0"),
+    ])
+    def test_field_out_of_range(self, field, value, message):
+        fields = dict(blocklength=8, message_bits=4, helper_bits=0, eps=0.0, channel=CH,
+                      codebook_seed=1, noise_seed=2, message_seed=3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SchemeConfig(**{**fields, field: value})
+
     def test_zero_helper_theta0_is_pi(self):
         cfg = config_from_rates(8, 1.0, 0.0, CH, seed=1, eps=None, trials=10)
         assert cfg.eps == 0.0
@@ -135,6 +147,12 @@ class TestDecode:
         cb = build_base_codebook(8, CH, 0.5, 0.1, seed=2)
         with pytest.raises(ValueError):
             decode(cb, np.ones(8), 0, range(0))
+
+    @pytest.mark.parametrize("t", [-1, 16])
+    def test_index_range(self, t):
+        cb = build_base_codebook(8, CH, 0.5, 0.1, seed=2)  # 16 help indices
+        with pytest.raises(ValueError, match=f"^help index {t} out of range"):
+            decode(cb, np.ones(8), t, range(4))
 
     def test_brute_force_distance_oracle(self):
         # independent exhaustive distance scan, message_bits=10, n=16
@@ -330,15 +348,19 @@ class TestPlan:
         assert plan(route_config(**kwargs)).route == route
 
     def test_threads_only_past_the_gate(self, monkeypatch):
-        # 2^helper_bits * n, plus n^3 with diagnostics, against
-        # THREAD_MIN_WORK = 2^16: at n = 16 helper points alone, at one
-        # helper point the diagnostics term, 40 + 40^3 < 2^16 <= 41 + 41^3
-        assert plan(route_config(n=16, helper_bits=12), threads=4).threads == 4
-        assert plan(route_config(n=16, helper_bits=11), threads=4).threads == 1
-        assert plan(route_config(n=16, helper_bits=11), True, threads=4).threads == 1
-        for n, threads in ((40, 1), (41, 4)):
-            assert plan(route_config(n=n, helper_bits=0), True, threads=4).threads == threads
+        # The helper search alone, 2^helper_bits * n, against THREAD_MIN_WORK
+        # = 2^16: 2^12 * 16 threads, with or without diagnostics, and 2^11 * 16
+        # does not.  The diagnostics' n^3 is work, not gate: at one helper
+        # point n = 40 and n = 41 (40 + 40^3 < 2^16 <= 41 + 41^3) both stay
+        # serial, though it still orders the sweep.
+        for diagnostics in (False, True):
+            assert plan(route_config(n=16, helper_bits=12), diagnostics, threads=4).threads == 4
+            assert plan(route_config(n=16, helper_bits=11), diagnostics, threads=4).threads == 1
+        for n in (40, 41):
+            assert plan(route_config(n=n, helper_bits=0), True, threads=4).threads == 1
             assert plan(route_config(n=n, helper_bits=0), threads=4).threads == 1
+        assert (plan(route_config(n=41, helper_bits=0), True).work
+                == plan(route_config(n=41, helper_bits=0)).work + 64 * 41 ** 3)
         monkeypatch.setenv(WORKERS_ENV, "3")
         assert plan(route_config(n=16, helper_bits=12)).threads == 3
 
