@@ -21,7 +21,6 @@ from .codebook import (
     covering_deficiency,
     derive_seed,
     derive_seeds,
-    haar_rotation,
     haar_rotations,
 )
 from .converse import (
@@ -44,7 +43,6 @@ from .geometry import (
 )
 from .harness import SweepSpec, emit_csv, parse_config, run_sweep
 from .results import SimSummary, TrialRecord, wilson_interval
-from .scheme import STREAM_CONTRACT, SchemeConfig, config_from_rates, decode, helper_select, \
-    run_trial, simulate, transmit
+from .scheme import STREAM_CONTRACT, SchemeConfig, config_from_rates, simulate
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,6 +1,6 @@
 """Covering codebooks on the power sphere and seeded Haar-uniform rotations.
 
-The base codebook holds 2^ceil(n*rh) points drawn uniformly on the radius
+The base codebook holds 2^helper_bits points drawn uniformly on the radius
 sqrt(n*P) sphere.  The rotation for message m is regenerated on demand from a
 seed derived from the codebook's base seed, so the whole pipeline is a pure
 function of its seeds.  Only the exhaustive decoder holds per-message data in
@@ -225,20 +225,20 @@ class HelperCodebook:
         return out
 
 
-def build_base_codebook(n: int, ch: ChannelParams, rh: float, eps: float, seed: int) -> HelperCodebook:
-    """Draw the base codebook: 2^ceil(n*rh) IID uniform points on the sqrt(n*P) sphere.
+def build_base_codebook(n: int, ch: ChannelParams, bits: int, seed: int) -> HelperCodebook:
+    """Draw the base codebook: 2^bits IID uniform points on the sqrt(n*P) sphere.
 
-    The covering property is not guaranteed at finite n; covering quality is
-    measured (covering_deficiency), not assumed.
+    The points are one (2^bits, n) standard normal block from
+    default_rng(derive_seed(seed, 0)), each row scaled to norm sqrt(n*P), and
+    the rotations' seed base is derive_seed(seed, 1).  The covering property
+    is not guaranteed at finite n; covering quality is measured
+    (covering_deficiency), not assumed.
     """
     if n < 2:
         raise ValueError(f"blocklength must be at least 2, got {n}")
-    if rh < 0:
-        raise ValueError(f"helper rate must be nonnegative, got {rh!r}")
-    if rh > 0 and not 0.0 < eps < rh:
-        raise ValueError(f"requires 0 < eps < rh, got eps={eps!r}, rh={rh!r}")
+    if bits < 0:
+        raise ValueError(f"helper bits must be nonnegative, got {bits!r}")
     # 2^bits * n floats; 2^bits alone exceeds the cap once bits reaches its bit length.
-    bits = math.ceil(n * rh)
     if bits >= MAX_CODEBOOK_FLOATS.bit_length() or (n << bits) > MAX_CODEBOOK_FLOATS:
         raise CodebookSizeError(
             f"codebook of 2^{bits} points in dimension {n} exceeds the size cap"

@@ -26,6 +26,12 @@ formed.  The helper and exhaustive searches go through search.ScreenedSearch
 
 Stream contract STREAM_CONTRACT = 5, each stream drawn in the order given:
 
+* config_from_rates derives codebook_seed, noise_seed and message_seed as
+  derive_seed(seed, 1 | 2 | 3); a sweep cell's seed is derive_seed folded
+  over its grid coordinates (i_snr, i_rh, i_n, i_frac) from the sweep's;
+* the base codebook is one (2^helper_bits, n) standard normal block from
+  default_rng(derive_seed(codebook_seed, 0)), each row scaled to norm
+  sqrt(n P), and rotation_seed_base = derive_seed(codebook_seed, 1);
 * engine chunk c (the k <= CHUNK_TRIALS trials from c * CHUNK_TRIALS on)
   draws from default_rng(derive_seed(noise_seed, c)): a (k, n) standard
   normal block scaled by sigma (row j: trial j's w); on the analytic route a
@@ -170,9 +176,7 @@ def config_from_rates(n, rate_bits, helper_rate_bits, channel, seed,
 
 
 def build_codebook(cfg: SchemeConfig) -> HelperCodebook:
-    return build_base_codebook(
-        cfg.blocklength, cfg.channel, cfg.helper_rate, cfg.eps, cfg.codebook_seed
-    )
+    return build_base_codebook(cfg.blocklength, cfg.channel, cfg.helper_bits, cfg.codebook_seed)
 
 
 def helper_select(cb: HelperCodebook, m: int, z, rotation=None):
@@ -465,11 +469,13 @@ def _in_order(fn, items, threads: int, take) -> None:
         pool.shutdown(cancel_futures=True)
 
 
-def run_trials(cfg: SchemeConfig, messages, correlations: CorrelationSums | None = None,
+def run_trials(cfg: SchemeConfig, messages=None, correlations: CorrelationSums | None = None,
                threads=None) -> TrialColumns:
     """Trial i sends messages[i]; the batched equivalent of run_trial per trial.
 
-    Builds cfg's codebook and, on a scan route, its candidate_rotations stack
+    Admits the run (plan(...).admit(): CodebookSizeError before anything is
+    drawn or built), draws cfg's messages when given none (draw_messages),
+    builds cfg's codebook and, on a scan route, its candidate_rotations stack
     (on the calling thread), then runs CHUNK_TRIALS trials at a time, each
     chunk on its own noise stream (module docstring).  For `correlations`
     each chunk computes its inputs x = R_m b_t and noises z = R_m w, by
@@ -480,10 +486,10 @@ def run_trials(cfg: SchemeConfig, messages, correlations: CorrelationSums | None
     its own rows.  The calling thread takes their decisions and adds their x
     and z in chunk order, so every result is the serial loop's, bitwise.
     """
-    messages = list(messages)
+    run = plan(cfg, correlations is not None, threads).admit()
+    messages = draw_messages(cfg) if messages is None else list(messages)
     trials, n = len(messages), cfg.blocklength
     n_messages = 1 << cfg.message_bits
-    run = plan(cfg, correlations is not None, threads)
     exhaustive, grouped = run.route != "analytic", run.route == "grouped"
     cb = build_codebook(cfg)
     rotations = candidate_rotations(cfg, cb)
@@ -610,13 +616,12 @@ def simulate(cfg: SchemeConfig, keep_records=False, diagnostics=False,
     specific message sequence; ValueError names the first one outside
     [0, 2^message_bits), before anything is drawn); `diagnostics` additionally estimates the
     per-index input/noise correlations across trials, from running sums that
-    take O(n) memory whatever the trial count.  The run is planned and
-    admitted before anything is drawn; run_trials then builds the codebook
+    take O(n) memory whatever the trial count.  run_trials plans and admits
+    the run, draws the messages when none are given and builds the codebook
     and the candidate stack.  `threads` bounds the engine's threads (None:
     resolve_workers()); no result depends on it.
     """
     t_start = time.perf_counter()
-    run = plan(cfg, diagnostics, threads).admit()
     if messages is not None:
         if len(messages) != cfg.trials:
             raise ValueError(f"need {cfg.trials} messages, got {len(messages)}")
@@ -625,11 +630,8 @@ def simulate(cfg: SchemeConfig, keep_records=False, diagnostics=False,
         if bad is not None:
             raise ValueError(f"message {messages[bad]} at index {bad} is out of range "
                              f"for {cfg.message_bits} bits")
-    if messages is None:
-        messages = draw_messages(cfg)
-
     sums = CorrelationSums() if diagnostics else None
-    cols = run_trials(cfg, messages, sums, run.threads)
+    cols = run_trials(cfg, messages, sums, threads)
     return summarize(
         cfg, cols, time.perf_counter() - t_start,
         corr_profile=sums.profile() if diagnostics else None, keep_records=keep_records,

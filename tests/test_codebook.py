@@ -204,7 +204,7 @@ class TestHaarRotation:
             assert np.max(np.abs(rot[:, 0] - x_n / np.linalg.norm(x_n))) < 1e-15
 
     def test_codebook_rotations_are_its_per_message_rotations(self):
-        cb = build_base_codebook(6, CH, 0.5, 0.1, seed=3)
+        cb = build_base_codebook(6, CH, 3, seed=3)
         messages = [0, 5, 2**70]
         for m, rot in zip(messages, cb.rotations(messages)):
             assert np.array_equal(rot, cb.rotation(m))
@@ -298,7 +298,7 @@ class TestHaarReflectors:
         assert np.max(np.abs(applied[:, 0] - refl)) < 1e-13
 
     def test_codebook_reflectors_are_its_rotations(self):
-        cb = build_base_codebook(6, CH, 0.5, 0.1, seed=3)
+        cb = build_base_codebook(6, CH, 3, seed=3)
         messages = [0, 5, 2**70]
         seeds = derive_seeds(cb.rotation_seed_base, messages)
         rot = cb.rotations(messages)
@@ -326,60 +326,56 @@ class TestHaarReflectors:
 
 class TestBuildBaseCodebook:
     def test_in_place_scaling_is_bitwise_the_product(self):
-        cb = build_base_codebook(8, CH, 0.5, 0.1, seed=9)
+        cb = build_base_codebook(8, CH, 4, seed=9)
         rng = np.random.default_rng(derive_seed(9, 0))
         want = sample_sphere(8, cb.help_size, rng) * math.sqrt(8 * CH.power)
         assert np.array_equal(cb.base_points, want)
 
     def test_sizes_and_norms(self):
-        cb = build_base_codebook(8, CH, 0.25, 0.1, seed=1)
+        cb = build_base_codebook(8, CH, 2, seed=1)
         assert cb.help_size == 4
         norms_sq = np.sum(cb.base_points**2, axis=1)
         assert np.allclose(norms_sq, 8 * CH.power, rtol=1e-10)
 
     def test_deterministic(self):
-        a = build_base_codebook(8, CH, 0.5, 0.1, seed=77)
-        b = build_base_codebook(8, CH, 0.5, 0.1, seed=77)
+        a = build_base_codebook(8, CH, 4, seed=77)
+        b = build_base_codebook(8, CH, 4, seed=77)
         assert np.array_equal(a.base_points, b.base_points)
         assert a.rotation_seed_base == b.rotation_seed_base
 
-    def test_eps_domain(self):
-        with pytest.raises(ValueError):
-            build_base_codebook(8, CH, 0.5, 0.5, seed=1)
-
-    @pytest.mark.parametrize("n, rh, message", [
-        (1, 0.5, "blocklength must be at least 2, got 1"),
-        (8, -0.5, "helper rate must be nonnegative, got -0.5"),
+    @pytest.mark.parametrize("n, bits, message", [
+        (1, 10, "blocklength must be at least 2, got 1"),
+        (8, -1, "helper bits must be nonnegative, got -1"),
     ])
-    def test_blocklength_and_rate_domain(self, n, rh, message):
+    def test_blocklength_and_bits_domain(self, n, bits, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            build_base_codebook(n, CH, rh, 0.1, seed=1)
+            build_base_codebook(n, CH, bits, seed=1)
 
     def test_size_cap(self):
         with pytest.raises(CodebookSizeError):
-            build_base_codebook(4, CH, 16.0, 0.1, seed=1)
+            build_base_codebook(4, CH, 64, seed=1)
 
     def test_size_cap_boundary_and_huge_codebooks(self, monkeypatch):
         # 2^5 points at n = 8 fill a cap of 256 floats exactly; 2^6 exceed
         # it; 2^16000 are refused without forming 2^16000 as a decimal string
         monkeypatch.setattr(codebook, "MAX_CODEBOOK_FLOATS", 8 << 5)
-        assert build_base_codebook(8, CH, 5 / 8, 0.1, seed=1).help_size == 32
+        assert build_base_codebook(8, CH, 5, seed=1).help_size == 32
         for bits in (6, 16000):
             with pytest.raises(CodebookSizeError, match=rf"^codebook of 2\^{bits} points in dim"):
-                build_base_codebook(8, CH, bits / 8, 0.1, seed=1)
+                build_base_codebook(8, CH, bits, seed=1)
 
 
 class TestMessageCodebook:
     """Message m's codebook, the base points under m's rotation (rows R_m b_t)."""
 
     def test_pairwise_angles_preserved(self):
-        cb = build_base_codebook(8, CH, 0.5, 0.1, seed=3)
+        cb = build_base_codebook(8, CH, 4, seed=3)
         base_gram = cb.base_points @ cb.base_points.T
         rot_pts = cb.base_points @ cb.rotations([12345])[0].T
         assert np.max(np.abs(rot_pts @ rot_pts.T - base_gram)) < 1e-8
 
     def test_fixed_help_index_across_messages_is_uniform(self):
-        cb = build_base_codebook(16, CH, 0.25, 0.1, seed=9)
+        cb = build_base_codebook(16, CH, 4, seed=9)
         n, scale = 16, math.sqrt(16 * CH.power)
         entries = cb.rotations(range(1000)) @ cb.base_points[2] / scale
         se = math.sqrt(1.0 / (n * entries.size))
@@ -446,7 +442,7 @@ class TestCoveringDeficiency:
     def test_union_bound(self):
         from gausshelp.geometry import cap_ratio_exact
 
-        cb = build_base_codebook(8, CH, 0.5, 0.1, seed=5)
+        cb = build_base_codebook(8, CH, 4, seed=5)
         t0 = theta0_of(0.5, 0.1)
         est = covering_deficiency(cb, t0, probes=100_000, seed=6)
         lower = 1.0 - cb.help_size * cap_ratio_exact(8, t0)
@@ -454,7 +450,7 @@ class TestCoveringDeficiency:
         assert est.fraction >= lower - 3.0 * se
 
     def test_rotation_invariance_matched_probes(self):
-        cb = build_base_codebook(6, CH, 0.5, 0.1, seed=8)
+        cb = build_base_codebook(6, CH, 3, seed=8)
         t0 = 0.9
         rot = cb.rotations([4])[0]
         dirs = sample_sphere(6, 20_000, np.random.default_rng(10))
@@ -465,7 +461,7 @@ class TestCoveringDeficiency:
         assert miss_base == miss_msg
 
     def test_tiled_scoring_equals_the_untiled_reference(self, monkeypatch):
-        cb = build_base_codebook(8, CH, 0.75, 0.1, seed=12)  # 64 points
+        cb = build_base_codebook(8, CH, 6, seed=12)  # 64 points
         t0 = theta0_of(0.75, 0.1)
         # 7 codebook rows per tile for a block of 1000 probes: the tiles split the codebook.
         monkeypatch.setattr(search, "TILE_FLOATS", 7 * 1000)

@@ -3,10 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gausshelp import scheme
-from gausshelp.capacity import ChannelParams
-from gausshelp.codebook import HelperCodebook, build_base_codebook, derive_seed, haar_rotation
+from gausshelp.capacity import ChannelParams, capacity_cognizant
+from gausshelp.codebook import (CodebookSizeError, HelperCodebook, build_base_codebook,
+                                derive_seed, haar_rotation)
 from gausshelp.geometry import cap_ratio_exact
 from gausshelp.scheme import (
     CHUNK_TRIALS,
@@ -75,7 +77,7 @@ def _square_codebook():
 
 class TestHelperSelect:
     def test_exact_alignment(self):
-        cb = build_base_codebook(8, CH, 0.5, 0.1, seed=2)
+        cb = build_base_codebook(8, CH, 4, seed=2)
         z = cb.base_points[3] * 0.37  # aligned with codeword 3 under identity rotation
         t, angle = helper_select(cb, 0, z, rotation=np.eye(8))
         assert t == 3
@@ -112,51 +114,51 @@ class TestHelperSelect:
 
 class TestTransmit:
     def test_power_constraint(self):
-        cb = build_base_codebook(8, CH, 0.5, 0.1, seed=2)
+        cb = build_base_codebook(8, CH, 4, seed=2)
         for m, t in ((0, 0), (5, 3), (123, 7)):
             x = transmit(cb, m, t)
             assert float(x @ x) == pytest.approx(8 * CH.power, rel=1e-10)
 
     def test_identity_hook(self):
-        cb = build_base_codebook(8, CH, 0.5, 0.1, seed=2)
+        cb = build_base_codebook(8, CH, 4, seed=2)
         assert np.allclose(transmit(cb, 0, 0, rotation=np.eye(8)), cb.base_points[0])
 
     def test_repeatable(self):
-        cb = build_base_codebook(8, CH, 0.5, 0.1, seed=2)
+        cb = build_base_codebook(8, CH, 4, seed=2)
         assert np.array_equal(transmit(cb, 9, 2), transmit(cb, 9, 2))
 
     def test_index_range(self):
-        cb = build_base_codebook(8, CH, 0.5, 0.1, seed=2)
+        cb = build_base_codebook(8, CH, 4, seed=2)
         with pytest.raises(ValueError):
             transmit(cb, 0, cb.help_size)
 
 
 class TestDecode:
     def test_exact_codeword(self):
-        cb = build_base_codebook(8, CH, 0.5, 0.1, seed=2)
+        cb = build_base_codebook(8, CH, 4, seed=2)
         y = transmit(cb, 17, 2)
         assert decode(cb, y, 2, range(64)) == 17
 
     def test_small_perturbation(self):
-        cb = build_base_codebook(8, CH, 0.5, 0.1, seed=2)
+        cb = build_base_codebook(8, CH, 4, seed=2)
         y = transmit(cb, 17, 2)
         y = y + 1e-6 * math.sqrt(8 * CH.power) * np.ones(8) / math.sqrt(8)
         assert decode(cb, y, 2, range(64)) == 17
 
     def test_empty_space(self):
-        cb = build_base_codebook(8, CH, 0.5, 0.1, seed=2)
+        cb = build_base_codebook(8, CH, 4, seed=2)
         with pytest.raises(ValueError):
             decode(cb, np.ones(8), 0, range(0))
 
     @pytest.mark.parametrize("t", [-1, 16])
     def test_index_range(self, t):
-        cb = build_base_codebook(8, CH, 0.5, 0.1, seed=2)  # 16 help indices
+        cb = build_base_codebook(8, CH, 4, seed=2)  # 16 help indices
         with pytest.raises(ValueError, match=f"^help index {t} out of range"):
             decode(cb, np.ones(8), t, range(4))
 
     def test_brute_force_distance_oracle(self):
         # independent exhaustive distance scan, message_bits=10, n=16
-        cb = build_base_codebook(16, CH, 0.5, 0.1, seed=6)
+        cb = build_base_codebook(16, CH, 8, seed=6)
         rng = np.random.default_rng(40)
         for _ in range(5):
             y = rng.standard_normal(16) * 3.0
@@ -170,7 +172,7 @@ class TestDecode:
             assert got == int(np.argmin(dists))
 
     def test_min_distance_equals_max_inner_product(self):
-        cb = build_base_codebook(12, CH, 0.5, 0.1, seed=7)
+        cb = build_base_codebook(12, CH, 6, seed=7)
         rng = np.random.default_rng(41)
         for _ in range(20):
             y = rng.standard_normal(12) * 2.0
@@ -317,6 +319,15 @@ class TestSimulate:
             assert min(covered) >= math.cos(cfg.theta0_rad) - 1e-12
         assert all(b > a for a, b in zip(means, means[1:]))
 
+    def test_help_indices_stay_within_the_configs_bits(self):
+        # n = 29 at R_h = 0.5 has 15 helper bits; the codebook once took
+        # ceil(29 * (15 / 29)) = 16 and drew 2^16 points.
+        rate = 0.7 * capacity_cognizant(CH, 0.5)
+        cfg = config_from_rates(29, rate, 0.5, CH, seed=5, eps=0.05, trials=300)
+        assert cfg.helper_bits == 15
+        s = simulate(cfg, keep_records=True)
+        assert max(r.help_index for r in s.records) < 1 << 15
+
 
 def route_config(n=8, bits=12, helper_bits=3, trials=64):
     eps = helper_bits / n / 2
@@ -363,6 +374,34 @@ class TestPlan:
                 == plan(route_config(n=41, helper_bits=0)).work + 64 * 41 ** 3)
         monkeypatch.setenv(WORKERS_ENV, "3")
         assert plan(route_config(n=16, helper_bits=12)).threads == 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 256), helper_bits=st.integers(0, 12))
+    # helper_bits / n times n lands one ulp above the integer at these rows
+    @example(n=29, helper_bits=15)
+    @example(n=25, helper_bits=7)
+    @example(n=25, helper_bits=14)
+    def test_the_codebook_is_the_planned_one(self, n, helper_bits):
+        cfg = route_config(n=n, helper_bits=helper_bits)
+        cb = build_codebook(cfg)
+        assert cb.help_size == 2 ** helper_bits
+        (store,) = [words for words, what in plan(cfg).storage if what.startswith("codebook")]
+        assert store == cb.base_points.size
+
+    def test_run_trials_admits_its_run_before_drawing(self, monkeypatch):
+        # The exhaustive-decode benchmark's cell stacks 2^12 rotations of
+        # 12 x 12, over a cap of 2^16 words.
+        cfg = config_from_rates(12, 1.0, 0.25, CH, seed=1, trials=200)
+        assert (cfg.message_bits, cfg.helper_bits) == (12, 3)
+        monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", 1 << 16)
+
+        def drawn(*args, **kwargs):
+            raise AssertionError("the run drew something")
+
+        for name in ("build_base_codebook", "build_codebook", "draw_messages"):
+            monkeypatch.setattr(scheme, name, drawn)
+        with pytest.raises(CodebookSizeError, match="^rotation stack of 4096 12x12 matrices"):
+            scheme.run_trials(cfg)
 
 
 class TestAnalyticErrorProbability:

@@ -10,8 +10,9 @@ through the normal quantile, and contract 5 builds R_m from n(n+1)/2 such
 normals as Stewart's product of reflectors.  All give IID w ~ N(0, sigma^2 I)
 and Haar R_m, so every per-trial outcome has the same law; the tests here
 rebuild contract 1, rotations included, and compare the two samples, check
-that the analytic route forms no rotation at all, and keep the documents
-that state the contract in step with scheme.STREAM_CONTRACT.
+that the analytic route forms no rotation at all, rebuild the base codebook
+and the sub-seeds from their seeds, and keep the documents that state the
+contract in step with scheme.STREAM_CONTRACT.
 """
 
 import re
@@ -27,6 +28,7 @@ from gausshelp.capacity import ChannelParams
 from gausshelp.codebook import derive_seed, derive_seeds
 from gausshelp.converse import CorrelationSums, estimator_slack
 from gausshelp.geometry import cap_ratio_exact
+from gausshelp.harness import SweepSpec, cell_config
 from gausshelp.results import wilson_interval
 from gausshelp.scheme import (
     build_codebook,
@@ -136,6 +138,36 @@ def test_analytic_route_forms_no_rotation(monkeypatch):
     # the diagnostics' x and z live in the channel frame, so they need R_m
     with pytest.raises(RuntimeError, match="rotation was formed"):
         simulate(cfg, diagnostics=True)
+
+
+def test_the_codebook_is_rebuilt_from_its_seed():
+    # The n = 29, R_h = 0.5 cell (15 helper bits): one (2^15, 29) standard
+    # normal block from default_rng(derive_seed(codebook_seed, 0)), each row
+    # scaled to norm sqrt(n P), and the rotations' seed base
+    # derive_seed(codebook_seed, 1).
+    cfg = config_from_rates(29, 1.29, 0.5, CH, seed=5, eps=0.05, trials=1)
+    rng = np.random.default_rng(derive_seed(cfg.codebook_seed, 0))
+    points = rng.standard_normal((1 << cfg.helper_bits, 29))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    points *= np.sqrt(29 * CH.power)
+    cb = build_codebook(cfg)
+    assert cb.help_size == 1 << 15
+    assert np.array_equal(cb.base_points, points)
+    assert cb.rotation_seed_base == derive_seed(cfg.codebook_seed, 1)
+
+
+def test_sub_seeds_are_derived_from_the_base_seed():
+    # config_from_rates takes derive_seed(seed, 1 | 2 | 3); a sweep cell's
+    # seed is derive_seed folded over its grid coordinates.
+    cfg = config_from_rates(29, 1.29, 0.5, CH, seed=5, eps=0.05, trials=1)
+    assert (cfg.codebook_seed, cfg.noise_seed, cfg.message_seed) == tuple(
+        derive_seed(5, i) for i in (1, 2, 3))
+    spec = SweepSpec(snr=(1.0, 3.0), helper_rate=(0.25, 0.5), blocklength=(8, 12),
+                     rate_fraction=(0.5, 0.7), trials=1, base_seed=7)
+    seed = 7
+    for coord in (1, 0, 1, 1):
+        seed = derive_seed(seed, coord)
+    assert cell_config(spec, 1, 0, 1, 1).base_seed == seed
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
