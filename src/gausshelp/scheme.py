@@ -13,7 +13,7 @@ sphere, so given the decode angle alpha the probability that some competitor
 lands closer is 1 - (1 - c)^(M-1) with c the cap ratio at alpha.  The two
 decode routes are cross-checked against each other in the test suite.
 
-`simulate` runs its trials through one chunked engine (`run_trials`).  The
+`simulate` runs its trials through one engine (`run_trials`).  The
 noise z is isotropic and independent of message m's rotation R_m, so the
 engine draws w = R_m^T z ~ N(0, sigma^2 I), the noise in the message's frame:
 the help index, the decode angle angle(b_t, b_t + w) and |w|^2 need no
@@ -21,8 +21,14 @@ rotation.  R_m is applied only for the exhaustive decoder's y = R_m (b_t + w)
 and the diagnostics' x = R_m b_t and z = R_m w; off the candidate stack, R_m
 is applied as its Householder reflectors (HelperCodebook.rotate), never
 formed.  The helper and exhaustive searches go through search.ScreenedSearch
-(`plan` picks the decode route and sizes the run); chunks run on up to
-`threads` threads, and no result depends on how many.
+(`plan` picks the decode route and sizes the run).
+
+A chunk, CHUNK_TRIALS trials, is the unit of drawing (the contract below); a
+batch of RunPlan.batch consecutive chunks is the unit of compute, which
+`plan` picks (_batch_chunks) and the contract leaves out: no row's result
+depends on the rows computed with it, so every result is the same at any
+batch size.  Batches run on up to `threads` threads, and no result depends
+on how many.
 
 Stream contract STREAM_CONTRACT = 5, each stream drawn in the order given:
 
@@ -38,7 +44,8 @@ Stream contract STREAM_CONTRACT = 5, each stream drawn in the order given:
   (k, 2) uniform block (row j: the error draw and the wrong-message draw);
   then, when M - 1 exceeds 2^53 (the values a uniform double resolves), the
   wrong messages of the erring trials in row order, by rejection on
-  rng.bytes.  So CHUNK_TRIALS is part of the contract;
+  rng.bytes.  So CHUNK_TRIALS is part of the contract; a batch draws each
+  of its chunks' streams from that chunk's generator, in chunk order;
 * message m's rotation R_m is Stewart's product of reflectors
   (codebook.haar_rotations).  With s = derive_seed(rotation_seed_base, m),
   normal j is ndtri(((derive_seed(s, j) >> 12) + 1/2) * 2^-52), and x_k is
@@ -67,6 +74,7 @@ from decimal import Decimal
 
 import numpy as np
 
+from . import search
 from .capacity import ChannelParams, capacity_cognizant
 from .codebook import (MAX_CODEBOOK_FLOATS, CodebookSizeError, HelperCodebook,
                        build_base_codebook, derive_seed, reflector_slice)
@@ -74,7 +82,6 @@ from .converse import CorrelationSums, correlation_budget
 from .geometry import (COS_CLAMP_TOL, achievable_rate_threshold, angle_between,
                        cap_ratio_exact, log_cap_ratio, theta0)
 from .results import SimSummary, TrialColumns, TrialRecord, wilson_interval
-from .search import ScreenedSearch
 
 # Largest message space scanned exhaustively; larger ones take the analytic law.
 EXHAUSTIVE_LIMIT = 1 << 12
@@ -89,6 +96,17 @@ CHUNK_TRIALS = 128
 # 4.0 k n^2 at n = 96 and 160).  The grouped scan also holds the chunk's
 # rotations, (k, n, n) (traced 1.06 k n^2 in all at n = 96).
 CHUNK_BLOCKS = 4
+
+# A batch (_batch_chunks) keeps its search tiles at least BATCH_MIN_COLUMNS
+# codebook rows wide, or the whole codebook: argmax costs about 50 ns more
+# per tile row, a tenth of a 512-score row's scan.  Measured at B = 1 to 16
+# on the criterion-5 cells (README's batch table), 2^16 helper points lost
+# 8% at B = 8 (256 columns) and 2^12 points 27% at B = 16 (128 columns),
+# while 2^8 points gained up to B = 16.  A run keeps at least MIN_BATCHES
+# batches, so the pool has items to share and a run of fewer than
+# 2 MIN_BATCHES chunks stores what one chunk does per item.
+BATCH_MIN_COLUMNS = 512
+MIN_BATCHES = 16
 
 # Version of the random streams documented in the module docstring.
 STREAM_CONTRACT = 5
@@ -234,6 +252,7 @@ class RunPlan:
     storage: tuple  # (64-bit words, what) per store, checked in order against MAX_CODEBOOK_FLOATS
     work: int  # estimated work in flops-like units; a sweep runs the largest cell first
     threads: int  # the engine's threads: 1 unless a trial's helper search passes THREAD_MIN_WORK
+    batch: int  # stream chunks per engine item (_batch_chunks)
 
     def admit(self) -> RunPlan:
         """This plan, unless a store outgrows the size cap: then CodebookSizeError."""
@@ -248,8 +267,23 @@ def _count(value: int) -> str:
     return str(value) if value < 10**12 else f"{Decimal(value):.3g}"
 
 
+def _batch_chunks(width: int, searched: int, chunks: int) -> int:
+    """Stream chunks one engine item computes together (a batch) in a run of `chunks`.
+
+    A batch pays a chunk's fixed numpy cost once for its B chunks, but its
+    searches score its B CHUNK_TRIALS rows against tiles of TILE_FLOATS /
+    (B CHUNK_TRIALS) codebook rows, and narrow tiles cost more per score.
+    So the batch's rows, times the larger of its query's `width` (n, or n^2
+    on the stack scan) and min(searched, BATCH_MIN_COLUMNS), for the
+    largest codebook of `searched` rows it scans, stay within one tile; and
+    a run keeps at least MIN_BATCHES batches.
+    """
+    per_row = max(width, min(searched, BATCH_MIN_COLUMNS))
+    return max(1, min(chunks // MIN_BATCHES, search.TILE_FLOATS // (CHUNK_TRIALS * per_row)))
+
+
 def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
-    """The decode route, stores, work estimate and engine threads of a run of cfg.
+    """The decode route, stores, work estimate, engine threads and batch size of a run of cfg.
 
     The decoder scans the M messages when M <= EXHAUSTIVE_LIMIT, else draws
     the error from the cap-area law ("analytic").  A scan is "grouped",
@@ -260,7 +294,10 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     Work: trials H n for the helper, M n^3 + H M n^2 + trials M n grouped,
     M n^2 (n + trials) stacked, trials n^3 for diagnostics, which also store
     each chunk's x and z and, on the analytic route, one reflector slice of
-    rotations per chunk in flight.  Chunks run on `threads` (None:
+    rotations per batch in flight.  The engine computes batches of `batch`
+    stream chunks (_batch_chunks; a chunk is the contract's unit of drawing,
+    a batch the unit of compute and not in the contract), and every store
+    counts a batch's chunks.  Batches run on `threads` (None:
     resolve_workers()) when a trial's helper search, H n, is at least
     THREAD_MIN_WORK; the diagnostics' n^3 counts toward the work, not the gate.
     """
@@ -285,9 +322,13 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
         storage.append((n_messages * n * (n + help_size * grouped),
                         f"rotation stack of {n_messages} {n}x{n} matrices"
                         f"{' with its per-help-index codebooks' if grouped else ''} exceeds"))
+    width, chunks = n * n if route == "stack" else n, -(-trials // CHUNK_TRIALS)
+    batch = _batch_chunks(width, max(help_size, n_messages if exhaustive else 0), chunks)
+    # Batches in flight: one, or up to threads + 1 on a pool; and their chunks.
+    items = min(-(-chunks // batch), threads + 1 if threads > 1 else 1)
+    in_flight = min(chunks, items * batch)
     k = min(trials, CHUNK_TRIALS)
-    in_flight = min(threads + 1, -(-trials // CHUNK_TRIALS)) if threads > 1 else 1
-    chunk = k * (CHUNK_BLOCKS * (n * n if route == "stack" else n) + grouped * n * n)
+    chunk = k * (CHUNK_BLOCKS * width + grouped * n * n)
     storage.append((in_flight * chunk,
                     f"{in_flight} engine chunk(s) of {k} trials in dimension {n} exceed"))
     if diagnostics:
@@ -298,11 +339,12 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
         # their xor-shift buffer, or the draw and its transposed copy, and
         # the word indices), plus 2 rows n for the slice's vectors (within 2%
         # of HelperCodebook.rotate's traced peak at n = 16 to 725).
-        rows = min(k, reflector_slice(n))
-        slice_words = 0 if exhaustive else (2 * rows + 1) * n * (n + 1) // 2 + 2 * rows * n
-        storage.append((in_flight * (slice_words + 2 * k * n),
-                        f"diagnostics rotations of {k} trials in dimension {n} exceed"))
-    return RunPlan(route, tuple(storage), work, threads)
+        rows = min(trials, batch * CHUNK_TRIALS)
+        slices = min(rows, reflector_slice(n))
+        slice_words = 0 if exhaustive else (2 * slices + 1) * n * (n + 1) // 2 + 2 * slices * n
+        storage.append((items * slice_words + in_flight * 2 * k * n,
+                        f"diagnostics rotations of {rows} trials in dimension {n} exceed"))
+    return RunPlan(route, tuple(storage), work, threads, batch)
 
 
 def _analytic_error_probability(n: int, decode_angle, n_competitors: int):
@@ -476,43 +518,54 @@ def run_trials(cfg: SchemeConfig, messages=None, correlations: CorrelationSums |
     Admits the run (plan(...).admit(): CodebookSizeError before anything is
     drawn or built), draws cfg's messages when given none (draw_messages),
     builds cfg's codebook and, on a scan route, its candidate_rotations stack
-    (on the calling thread), then runs CHUNK_TRIALS trials at a time, each
-    chunk on its own noise stream (module docstring).  For `correlations`
-    each chunk computes its inputs x = R_m b_t and noises z = R_m w, by
+    (on the calling thread), then runs the trials a batch of plan's
+    `batch` stream chunks at a time: each chunk of CHUNK_TRIALS trials
+    draws from its own noise stream (module docstring), and the batch
+    searches, scans and decodes all its rows at once.  For `correlations`
+    each batch computes its inputs x = R_m b_t and noises z = R_m w, by
     applying R_m's reflectors (HelperCodebook.rotate) or from the candidate
-    stack on a scan; they are added to the sums, not kept.  Chunks run on
+    stack on a scan; they are added to the sums, not kept.  Batches run on
     `threads` threads (None: resolve_workers(); a sweep's workers pass 1)
     when the helper search pays (plan, THREAD_MIN_WORK), each writing only
     its own rows.  The calling thread takes their decisions and adds their x
-    and z in chunk order, so every result is the serial loop's, bitwise.
+    and z a chunk at a time, in chunk order, so every result is the serial
+    one-chunk loop's, bitwise, at any thread count and batch size.
     """
     run = plan(cfg, correlations is not None, threads).admit()
     messages = draw_messages(cfg) if messages is None else list(messages)
     trials, n = len(messages), cfg.blocklength
+    n_chunks = -(-trials // CHUNK_TRIALS)
     n_messages = 1 << cfg.message_bits
     exhaustive, grouped = run.route != "analytic", run.route == "grouped"
     cb = build_codebook(cfg)
     rotations = candidate_rotations(cfg, cb)
-    scale = math.sqrt(n * cb.power)
+    scale, sigma = math.sqrt(n * cb.power), math.sqrt(cfg.channel.noise_var)
 
     help_index = np.empty(trials, dtype=np.int64)
     helper_angle, decode_angle, noise_energy = np.empty(trials), np.empty(trials), np.empty(trials)
     decoded = []
-    helper = ScreenedSearch(cb.base_points)
+    helper = search.ScreenedSearch(cb.base_points)
     if grouped:
-        # C[t, m'] = R_m' b_t, built once before any chunk runs.  Laid out as
+        # C[t, m'] = R_m' b_t, built once before any batch runs.  Laid out as
         # (n, H, M), so each help index's GEMM reads rows M long.
         codebooks = np.matmul(cb.base_points, rotations.transpose(1, 2, 0))
-        candidates = ScreenedSearch(codebooks.transpose(1, 2, 0))
+        candidates = search.ScreenedSearch(codebooks.transpose(1, 2, 0))
     elif exhaustive:
-        candidates = ScreenedSearch(rotations.reshape(n_messages, n * n))
+        candidates = search.ScreenedSearch(rotations.reshape(n_messages, n * n))
 
-    def chunk(lo):
-        """Fill rows lo:hi of the columns; return their decisions and, for diagnostics, x and z."""
-        hi = min(lo + CHUNK_TRIALS, trials)
+    def batch(first):
+        """Fill the rows of the batch from chunk `first` on; return their decisions and x, z.
+
+        Each chunk draws its w, then its uniforms and wrong messages, from its
+        own generator, in chunk order; everything else runs once on the
+        batch's rows, and no row's result depends on the rows beside it.
+        """
+        streams = [(np.random.default_rng(derive_seed(cfg.noise_seed, c)),
+                    c * CHUNK_TRIALS, min((c + 1) * CHUNK_TRIALS, trials))
+                   for c in range(first, min(first + run.batch, n_chunks))]
+        lo, hi = streams[0][1], streams[-1][2]
         ms = messages[lo:hi]
-        rng = np.random.default_rng(derive_seed(cfg.noise_seed, lo // CHUNK_TRIALS))
-        w = rng.standard_normal((hi - lo, n)) * math.sqrt(cfg.channel.noise_var)
+        w = np.concatenate([rng.standard_normal((e - s, n)) for rng, s, e in streams]) * sigma
 
         # Everything below is in message m's frame: the base codebook and w.
         t, best = helper.argmax(w)
@@ -539,10 +592,12 @@ def run_trials(cfg: SchemeConfig, messages=None, correlations: CorrelationSums |
                 found, _ = candidates.argmax((y[:, :, None] * bt[:, None, :]).reshape(hi - lo, n * n))
             found = found.tolist()
         else:
-            u = rng.random((hi - lo, 2))
-            p_err = _analytic_error_probability(n, decode_angle[lo:hi], n_messages - 1)
-            found = [_wrong_message(rng, m, u_wrong, n_messages) if u_err < p else m
-                     for m, (u_err, u_wrong), p in zip(ms, u.tolist(), p_err.tolist())]
+            p_err = _analytic_error_probability(n, decode_angle[lo:hi], n_messages - 1).tolist()
+            found = []
+            for rng, s, e in streams:
+                u = rng.random((e - s, 2)).tolist()
+                found += [_wrong_message(rng, m, u_wrong, n_messages) if u_err < p else m
+                          for m, (u_err, u_wrong), p in zip(messages[s:e], u, p_err[s - lo:e - lo])]
             if correlations is not None:
                 x, z = cb.rotate(ms, np.stack([bt, w], axis=1)).transpose(1, 0, 2)
         return found, x, z
@@ -551,9 +606,11 @@ def run_trials(cfg: SchemeConfig, messages=None, correlations: CorrelationSums |
         found, x, z = result
         decoded.extend(found)
         if correlations is not None:
-            correlations.add(x, z)
+            # A chunk at a time: the sums' bits depend on the rows added together.
+            for s in range(0, len(found), CHUNK_TRIALS):
+                correlations.add(x[s:s + CHUNK_TRIALS], z[s:s + CHUNK_TRIALS])
 
-    _in_order(chunk, range(0, trials, CHUNK_TRIALS), run.threads, take)
+    _in_order(batch, range(0, n_chunks, run.batch), run.threads, take)
 
     return TrialColumns(
         message=messages,

@@ -50,6 +50,15 @@ DATA = Path(__file__).parent / "data"
 EDGE_TRIALS = (1, CHUNK_TRIALS - 1, CHUNK_TRIALS + 1)
 # ... and one that leaves several chunks in flight on every thread count.
 THREADED_TRIALS = EDGE_TRIALS + (5 * CHUNK_TRIALS + 3,)
+# Chunks per engine batch where a test sets the batch size, and trial counts
+# that end mid-batch and span one, two and three batches.
+BATCH = 2
+BATCH_TRIALS = (BATCH * CHUNK_TRIALS - 1, BATCH * CHUNK_TRIALS + 1, 2 * BATCH * CHUNK_TRIALS + 3)
+
+
+def force_batch(monkeypatch, batch):
+    """Have plan put `batch` stream chunks in every engine batch."""
+    monkeypatch.setattr(scheme, "_batch_chunks", lambda *args: batch)
 
 
 def analytic_config(trials):
@@ -80,6 +89,14 @@ def boundary_grouped_config(trials):
 
 def boundary_stack_config(trials):
     return grouped_config(trials, n=8, helper_bits=4)  # 16 helper points at n = 8
+
+
+def rejection_config(trials):
+    # 74-bit messages at n = 8: every trial errs and draws its wrong message
+    # by rejection on its chunk's generator.
+    cfg = config_from_rates(8, 74 / 8, 0.5, CH, seed=17, eps=0.1, trials=trials)
+    assert cfg.message_bits == 74 and plan(cfg).route == "analytic"
+    return cfg
 
 
 def contract_draws(cfg, trials):
@@ -130,6 +147,18 @@ class TestEngineMatchesRunTrial:
         if diagnostics:
             want = empirical_correlations(pairs).per_index_rho
             assert np.allclose(s.corr_profile.per_index_rho, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("trials", BATCH_TRIALS)
+    @pytest.mark.parametrize("make", [analytic_config, rejection_config, grouped_config,
+                                      boundary_stack_config])
+    def test_cognizant_in_batches(self, monkeypatch, make, trials):
+        # A batch draws each chunk's noise, uniforms and wrong messages from
+        # that chunk's own generator, in the contract's order, and adds its
+        # diagnostics a chunk at a time: the replay above, chunk by chunk,
+        # still matches trial for trial.
+        force_batch(monkeypatch, BATCH)
+        assert plan(make(trials)).batch == BATCH
+        self.test_cognizant(make, trials)
 
     @pytest.mark.parametrize("trials", EDGE_TRIALS)
     def test_feedback(self, trials):
@@ -366,6 +395,68 @@ def diagnostics_extra_peak(cfg, threads=None):
     return peaks[0] - peaks[1]
 
 
+def batch_cell(name, trials):
+    """A cell of each route with the batch size plan picks for it (MIN_BATCHES aside)."""
+    if name in ("analytic n=16", "analytic n=24"):  # 2^8 and 2^12 helper points
+        return criterion5_config(int(name[-2:]), trials)
+    # 2^12 messages, with 2^3 helper points at n = 12 or 2^8 at n = 16
+    n, helper_rate = (12, 0.25) if name == "grouped" else (16, 0.5)
+    cfg = config_from_rates(n, 0.75 * 16 / n, helper_rate, CH, seed=26, trials=trials)
+    assert (cfg.message_bits, plan(cfg).route) == (12, name)
+    return cfg
+
+
+def batch_stores(cfg, diagnostics, batch=None):
+    """Words of plan(cfg)'s engine and diagnostics stores, with `batch` chunks per batch if given."""
+    with pytest.MonkeyPatch.context() as mp:
+        if batch is not None:
+            force_batch(mp, batch)
+        return sum(words for words, what in plan(cfg, diagnostics).storage
+                   if "engine" in what or "diagnostics" in what)
+
+
+def traced_peak(cfg, diagnostics, batch):
+    with pytest.MonkeyPatch.context() as mp:
+        force_batch(mp, batch)
+        messages = scheme.draw_messages(cfg)
+        tracemalloc.start()
+        try:
+            scheme.run_trials(cfg, messages, CorrelationSums() if diagnostics else None, threads=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("diagnostics", [False, True])
+@pytest.mark.parametrize("name, batch", [("analytic n=16", 8), ("analytic n=32", 8), ("stack", 4)])
+def test_batches_count_toward_the_size_cap(monkeypatch, name, batch, diagnostics):
+    # plan counts the B chunks of a batch in flight: the engine chunks' store
+    # and the diagnostics' x, z and reflector slices.  What batching adds to
+    # the traced peak of a run is at least half of what plan adds, and at
+    # most that plus one float32 score tile, which plan leaves out: B chunks
+    # against 2^8 points fill a tile of TILE_FLOATS scores, one chunk 2^15.
+    monkeypatch.setattr(scheme, "MIN_BATCHES", 1)
+    trials = 2 * batch * CHUNK_TRIALS + 3
+    if name == "analytic n=32":  # 2^8 helper points
+        cfg = config_from_rates(32, 1.2, 0.25, CH, seed=31, eps=0.1, trials=trials)
+    else:
+        cfg = batch_cell(name, trials)
+    assert plan(cfg).batch == batch
+    added = 8 * (batch_stores(cfg, diagnostics) - batch_stores(cfg, diagnostics, batch=1))
+    traced = traced_peak(cfg, diagnostics, batch) - traced_peak(cfg, diagnostics, 1)
+    assert added / 2 <= traced <= added + 4 * search.TILE_FLOATS
+    if name == "stack":
+        return  # its rotation stack, M n^2 words, outgrows any batch (B k n^2 <= TILE_FLOATS)
+    # Under a cap one word below the batch's chunks, which one chunk fits, the
+    # cell is refused before anything is drawn.
+    (chunk,) = [words for words, what in plan(cfg, diagnostics).storage if "engine" in what]
+    monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", chunk - 1)
+    assert batch_stores(cfg, False, batch=1) < chunk - 1
+    refuse_draws(monkeypatch)
+    with pytest.raises(CodebookSizeError, match=rf"^{batch} engine chunk\(s\) of 128 trials"):
+        simulate(cfg, diagnostics=diagnostics)
+
+
 @pytest.mark.parametrize("n, helper_bits, route", [(96, 0, "grouped"), (64, 7, "stack")])
 def test_scan_diagnostics_store_is_the_chunks_x_and_z(n, helper_bits, route):
     # A scan reads R_m off the candidate stack and forms no reflector slice,
@@ -454,6 +545,29 @@ def criterion5_config(n, trials):
     return config_from_rates(n, rate, 0.5, CH, seed=1, eps=0.1, trials=trials)
 
 
+@pytest.mark.parametrize("name, batch", [
+    ("analytic n=16", 8), ("analytic n=24", 4), ("grouped", 4), ("stack", 4)])
+def test_batches_leave_columns_and_sums_bitwise(monkeypatch, name, batch):
+    # One batch of B chunks searches, scans and rotates its rows together;
+    # no row's result depends on the rows beside it, so the columns and the
+    # running sums are bitwise those of one chunk per batch.  With at least
+    # MIN_BATCHES batches per run lowered to 1, plan picks B from the cell.
+    monkeypatch.setattr(scheme, "MIN_BATCHES", 1)
+    cfg = batch_cell(name, 2 * batch * CHUNK_TRIALS + 3)
+    assert plan(cfg).batch == batch
+    messages = scheme.draw_messages(cfg)
+
+    def run(b):
+        force_batch(monkeypatch, b)
+        sums = CorrelationSums()
+        cols = scheme.run_trials(cfg, messages, sums, threads=1)
+        return columns_bits(cols), sums.sums.tobytes()
+
+    want = run(1)
+    assert run(2) == want
+    assert run(batch) == want
+
+
 @pytest.mark.parametrize("n, diagnostics, threads", [
     (16, False, 1),  # 2^8 * 16 per trial
     (24, False, 2),  # 2^12 * 24
@@ -469,15 +583,16 @@ def test_the_thread_gate_on_the_criterion_5_cells(monkeypatch, n, diagnostics, t
 
 
 class TestEngineThreads:
-    """Chunks on 1, 2 or 3 threads give bitwise the same results."""
+    """Batches of chunks on 1, 2 or 3 threads give bitwise the same results."""
 
     @pytest.fixture(autouse=True)
     def thread_small_cells(self, monkeypatch):
         monkeypatch.setattr(scheme, "THREAD_MIN_WORK", 0)
 
     @pytest.mark.parametrize("trials", THREADED_TRIALS)
-    def test_results_do_not_depend_on_the_thread_count(self, trials):
-        def run_all(threads):
+    def test_results_do_not_depend_on_the_thread_count(self, monkeypatch, trials):
+        def run_all(threads, batch):
+            force_batch(monkeypatch, batch)
             cfg, exh = analytic_config(trials), exhaustive_config(trials)
             sums = CorrelationSums()
             cols = scheme.run_trials(cfg, scheme.draw_messages(cfg), sums if trials > 1 else None,
@@ -491,10 +606,12 @@ class TestEngineThreads:
                     summary_bits(simulate_feedback(feedback_config(trials), keep_records=True,
                                                    threads=threads)))
 
-        runs = {threads: run_all(threads) for threads in (1, 2, 3)}
-        for threads in (2, 3):
-            cols, sums, *summaries = runs[threads]
-            want_cols, want_sums, *want_summaries = runs[1]
+        # One chunk or BATCH chunks per batch.
+        runs = {(threads, batch): run_all(threads, batch)
+                for threads in (1, 2, 3) for batch in (1, BATCH)}
+        for key in runs:
+            cols, sums, *summaries = runs[key]
+            want_cols, want_sums, *want_summaries = runs[1, 1]
             assert cols == want_cols
             if trials > 1:
                 assert sums.tobytes() == want_sums.tobytes()
@@ -554,8 +671,10 @@ class TestEngineThreads:
         assert time.monotonic() - started < 60
 
     def test_results_are_taken_in_chunk_order_on_the_calling_thread(self, monkeypatch):
-        # The first chunk is held back, so later chunks finish before it; the
-        # running sums must still see the chunks in order, from this thread.
+        # The first batch is held back, so later batches finish before it; the
+        # running sums must still see the chunks in order, a chunk at a time,
+        # from this thread.
+        force_batch(monkeypatch, BATCH)
         cfg = analytic_config(4 * CHUNK_TRIALS + 5)
         messages = scheme.draw_messages(cfg)
         derive_seed = scheme.derive_seed
@@ -580,6 +699,7 @@ class TestEngineThreads:
 
         monkeypatch.setattr(scheme, "derive_seed", slow_first)
         serial, decoded = record(1)
+        assert [len(a[1]) // (16 * 8) for a in serial] == [CHUNK_TRIALS] * 4 + [5]
         me = threading.get_ident()
         for threads in (2, 3):
             added, threaded_decoded = record(threads)
@@ -589,9 +709,11 @@ class TestEngineThreads:
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_a_failing_chunk_propagates_and_leaves_no_thread(self, monkeypatch, threads):
-        # Chunk 3 of 10 raises on its thread: the error comes out unchanged,
-        # the chunks not yet started are cancelled (at most threads + 1 were
-        # in flight), and the pool's threads are gone when run_trials returns.
+        # Chunk 3 of 10, the first of batch 2 of 5, raises on its thread: the
+        # error comes out unchanged, the batches not yet started are cancelled
+        # (at most threads + 1 were in flight), and the pool's threads are
+        # gone when run_trials returns.
+        force_batch(monkeypatch, BATCH)
         cfg = analytic_config(10 * CHUNK_TRIALS)
         derive_seed = scheme.derive_seed
         calls = []
@@ -607,7 +729,7 @@ class TestEngineThreads:
         with pytest.raises(RuntimeError, match="^chunk 3 failed$"):
             simulate(cfg, diagnostics=True, threads=threads)
         assert threading.active_count() == before
-        assert 3 <= len(calls) <= 3 + threads
+        assert 3 <= len(calls) and len({chunk // BATCH for chunk in calls}) <= 2 + threads
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_in_order_bounds_the_calls_in_flight(self, threads):
@@ -646,13 +768,24 @@ class TestEngineThreads:
         wide = config_from_rates(28, 1.2, 0.5, CH, seed=24, eps=0.1, trials=2 * CHUNK_TRIALS)
         simulate(wide, threads=4)
         assert pools == [(2,)]  # two chunks on min(4, 2) threads
+        # A pool item is a batch: two chunks in one batch build no pool,
+        # three in two batches do.
+        force_batch(monkeypatch, BATCH)
+        simulate(wide, threads=4)
+        assert pools == [(2,)]
+        simulate(replace(wide, trials=3 * CHUNK_TRIALS), threads=4)
+        assert pools == [(2,), (2,)]
 
-    def test_threaded_diagnostics_memory_does_not_grow_with_trials(self):
-        # As test_diagnostics_memory_does_not_grow_with_trials, on 2 threads:
-        # each chunk applies its rotations on its own thread, a reflector slice
-        # at a time, and at most threads + 1 chunks are in flight, so the
-        # threads add no store that grows with the trials.
-        n, few, many = 32, 512, 8192
+    def test_threaded_diagnostics_memory_does_not_grow_with_trials(self, monkeypatch):
+        # As test_diagnostics_memory_does_not_grow_with_trials, on 2 threads
+        # and in batches of 4 chunks (the criterion-5 cells'): each batch
+        # applies its rotations on its own thread, a reflector slice at a
+        # time, and at most threads + 1 batches are in flight, so the threads
+        # add no store that grows with the trials.  Both counts span several
+        # batches on every thread, so they hold the same batches in flight.
+        force_batch(monkeypatch, 4)
+        n, few = 32, 3 * 2 * 4 * CHUNK_TRIALS
+        many = few + 7680
 
         def extra_peak(trials):
             return diagnostics_extra_peak(

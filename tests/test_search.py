@@ -114,6 +114,42 @@ def test_grouped_matches_f64_scan_per_group(seed, queries, groups, rows, d, tile
         assert index[-1] == rows - 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), queries=st.integers(2, 64), groups=st.integers(1, 3),
+       rows=st.integers(2, 40), d=st.integers(1, 33), tile_rows=st.integers(1, 9),
+       tie=st.sampled_from(["none", "exact", "near", "unscreened"]), misaligned=st.booleans())
+def test_each_row_is_searched_as_if_alone(seed, queries, groups, rows, d, tile_rows, tie,
+                                          misaligned):
+    # A row's index and value, bitwise, do not depend on the rows that share
+    # the call: a batch of stream chunks searches rows that a lone chunk
+    # would search in other company.  Ties send the rows aimed at them to the
+    # float64 scan: duplicated codebook rows ("exact"), rows a float32 rounding
+    # apart ("near"), or every row, as queries too small for the screen.
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((groups, rows, d))
+    group = rng.integers(0, groups, queries)
+    a = rng.standard_normal((queries, d))
+    if tie == "exact":
+        b[:, rows // 2:] = b[:, :rows - rows // 2]
+    elif tie == "near":
+        b[:, -1] = b[:, 0] * (1 + 1e-3 * score_bound(d))
+    if tie in ("exact", "near"):
+        a[::2] = b[group[::2], 0] * 3.0
+    elif tie == "unscreened":
+        a *= 1e-160
+    if misaligned:
+        # Rows that start 8 bytes off the allocation's alignment.
+        buffer = np.empty(queries * d + 1)[1:].reshape(queries, d)
+        buffer[...] = a
+        a = buffer
+    s = ScreenedSearch(b)
+    with mock.patch.object(search, "TILE_FLOATS", tile_rows * queries):
+        index, value = s.argmax(a, group)
+        for i in range(queries):
+            alone = s.argmax(a[i:i + 1], group[i:i + 1])
+            assert (alone[0][0], alone[1].tobytes()) == (index[i], value[i:i + 1].tobytes()), i
+
+
 def test_grouped_rows_search_their_own_codebook():
     # Query row i scores against codebook group[i] only: the same query finds
     # a different index in each codebook, and exact ties break to the
