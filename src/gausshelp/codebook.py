@@ -35,6 +35,9 @@ MAX_CODEBOOK_FLOATS = 1 << 28
 # Probe directions covering_deficiency draws and scores at a time.
 DEFICIENCY_CHUNK = 4096
 
+# Floats sample_sphere normalizes at a time.
+NORMALIZE_FLOATS = 1 << 16
+
 
 class CodebookSizeError(MemoryError):
     """The requested codebook would exceed the in-memory size cap."""
@@ -178,9 +181,18 @@ def haar_rotation(n: int, seed: int) -> np.ndarray:
 
 
 def sample_sphere(n: int, count: int, rng) -> np.ndarray:
-    """count points uniform on the unit sphere in R^n, as a (count, n) array."""
+    """count points uniform on the unit sphere in R^n, as a (count, n) array.
+
+    The standard normal draw is normalized in place, in blocks of about
+    NORMALIZE_FLOATS floats: a row's norm is the same reduction in any block,
+    so the points are bitwise those of one whole-array pass, without its
+    temporaries the size of the draw.
+    """
     g = rng.standard_normal((count, n))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    step = max(1, NORMALIZE_FLOATS // n)
+    for lo in range(0, count, step):
+        block = g[lo:lo + step]
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
     return g
 
 
@@ -201,7 +213,11 @@ class HelperCodebook:
         return haar_rotation(self.blocklength, derive_seed(self.rotation_seed_base, m))
 
     def _seeds(self, messages) -> np.ndarray:
-        if any(m < 0 for m in messages):
+        if isinstance(messages, range):
+            negative = bool(messages) and min(messages[0], messages[-1]) < 0  # its least end
+        else:
+            negative = bool((np.asarray(messages) < 0).any())
+        if negative:
             raise ValueError(f"message indices must be nonnegative, got {min(messages)}")
         return derive_seeds(self.rotation_seed_base, messages)
 

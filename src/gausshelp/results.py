@@ -30,7 +30,7 @@ def wilson_interval(successes: int, trials: int):
             max(p, min(1.0, (center + half) / denom)))
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialRecord:
     """Raw evidence from one simulated transmission."""
 

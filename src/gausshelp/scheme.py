@@ -297,9 +297,11 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     rotations per batch in flight.  The engine computes batches of `batch`
     stream chunks (_batch_chunks; a chunk is the contract's unit of drawing,
     a batch the unit of compute and not in the contract), and every store
-    counts a batch's chunks.  Batches run on `threads` (None:
-    resolve_workers()) when a trial's helper search, H n, is at least
-    THREAD_MIN_WORK; the diagnostics' n^3 counts toward the work, not the gate.
+    counts a batch's chunks; the engine store adds, per batch in flight, the
+    float32 scores of its widest search (search.tile_floats).  Batches run
+    on `threads` (None: resolve_workers()) when a trial's helper search, H n,
+    is at least THREAD_MIN_WORK; the diagnostics' n^3 counts toward the
+    work, not the gate.
     """
     n, trials, bits = cfg.blocklength, cfg.trials, cfg.message_bits
     # No memory holds 2^64 points, so a larger codebook is refused as one of 2^64.
@@ -323,13 +325,16 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
                         f"rotation stack of {n_messages} {n}x{n} matrices"
                         f"{' with its per-help-index codebooks' if grouped else ''} exceeds"))
     width, chunks = n * n if route == "stack" else n, -(-trials // CHUNK_TRIALS)
-    batch = _batch_chunks(width, max(help_size, n_messages if exhaustive else 0), chunks)
+    searched = max(help_size, n_messages if exhaustive else 0)
+    batch = _batch_chunks(width, searched, chunks)
     # Batches in flight: one, or up to threads + 1 on a pool; and their chunks.
     items = min(-(-chunks // batch), threads + 1 if threads > 1 else 1)
     in_flight = min(chunks, items * batch)
-    k = min(trials, CHUNK_TRIALS)
+    k, rows = min(trials, CHUNK_TRIALS), min(trials, batch * CHUNK_TRIALS)
     chunk = k * (CHUNK_BLOCKS * width + grouped * n * n)
-    storage.append((in_flight * chunk,
+    # Each batch in flight also holds its largest search's float32 scores.
+    tile = -(-search.tile_floats(rows, searched) // 2)
+    storage.append((in_flight * chunk + items * tile,
                     f"{in_flight} engine chunk(s) of {k} trials in dimension {n} exceed"))
     if diagnostics:
         # Each chunk in flight holds its x and z, 2 k n, which a scan forms
@@ -339,7 +344,6 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
         # their xor-shift buffer, or the draw and its transposed copy, and
         # the word indices), plus 2 rows n for the slice's vectors (within 2%
         # of HelperCodebook.rotate's traced peak at n = 16 to 725).
-        rows = min(trials, batch * CHUNK_TRIALS)
         slices = min(rows, reflector_slice(n))
         slice_words = 0 if exhaustive else (2 * slices + 1) * n * (n + 1) // 2 + 2 * slices * n
         storage.append((items * slice_words + in_flight * 2 * k * n,

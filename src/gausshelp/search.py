@@ -10,7 +10,13 @@ row's own float64 dot product a_i . b_w, so neither index nor value depends
 on the other query rows.
 The rows are sorted by group (unless there is one codebook); per tile of N,
 one float32 GEMM per group present writes that group's rows of one score
-buffer, and the reductions and the screen below run once per tile.  One
+buffer, and the reductions and the screen below run once per tile.  A
+tile's reductions are one argmax and a gather of each row's tile maximum,
+which is the new runner-up of every row whose running best it does not
+beat.  Only a row whose best moves needs the tile's own runner-up (the
+tile's argmax with the winner masked): on the tile in place when more than
+k/8 of its k rows moved (the first few tiles), else on a copy of just those
+rows.  One
 scale s = 1/max ||b_gj|| serves every group, so the bound below holds
 unchanged.  The float32 copy keeps b's memory layout, so a caller can store
 the codebooks (d, G, N) and have each group's GEMM read rows N long.
@@ -84,34 +90,59 @@ def _tile_rows(k: int) -> int:
     return max(1, TILE_FLOATS // k)
 
 
+def _copied_rows(k: int) -> int:
+    """Most rows of a k-row score tile whose runner-up _best_two finds on a copy."""
+    return k // 8
+
+
+def tile_floats(k: int, n_rows: int) -> int:
+    """Scores _best_two holds for k query rows against n_rows: its tile and its runner-up copy."""
+    return (k + _copied_rows(k)) * min(_tile_rows(k), n_rows)
+
+
 def _best_two(a: np.ndarray, b: np.ndarray, groups):
     """Row-wise argmax, max and runner-up of each row's scores, over tiles of b's rows.
 
     b is a stack of codebooks (G, N, d) and groups lists triples (g, lo, hi):
     rows lo:hi of a are scored against b[g], one GEMM per group into one tile
     buffer.  Scores stay in the operands' common dtype.  Ties break to the
-    smallest index; a runner-up equal to the max marks a tie.
+    smallest index; a runner-up equal to the max marks a tie.  Every row
+    takes its tile maximum into its runner-up; only a row whose tile maximum
+    beats its running best needs the tile's own runner-up (the tile's argmax
+    with the winner masked).  Those rows are masked in place on the tile when
+    more than k/8 of the k rows moved, else on a copy of just those rows.
     """
     k, n_rows = a.shape[0], b.shape[1]
-    rows = np.arange(k)
     index = np.zeros(k, dtype=np.int64)
     best = np.full(k, -np.inf, dtype=np.result_type(a, b))
     second = np.full_like(best, -np.inf)
+    top = np.empty_like(best)
     tile = _tile_rows(k)
     buffer = np.empty(k * min(tile, n_rows), dtype=best.dtype)
+    spare = np.empty(_copied_rows(k) * min(tile, n_rows), dtype=best.dtype)
     for lo in range(0, n_rows, tile):
-        scores = buffer[:k * min(tile, n_rows - lo)].reshape(k, -1)
+        cols = min(tile, n_rows - lo)
+        scores = buffer[:k * cols].reshape(k, cols)
         for g, r0, r1 in groups:
-            np.matmul(a[r0:r1], b[g, lo:lo + tile].T, out=scores[r0:r1])
-        i = scores.argmax(axis=1)
-        v = scores[rows, i]
-        scores[rows, i] = -np.inf
-        # argmax and a gather: max(axis=1) costs about 0.2 us more per row.
-        runner_up = scores[rows, scores.argmax(axis=1)]
-        better = v > best
-        second = np.where(better, np.maximum(best, runner_up), np.maximum(second, v))
-        index[better] = i[better] + lo
-        best[better] = v[better]
+            np.matmul(a[r0:r1], b[g, lo:lo + cols].T, out=scores[r0:r1])
+        column = scores.argmax(axis=1)
+        np.take(buffer, column + np.arange(0, k * cols, cols), out=top)
+        moved = np.flatnonzero(top > best)
+        np.maximum(second, top, out=second)
+        if moved.size:
+            column = column[moved]
+            if moved.size > _copied_rows(k):
+                rest, rows = scores, moved
+            else:
+                rest = spare[:moved.size * cols].reshape(-1, cols)
+                np.take(scores, moved, axis=0, out=rest)
+                rows = np.arange(moved.size)
+            rest[rows, column] = -np.inf
+            # argmax and a gather: max(axis=1) costs about 0.2 us more per row.
+            runner_up = rest[rows, rest.argmax(axis=1)[rows]]
+            second[moved] = np.maximum(best[moved], runner_up)
+            index[moved] = column + lo
+            best[moved] = top[moved]
     return index, best, second
 
 

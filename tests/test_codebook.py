@@ -211,6 +211,16 @@ class TestHaarRotation:
         with pytest.raises(ValueError):
             cb.rotations([-1])
 
+    @pytest.mark.parametrize("messages, least", [
+        (range(-3, 2), -3), (range(4, -3, -2), -2), ([0, 2**70, -1], -1), ([5, -2**70], -2**70)])
+    def test_negative_messages_refused(self, messages, least):
+        cb = build_base_codebook(6, CH, 3, seed=3)
+        for call in (cb.rotations, lambda ms: cb.rotate(ms, np.zeros((len(ms), 6)))):
+            with pytest.raises(ValueError,
+                               match=f"^message indices must be nonnegative, got {least}$"):
+                call(messages)
+        assert len(cb.rotations(range(0))) == len(cb.rotations([])) == 0
+
     def test_image_of_basis_vector_is_uniform(self):
         # first coordinate of R e1 should match the uniform-on-sphere moments
         n, trials = 16, 3000
@@ -330,6 +340,18 @@ class TestBuildBaseCodebook:
         rng = np.random.default_rng(derive_seed(9, 0))
         want = sample_sphere(8, cb.help_size, rng) * math.sqrt(8 * CH.power)
         assert np.array_equal(cb.base_points, want)
+
+    @pytest.mark.parametrize("block", [1, 3 * 8, 5 * 8 + 3, codebook.NORMALIZE_FLOATS])
+    def test_blocked_normalization_is_bitwise_one_pass(self, monkeypatch, block):
+        # Each row's norm is the same reduction in any block, so normalizing
+        # block by block, a ragged last block included, gives the whole-array
+        # pass's points.
+        count = 2 * codebook.NORMALIZE_FLOATS // 8 + 7
+        g = np.random.default_rng(4).standard_normal((count, 8))
+        want = g / np.linalg.norm(g, axis=1, keepdims=True)
+        monkeypatch.setattr(codebook, "NORMALIZE_FLOATS", block)
+        got = sample_sphere(8, count, np.random.default_rng(4))
+        assert got.tobytes() == want.tobytes()
 
     def test_sizes_and_norms(self):
         cb = build_base_codebook(8, CH, 2, seed=1)

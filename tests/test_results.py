@@ -1,9 +1,10 @@
 import math
+import pickle
 from dataclasses import MISSING, fields
 
 import pytest
 
-from gausshelp.results import Z95, SimSummary, wilson_interval
+from gausshelp.results import Z95, SimSummary, TrialRecord, wilson_interval
 
 
 def wilson_reference(k, n):
@@ -41,3 +42,16 @@ def test_summary_refuses_more_errors_than_trials():
     assert SimSummary(**{**required, "trials": 3, "errors": 3}).errors == 3
     with pytest.raises(ValueError, match="^errors cannot exceed trials$"):
         SimSummary(**{**required, "trials": 3, "errors": 4})
+
+
+def test_trial_record_has_slots_and_pickles():
+    # A record holds its eight fields in slots: its fields can be reassigned
+    # (simulate_feedback relabels them), an unknown attribute is refused, and
+    # it survives pickling.
+    rec = TrialRecord(3, 1, 0.5, 0.25, 12.0, False, 3, False)
+    rec.message, rec.decoded, rec.noise_energy = 2**70, 5, rec.noise_energy + 1.0
+    assert not hasattr(rec, "__dict__")
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+    back = pickle.loads(pickle.dumps(rec))
+    assert back == rec and back.message == 2**70 and back.noise_energy == 13.0

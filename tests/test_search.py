@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gausshelp import search
-from gausshelp.search import ScreenedSearch, _argmax_f64, score_bound
+from gausshelp.search import ScreenedSearch, _argmax_f64, _best_two, score_bound
 
 
 def assert_same_as_f64(a, b):
@@ -148,6 +148,60 @@ def test_each_row_is_searched_as_if_alone(seed, queries, groups, rows, d, tile_r
         for i in range(queries):
             alone = s.argmax(a[i:i + 1], group[i:i + 1])
             assert (alone[0][0], alone[1].tobytes()) == (index[i], value[i:i + 1].tobytes()), i
+
+
+def best_two_reference(a, b, groups):
+    """_best_two by brute force: each row's whole score row, its first maximum,
+    and the maximum left when one instance of it is removed."""
+    index = np.zeros(len(a), dtype=np.int64)
+    best, second = np.full(len(a), -np.inf), np.full(len(a), -np.inf)
+    for g, lo, hi in groups:
+        for i in range(lo, hi):
+            # Small integers: every score is exact, in any summation order.
+            scores = np.sum(a[i].astype(np.float64) * b[g], axis=1)
+            index[i] = np.argmax(scores)
+            best[i] = scores[index[i]]
+            second[i] = np.delete(scores, index[i]).max(initial=-np.inf)
+    return index, best, second
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), queries=st.integers(1, 64), groups=st.integers(1, 4),
+       rows=st.integers(1, 200), d=st.integers(1, 6), tile_rows=st.integers(1, 8),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_best_two_matches_the_whole_score_matrix(seed, queries, groups, rows, d, tile_rows,
+                                                 dtype):
+    # Integer scores tie often, also across tiles: the earlier tile keeps the
+    # index and the runner-up equals the best.  Narrow tiles make many of
+    # them, so some see more than an eighth of the rows' best move and most
+    # see fewer.  The first row of each range meets its best on the last
+    # tile, and the second scores -inf everywhere: it keeps index 0.
+    rng = np.random.default_rng(seed)
+    b = rng.integers(-2, 3, (groups, rows, d)).astype(dtype)
+    b[:, :, 0] = rng.integers(1, 3, (groups, rows))
+    a = rng.integers(-2, 3, (queries, d)).astype(dtype)
+    cuts = np.unique(np.r_[0, rng.integers(0, queries, groups - 1), queries])
+    ranges = [(int(g), int(lo), int(hi)) for g, lo, hi in
+              zip(rng.integers(0, groups, len(cuts) - 1), cuts[:-1], cuts[1:])]
+    for g, lo, hi in ranges:
+        a[lo, 0] = 1
+        b[g, -1] = 3 * a[lo]
+        if hi - lo > 1:
+            a[lo + 1] = 0
+            a[lo + 1, 0] = -np.inf
+    want = best_two_reference(a, b, ranges)
+    # Padding in the GEMM may multiply -inf by 0 in entries it does not return.
+    with mock.patch.object(search, "TILE_FLOATS", tile_rows * queries), \
+            np.errstate(invalid="ignore"):
+        got = _best_two(a, b, ranges)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+    # The last range of each group set its codebook's last row.
+    for lo in {g: lo for g, lo, _ in ranges}.values():
+        assert got[0][lo] == rows - 1
+    for g, lo, hi in ranges:
+        if hi - lo > 1:
+            assert (got[0][lo + 1], got[1][lo + 1], got[2][lo + 1]) == (0, -np.inf, -np.inf)
 
 
 def test_grouped_rows_search_their_own_codebook():
