@@ -8,10 +8,14 @@ bulk: it stacks every message's rotation (scheme.candidate_rotations), and
 its grouped route builds every per-help-index codebook {R_m' b_t : m'}.  A
 rotation is Stewart's product of Householder reflectors of n(n+1)/2
 Gaussian normals, SplitMix64 words of that seed mapped through the normal
-quantile (_normal_draw), with no generator per message and no QR.  Where
-only products R_m v are wanted (the diagnostics' inputs and noises), the
-reflectors are applied to the vectors (HelperCodebook.rotate), a bounded
-slice of messages at a time, and R_m is never formed.
+quantile (_normal_draw), with no generator per message and no QR.  The
+stack is formed a bounded slice of messages at a time, each slice's
+recursion in step buffers that its caller reuses (haar_rotations' `work`)
+and copied into the caller's rows (`out`), so the stack can be built in
+parts on several threads.  Where only products R_m v are wanted (the
+diagnostics' inputs and noises), the reflectors are applied to the vectors
+(HelperCodebook.rotate), a bounded slice of messages at a time, and R_m is
+never formed.
 """
 
 from __future__ import annotations
@@ -121,27 +125,46 @@ def _reflectors(n: int, seeds):
     return u, beta, sign
 
 
-def haar_rotations(n: int, seeds) -> np.ndarray:
+def haar_rotations(n: int, seeds, out=None, work=None) -> np.ndarray:
     """Haar-uniform n x n orthogonal matrices, one per seed, as a (len(seeds), n, n) stack.
 
     Stewart's construction (SIAM J. Numer. Anal. 17, 1980) from the seed's
     reflectors (_reflectors): Q_1 = s_1, Q_k = H_k diag(-s_k, Q_{k-1}), and
     the rotation is Q_n, whose first column is x_n / |x_n|.  The recursion
     grows contiguous (k, k, seeds) arrays, so each step is a few long vector
-    operations over all seeds, and the stack is returned as a transposed view
-    of the last; each matrix is bitwise the one a single-seed call gives.
+    operations over all seeds; each matrix is bitwise the one a single-seed
+    call gives.  The steps run in `work`, three float64 buffers of at least
+    n^2 len(seeds) floats each (Q_{k-1}, Q_k and the rank-one term), which a
+    caller building many slices reuses, and Q_n is copied from them into
+    `out`, a (len(seeds), n, n) array such as rows of a stack, which is
+    returned; either is allocated when None.
     """
     u, beta, sign = _reflectors(n, seeds)
-    q = sign[:1, None].copy()
+    size = u.shape[1]
+    if out is None:
+        out = np.empty((size, n, n))
+    if work is None:
+        work = [np.empty(n * n * size) for _ in range(3)]
+    q_buf, p_buf, t_buf = work
+    q = q_buf[:size].reshape(1, 1, size)
+    q[0, 0] = sign[0]
     for k in range(2, n + 1):
         uk = u[k * (k - 1) // 2:k * (k + 1) // 2, None]
-        p = np.zeros((k, k, u.shape[1]))
+        p, t = p_buf[:k * k * size].reshape(k, k, size), t_buf[:k * k * size].reshape(k, k, size)
         p[0, 0] = -sign[k - 1]
+        p[0, 1:] = 0.0
+        p[1:, 0] = 0.0
         p[1:, 1:] = q
         # H_k P = P - beta_k u_k (u_k^T P)
-        p -= uk * ((uk * p).sum(axis=0) * beta[k - 1])
-        q = p
-    return q.transpose(2, 0, 1)
+        s = np.multiply(uk, p, out=t).sum(axis=0)
+        s *= beta[k - 1]
+        p -= np.multiply(uk, s, out=t)
+        q, q_buf, p_buf = p, p_buf, q_buf
+    # One transposed copy: the last subtraction written through a transposed
+    # view of `out` took 2.8 times as long as the subtraction and the copy
+    # (n = 16, 256 messages).
+    out[...] = q.transpose(2, 0, 1)
+    return out
 
 
 def reflector_slice(n: int) -> int:
@@ -151,7 +174,10 @@ def reflector_slice(n: int) -> int:
     at about twice its draw of n(n+1)/2 words per message (the words and
     their xor-shift buffer, or the draw and its transposed copy), so two
     engine threads' slices stay within half a tile, and how their peaks
-    overlap, which the scheduler decides, moves a run's peak by little.
+    overlap, which the scheduler decides, moves a run's peak by little.  The
+    candidate stack (scheme.candidate_rotations) evens its slices out to at
+    most this many messages each, so each part of it holds three step
+    buffers of at most 3/4 of a tile.
     """
     return max(1, search.TILE_FLOATS // (4 * n * n))
 
@@ -221,9 +247,13 @@ class HelperCodebook:
             raise ValueError(f"message indices must be nonnegative, got {min(messages)}")
         return derive_seeds(self.rotation_seed_base, messages)
 
-    def rotations(self, messages) -> np.ndarray:
-        """Stacked rotations of several messages, (len(messages), n, n)."""
-        return haar_rotations(self.blocklength, self._seeds(messages))
+    def rotations(self, messages, out=None, work=None) -> np.ndarray:
+        """Stacked rotations of several messages, (len(messages), n, n), as haar_rotations.
+
+        `out` and `work` are haar_rotations': the stack rows written and the
+        reused step buffers.
+        """
+        return haar_rotations(self.blocklength, self._seeds(messages), out, work)
 
     def rotate(self, messages, vectors) -> np.ndarray:
         """R_m v for each message m = messages[j] and row v of vectors[j], (len(messages), ..., n).

@@ -116,7 +116,8 @@ WORKERS_ENV = "GAUSSHELP_WORKERS"
 
 # Least helper search per trial, 2^helper_bits * n (plan), for which
 # run_trials runs its chunks on threads.  The search's GEMM releases the GIL;
-# per-trial decisions, Stewart's reflector steps and hand-offs hold it, so
+# per-trial decisions, the diagnostics' narrow reflector steps (a slice's
+# vectors, not the candidate stack's wide matrices) and hand-offs hold it, so
 # the diagnostics' n^3 stays out of the gate.  On a 2-vCPU host (medians of
 # 7 interleaved runs, us per trial, one thread -> two), cells of 2^14.3 to
 # 2^15.3 lost or broke even (n = 16 with 2^11 helper points 10.6 -> 10.8,
@@ -301,14 +302,18 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     float32 scores of its widest search (search.tile_floats).  Batches run
     on `threads` (None: resolve_workers()) when a trial's helper search, H n,
     is at least THREAD_MIN_WORK; the diagnostics' n^3 counts toward the
-    work, not the gate.
+    work, not the gate.  The candidate stack is built in parts on `threads`
+    whatever the gate (candidate_rotations), and its store adds each part's
+    step buffers and draw.
     """
     n, trials, bits = cfg.blocklength, cfg.trials, cfg.message_bits
     # No memory holds 2^64 points, so a larger codebook is refused as one of 2^64.
     help_size = 1 << min(cfg.helper_bits, 64)
-    threads = (threads or resolve_workers()) if help_size * n >= THREAD_MIN_WORK else 1
     # 2^message_bits <= EXHAUSTIVE_LIMIT, compared as bit counts.
     exhaustive = bits < EXHAUSTIVE_LIMIT.bit_length()
+    gated = help_size * n >= THREAD_MIN_WORK
+    workers = (threads or resolve_workers()) if gated or exhaustive else 1
+    threads = workers if gated else 1
     grouped = exhaustive and help_size <= n and help_size * n <= trials
     route = "grouped" if grouped else "stack" if exhaustive else "analytic"
     # Per trial: drawn words, message and decision, ceil(bits/64) words each, plus 11 for
@@ -321,7 +326,15 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     if exhaustive:
         n_messages = 1 << bits
         work += n_messages * n * (n * n + (help_size * n + trials if grouped else trials * n))
-        storage.append((n_messages * n * (n + help_size * grouped),
+        # Each part of the stack in flight holds its three step buffers, n^2
+        # floats per message of its slice, and the slice's draw at its peak,
+        # as the diagnostics' slice below, with 4 n words per message more
+        # (seeds, signs, norms and the steps' sums) and the two operand
+        # buffers, np.getbufsize() elements each, of the draw's broadcast sum.
+        span, width = _stack_parts(n_messages, n, workers)
+        part = (3 * n * n * width + (2 * width + 1) * n * (n + 1) // 2 + 4 * n * width
+                + 2 * np.getbufsize())
+        storage.append((n_messages * n * (n + help_size * grouped) + -(-n_messages // span) * part,
                         f"rotation stack of {n_messages} {n}x{n} matrices"
                         f"{' with its per-help-index codebooks' if grouped else ''} exceeds"))
     width, chunks = n * n if route == "stack" else n, -(-trials // CHUNK_TRIALS)
@@ -447,20 +460,51 @@ def draw_messages(cfg: SchemeConfig) -> list[int]:
     return [int.from_bytes(row.astype("<u4").tobytes(), "little") & mask for row in words]
 
 
-def candidate_rotations(cfg: SchemeConfig, cb: HelperCodebook):
+def _stack_parts(n_messages: int, n: int, threads: int) -> tuple[int, int]:
+    """(span, width): messages per part of the candidate stack, and per slice of a part.
+
+    The stack's ceil(M / reflector_slice(n)) slices are rounded up to a
+    multiple of the min(threads, slices) parts and made equal, ceil(M /
+    slices) messages each; a part is slices / parts consecutive slices.
+    """
+    slices = -(-n_messages // reflector_slice(n))
+    parts = min(threads, slices)
+    slices = -(-slices // parts) * parts
+    width = -(-n_messages // slices)
+    return width * (slices // parts), width
+
+
+def candidate_rotations(cfg: SchemeConfig, cb: HelperCodebook, threads=None):
     """Stacked per-message rotations on an exhaustive route (sized by plan(cfg).admit()).
 
-    Built a reflector slice at a time on the calling thread: its many small
-    numpy steps hold the GIL, so a pool would not pay.
+    The stack is cut into contiguous parts of equal slice counts
+    (_stack_parts), one per thread of `threads` (None: resolve_workers()) up
+    to one per slice, which run through _in_order: a stack of one slice, or
+    one thread, builds no pool.  A part forms its slices' rotations in three
+    step buffers of its own (haar_rotations' `work`), reused from slice to
+    slice, and copies each slice's Q_n into its rows of the stack (`out`);
+    its steps are long ufunc passes that release the GIL.  Every matrix is
+    bitwise the one haar_rotations gives its message's seed, at any thread
+    count.
     """
     if plan(cfg).route == "analytic":
         return None
     n_messages, n = 1 << cfg.message_bits, cfg.blocklength
+    span, width = _stack_parts(n_messages, n, threads or resolve_workers())
     stack = np.empty((n_messages, n, n))
-    step = reflector_slice(n)
-    for lo in range(0, n_messages, step):
-        hi = min(lo + step, n_messages)
-        stack[lo:hi] = cb.rotations(range(lo, hi))
+
+    def build(part):
+        lo, work = part
+        for s in range(lo, min(lo + span, n_messages), width):
+            e = min(s + width, n_messages)
+            cb.rotations(range(s, e), stack[s:e], work)
+
+    # The buffers are allocated on the calling thread: a pool thread's come
+    # from a malloc arena of its own (exhaustive-decode's peak RSS read
+    # 117.3-117.7 MB with them, 115.0-115.5 MB without).
+    parts = [(lo, [np.empty(n * n * width) for _ in range(3)])
+             for lo in range(0, n_messages, span)]
+    _in_order(build, parts, len(parts), lambda _: None)
     return stack
 
 
@@ -519,10 +563,14 @@ def run_trials(cfg: SchemeConfig, messages=None, correlations: CorrelationSums |
                threads=None) -> TrialColumns:
     """Trial i sends messages[i]; the batched equivalent of run_trial per trial.
 
-    Admits the run (plan(...).admit(): CodebookSizeError before anything is
-    drawn or built), draws cfg's messages when given none (draw_messages),
-    builds cfg's codebook and, on a scan route, its candidate_rotations stack
-    (on the calling thread), then runs the trials a batch of plan's
+    Checks the messages it is given first: ValueError unless there are
+    cfg.trials of them, naming the first outside [0, 2^message_bits) and its
+    index.  Then admits the run (plan(...).admit(): CodebookSizeError before
+    anything is drawn or built), draws cfg's messages when given none
+    (draw_messages), builds cfg's codebook and, on a scan route, its
+    candidate_rotations stack, in parts on `threads` threads (None:
+    resolve_workers(); a stack of one slice, or one thread, builds no pool),
+    called from the calling thread, then runs the trials a batch of plan's
     `batch` stream chunks at a time: each chunk of CHUNK_TRIALS trials
     draws from its own noise stream (module docstring), and the batch
     searches, scans and decodes all its rows at once.  For `correlations`
@@ -535,14 +583,22 @@ def run_trials(cfg: SchemeConfig, messages=None, correlations: CorrelationSums |
     and z a chunk at a time, in chunk order, so every result is the serial
     one-chunk loop's, bitwise, at any thread count and batch size.
     """
+    if messages is not None:
+        messages, size = list(messages), 1 << cfg.message_bits
+        if len(messages) != cfg.trials:
+            raise ValueError(f"need {cfg.trials} messages, got {len(messages)}")
+        bad = next((i for i, m in enumerate(messages) if not 0 <= m < size), None)
+        if bad is not None:
+            raise ValueError(f"message {messages[bad]} at index {bad} is out of range "
+                             f"for {cfg.message_bits} bits")
     run = plan(cfg, correlations is not None, threads).admit()
-    messages = draw_messages(cfg) if messages is None else list(messages)
+    messages = draw_messages(cfg) if messages is None else messages
     trials, n = len(messages), cfg.blocklength
     n_chunks = -(-trials // CHUNK_TRIALS)
     n_messages = 1 << cfg.message_bits
     exhaustive, grouped = run.route != "analytic", run.route == "grouped"
     cb = build_codebook(cfg)
-    rotations = candidate_rotations(cfg, cb)
+    rotations = candidate_rotations(cfg, cb, threads)
     scale, sigma = math.sqrt(n * cb.power), math.sqrt(cfg.channel.noise_var)
 
     help_index = np.empty(trials, dtype=np.int64)
@@ -674,8 +730,8 @@ def simulate(cfg: SchemeConfig, keep_records=False, diagnostics=False,
     """Run cfg.trials independent transmissions and aggregate the outcome.
 
     `messages` overrides the equiprobable message draw (used to replay a
-    specific message sequence; ValueError names the first one outside
-    [0, 2^message_bits), before anything is drawn); `diagnostics` additionally estimates the
+    specific message sequence; run_trials checks them before anything is
+    planned or drawn); `diagnostics` additionally estimates the
     per-index input/noise correlations across trials, from running sums that
     take O(n) memory whatever the trial count.  run_trials plans and admits
     the run, draws the messages when none are given and builds the codebook
@@ -683,14 +739,6 @@ def simulate(cfg: SchemeConfig, keep_records=False, diagnostics=False,
     resolve_workers()); no result depends on it.
     """
     t_start = time.perf_counter()
-    if messages is not None:
-        if len(messages) != cfg.trials:
-            raise ValueError(f"need {cfg.trials} messages, got {len(messages)}")
-        size = 1 << cfg.message_bits
-        bad = next((i for i, m in enumerate(messages) if not 0 <= m < size), None)
-        if bad is not None:
-            raise ValueError(f"message {messages[bad]} at index {bad} is out of range "
-                             f"for {cfg.message_bits} bits")
     sums = CorrelationSums() if diagnostics else None
     cols = run_trials(cfg, messages, sums, threads)
     return summarize(

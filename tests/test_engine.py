@@ -194,13 +194,15 @@ def test_oversized_rotation_stack_fails_fast():
 
 
 def test_grouped_codebooks_count_toward_the_size_cap(monkeypatch):
-    # A cap between the stack alone, M n^2 floats, and the stack plus the
-    # per-help-index codebooks, M n (n + H): the grouped cell is refused
-    # before any rotation is formed, and a sweep skips it; with fewer than
-    # H n trials the cell scans the stack and fits.
+    # A cap between the stack's store, M n^2 floats and its parts' step
+    # buffers and draws, and that plus the per-help-index codebooks, M n H:
+    # the grouped cell is refused before any rotation is formed, and a sweep
+    # skips it; with fewer than H n trials the cell scans the stack and fits.
     cfg = grouped_config(CHUNK_TRIALS)
     n, n_messages, help_size = 12, 1 << cfg.message_bits, 8
-    monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", n_messages * n * (n + help_size // 2))
+    (stack,) = [words for words, what in plan(replace(cfg, trials=help_size * n - 1)).storage
+                if what.startswith("rotation stack")]
+    monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", stack + n_messages * n * help_size // 2)
     rotations = HelperCodebook.rotations
 
     def refuse(*args):
@@ -266,8 +268,10 @@ def refuse_draws(mp):
 @pytest.mark.parametrize("make, threads, chunk", [
     (analytic_config, 1, 4 * 128 * 16),  # one chunk of 128 trials at n = 16
     (analytic_config, 3, 2 * 4 * 128 * 16),  # 200 trials: 2 chunks in flight, not 3 + 1
-    # 2^8 messages at n = 10 with 32 helper points: the stack scan, n^2 wide
-    (lambda trials: replace(exhaustive_config(trials), message_bits=8), 1, 4 * 128 * 100),
+    # 2^4 messages at n = 10 with 256 helper points: the stack scan, n^2 wide,
+    # with a rotation stack and step buffers under the chunk's store
+    (lambda trials: replace(exhaustive_config(trials), message_bits=4, helper_bits=8), 1,
+     4 * 128 * 100),
 ])
 def test_engine_chunks_count_toward_the_size_cap(monkeypatch, make, threads, chunk):
     # A chunk holds 4 float64 blocks of (k, n), (k, n^2) on the stack scan,
@@ -799,3 +803,95 @@ class TestEngineThreads:
                 config_from_rates(n, 1.2, 0.25, CH, seed=31, eps=0.1, trials=trials), threads=2)
 
         assert extra_peak(many) - extra_peak(few) < 8 * (many - few) * n / 2
+
+
+def stack_cell(n, bits):
+    """A stack-scan cell of 2^bits messages in dimension n, with one trial."""
+    cfg = replace(config_from_rates(n, 0.5, 0.0, CH, seed=27, trials=1), message_bits=bits)
+    assert plan(cfg).route == "stack"
+    return cfg
+
+
+class TestCandidateStack:
+    """The rotation stack, built in parts on up to `threads` threads."""
+
+    @pytest.mark.parametrize("n, bits", [
+        (2, 12),  # 4096 messages, under one slice of 2^14
+        (8, 10), (16, 8), (32, 6),  # exactly one slice
+        (12, 12),  # 4096 messages in slices of 455: nine and one of a single message
+        (16, 10), (32, 8),  # four slices
+    ])
+    def test_stack_is_bitwise_each_messages_rotation(self, n, bits):
+        cfg = stack_cell(n, bits)
+        cb = build_codebook(cfg)
+        want = np.stack([cb.rotation(m) for m in range(1 << bits)]).tobytes()
+        for threads in (1, 2, 3):
+            assert candidate_rotations(cfg, cb, threads).tobytes() == want, threads
+
+    def test_one_thread_or_one_slice_builds_no_pool(self, monkeypatch):
+        pools, pool = [], scheme.ThreadPoolExecutor
+
+        def no_pool(*args):
+            raise AssertionError("a pool was built")
+
+        def counting_pool(*args):
+            pools.append(args)
+            return pool(*args)
+
+        cfg, one_slice = stack_cell(12, 12), stack_cell(16, 8)
+        monkeypatch.setattr(scheme, "ThreadPoolExecutor", no_pool)
+        candidate_rotations(cfg, build_codebook(cfg), 1)
+        scheme.run_trials(cfg, threads=1)
+        candidate_rotations(one_slice, build_codebook(one_slice), 4)
+        # Ten slices on four threads: four parts of three slices of 342.
+        monkeypatch.setattr(scheme, "ThreadPoolExecutor", counting_pool)
+        assert scheme._stack_parts(1 << 12, 12, 4) == (3 * 342, 342)
+        candidate_rotations(cfg, build_codebook(cfg), 4)
+        assert pools == [(4,)]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_a_failing_part_propagates_and_leaves_no_thread(self, monkeypatch, threads):
+        cfg = stack_cell(12, 12)
+        cb = build_codebook(cfg)
+        rotations, started = HelperCodebook.rotations, []
+
+        def failing(self, messages, *args):
+            started.append(messages.start)
+            if messages.start >= 1 << 11:  # the last part's slices
+                raise RuntimeError("the last part failed")
+            return rotations(self, messages, *args)
+
+        monkeypatch.setattr(HelperCodebook, "rotations", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^the last part failed$"):
+            candidate_rotations(cfg, cb, threads)
+        assert threading.active_count() == before
+        assert started and 0 in started
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n, bits", [(12, 12), (32, 9)])
+    def test_parts_count_toward_the_size_cap(self, monkeypatch, n, bits, threads):
+        # The stack's store adds, per part in flight, its three step buffers
+        # and its slice's draw: the traced peak of the build, less the stack
+        # itself, lies between half of that and that.  One word below the
+        # store the cell is refused before any rotation is formed.
+        cfg = stack_cell(n, bits)
+        cb, stack = build_codebook(cfg), (1 << bits) * n * n
+        (store,) = [words for words, what in plan(cfg, threads=threads).storage
+                    if what.startswith("rotation stack")]
+        tracemalloc.start()
+        try:
+            candidate_rotations(cfg, cb, threads)
+            traced = tracemalloc.get_traced_memory()[1] / 8 - stack
+        finally:
+            tracemalloc.stop()
+        assert (store - stack) / 2 <= traced <= store - stack
+        monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", store - 1)
+
+        def formed(*args):
+            raise AssertionError("a rotation was formed")
+
+        monkeypatch.setattr(HelperCodebook, "rotations", formed)
+        with pytest.raises(CodebookSizeError,
+                           match=rf"^rotation stack of {1 << bits} {n}x{n} matrices exceeds"):
+            scheme.run_trials(cfg, threads=threads)

@@ -309,6 +309,33 @@ class TestSimulate:
                                              rf"for {bits} bits$"):
             simulate(cfg, messages=messages)
 
+    @pytest.mark.parametrize("run", ["run_trials", "simulate"])
+    @pytest.mark.parametrize("n, rate, messages, error", [
+        # On the exhaustive-decode cell (2^12 messages at n = 12) -1 once sent
+        # message 4095's codeword and decided 4095, and 4096 raised IndexError
+        # after the stack was built; on the analytic route (32 bits at n = 16)
+        # -5 gave decisions such as 584849781.
+        (12, 1.0, [-1, 0, 1], "^message -1 at index 0 is out of range for 12 bits$"),
+        (12, 1.0, [4096, 0, 1], "^message 4096 at index 0 is out of range for 12 bits$"),
+        (16, 2.0, [0, 1, -5], "^message -5 at index 2 is out of range for 32 bits$"),
+        # A longer list once ran trials plan never admitted; a shorter one, fewer.
+        (12, 1.0, [0, 1, 2, 3], "^need 3 messages, got 4$"),
+        (12, 1.0, [0, 1], "^need 3 messages, got 2$")],
+        ids=["negative", "past-the-space", "negative-analytic", "too-many", "too-few"])
+    def test_run_trials_checks_its_messages_first(self, monkeypatch, run, n, rate, messages,
+                                                    error):
+        cfg = config_from_rates(n, rate, 0.25, CH, seed=1, trials=3)
+        assert (cfg.message_bits, plan(cfg).route) == ((32, "analytic") if n == 16 else (12, "stack"))
+
+        def drawn(*args, **kwargs):
+            raise AssertionError("the run planned, drew or built something")
+
+        for name in ("plan", "draw_messages", "build_codebook", "build_base_codebook",
+                     "candidate_rotations"):
+            monkeypatch.setattr(scheme, name, drawn)
+        with pytest.raises(ValueError, match=error):
+            getattr(scheme, run)(cfg, messages=messages)
+
     def test_helper_alignment_tightens_with_blocklength(self):
         means = []
         for n in (12, 16, 24, 32):
