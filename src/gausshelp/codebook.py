@@ -14,8 +14,8 @@ recursion in step buffers that its caller reuses (haar_rotations' `work`)
 and copied into the caller's rows (`out`), so the stack can be built in
 parts on several threads.  Where only products R_m v are wanted (the
 diagnostics' inputs and noises), the reflectors are applied to the vectors
-(HelperCodebook.rotate), a bounded slice of messages at a time, and R_m is
-never formed.
+of all the messages at once (HelperCodebook.rotate), each step drawing
+only its own normals, and R_m is never formed.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def derive_seeds(base, indices) -> np.ndarray:
     return x
 
 
-def _normal_draw(count: int, seeds) -> np.ndarray:
-    """The contract's first `count` standard normals per seed, as a (len(seeds), count) array.
+def _normal_draw(indices: range, seeds) -> np.ndarray:
+    """The contract's normals `indices` of each seed, as a (len(seeds), len(indices)) array.
 
     Normal k of seed s is ndtri(((derive_seed(s, k) >> 12) + 1/2) * 2^-52):
     the top 52 bits of a SplitMix64 word, centred in their cell so the
@@ -92,7 +92,7 @@ def _normal_draw(count: int, seeds) -> np.ndarray:
     buffer.
     """
     # 52 bits, not 53: ((x >> 11) + 1/2) * 2^-53 rounds the top word to 1.0, where ndtri is inf.
-    g = derive_seeds(np.asarray(seeds, dtype=np.uint64), range(count))
+    g = derive_seeds(np.asarray(seeds, dtype=np.uint64), indices)
     g >>= np.uint64(12)
     # Exponent bits of 1.0 make the double 1 + j 2^-52; minus 1 - 2^-53 it is
     # (j + 1/2) 2^-52, exactly (Sterbenz).
@@ -103,20 +103,20 @@ def _normal_draw(count: int, seeds) -> np.ndarray:
     return g
 
 
-def _reflectors(n: int, seeds):
-    """Stewart's reflectors of each seed's draw, with the seeds on the last axis.
+def _reflectors(seeds, first: int, last: int):
+    """Stewart's reflectors of steps first..last of each seed's draw, seeds on the last axis.
 
-    The seed's n(n+1)/2 normals (_normal_draw) are cut into x_k, normals
-    k(k-1)/2 to k(k+1)/2 - 1, for k = 1..n.  Returns (u, beta, sign):
-    u[k(k-1)/2:k(k+1)/2, j] = x_k + s_k |x_k| e_1 with s_k = sign(x_k[0]),
-    0 counted positive, and beta[k-1, j] = 1 / (|x_k| (|x_k| + |x_k[0]|)),
+    Step k's x_k is normals k(k-1)/2 to k(k+1)/2 - 1 of the seed's draw
+    (_normal_draw), and only the steps' normals are drawn.  Returns
+    (u, beta, sign), rows counted from step `first`: u holds
+    u_k = x_k + s_k |x_k| e_1 in x_k's rows, with s_k = sign(x_k[0]), 0
+    counted positive, and beta[k - first, j] = 1 / (|x_k| (|x_k| + |x_k[0]|)),
     so H_k = I - beta_k u_k u_k^T is the reflector taking x_k to
-    -s_k |x_k| e_1, and sign[k-1, j] = s_k.
+    -s_k |x_k| e_1, and sign[k - first, j] = s_k.
     """
-    if n < 2:
-        raise ValueError(f"rotation dimension must be at least 2, got {n}")
-    u = _normal_draw(n * (n + 1) // 2, seeds).T.copy()
-    starts = np.arange(n) * np.arange(1, n + 1) // 2
+    lo = first * (first - 1) // 2
+    u = _normal_draw(range(lo, last * (last + 1) // 2), seeds).T.copy()
+    starts = np.arange(first, last + 1) * np.arange(first - 1, last) // 2 - lo
     x0 = u[starts]
     norm = np.sqrt(np.add.reduceat(u * u, starts, axis=0))
     sign = np.where(x0 < 0, -1.0, 1.0)
@@ -139,7 +139,9 @@ def haar_rotations(n: int, seeds, out=None, work=None) -> np.ndarray:
     `out`, a (len(seeds), n, n) array such as rows of a stack, which is
     returned; either is allocated when None.
     """
-    u, beta, sign = _reflectors(n, seeds)
+    if n < 2:
+        raise ValueError(f"rotation dimension must be at least 2, got {n}")
+    u, beta, sign = _reflectors(seeds, 1, n)
     size = u.shape[1]
     if out is None:
         out = np.empty((size, n, n))
@@ -168,16 +170,11 @@ def haar_rotations(n: int, seeds, out=None, work=None) -> np.ndarray:
 
 
 def reflector_slice(n: int) -> int:
-    """Messages whose reflectors are built at a time (HelperCodebook.rotate, the stack).
+    """Messages whose rotations the candidate stack forms at a time (scheme.candidate_rotations).
 
-    A quarter of TILE_FLOATS of n^2 floats per message: rotate's slice peaks
-    at about twice its draw of n(n+1)/2 words per message (the words and
-    their xor-shift buffer, or the draw and its transposed copy), so two
-    engine threads' slices stay within half a tile, and how their peaks
-    overlap, which the scheduler decides, moves a run's peak by little.  The
-    candidate stack (scheme.candidate_rotations) evens its slices out to at
-    most this many messages each, so each part of it holds three step
-    buffers of at most 3/4 of a tile.
+    A quarter of TILE_FLOATS of n^2 floats per message: the stack evens its
+    slices out to at most this many messages each, so each part of it holds
+    three step buffers of at most 3/4 of a tile.
     """
     return max(1, search.TILE_FLOATS // (4 * n * n))
 
@@ -189,15 +186,17 @@ def _reflect(n: int, seeds: np.ndarray, w: np.ndarray) -> None:
     Q_1 = s_1 on the last coordinate, then for k = 2..n the sign -s_k on
     coordinate n - k and H_k on the last k, each a rank-one step over all
     seeds at once on a (n, p, seeds) copy of w; products agree with
-    haar_rotations' up to round-off.
+    haar_rotations' up to round-off.  Step k draws its reflectors
+    (_reflectors) just before it applies them, so a step holds k words per
+    seed of them, not the whole draw.
     """
-    u, beta, sign = _reflectors(n, seeds)
     v = w.transpose(2, 1, 0).copy()
-    v[n - 1] *= sign[0]
+    v[n - 1] *= _reflectors(seeds, 1, 1)[2][0]
     for k in range(2, n + 1):
-        uk, vk = u[k * (k - 1) // 2:k * (k + 1) // 2, None], v[n - k:]
-        vk[0] *= -sign[k - 1]
-        vk -= uk * ((uk * vk).sum(axis=0) * beta[k - 1])
+        u, beta, sign = _reflectors(seeds, k, k)
+        uk, vk = u[:, None], v[n - k:]
+        vk[0] *= -sign[0]
+        vk -= uk * ((uk * vk).sum(axis=0) * beta[0])
     w[...] = v.transpose(2, 1, 0)
 
 
@@ -259,15 +258,12 @@ class HelperCodebook:
         """R_m v for each message m = messages[j] and row v of vectors[j], (len(messages), ..., n).
 
         R_m is applied as its Householder reflectors (_reflect), never
-        formed, to reflector_slice(n) messages at a time; a row's result does
-        not depend on the slice it is in.
+        formed, to all the rows at once; a row's result does not depend on
+        the rows beside it.
         """
         n, seeds = self.blocklength, self._seeds(messages)
         out = np.array(vectors, dtype=np.float64)
-        rows = out.reshape(len(seeds), -1, n)
-        step = reflector_slice(n)
-        for lo in range(0, len(seeds), step):
-            _reflect(n, seeds[lo:lo + step], rows[lo:lo + step])
+        _reflect(n, seeds, out.reshape(len(seeds), -1, n))
         return out
 
 

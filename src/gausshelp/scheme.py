@@ -116,9 +116,9 @@ WORKERS_ENV = "GAUSSHELP_WORKERS"
 
 # Least helper search per trial, 2^helper_bits * n (plan), for which
 # run_trials runs its chunks on threads.  The search's GEMM releases the GIL;
-# per-trial decisions, the diagnostics' narrow reflector steps (a slice's
-# vectors, not the candidate stack's wide matrices) and hand-offs hold it, so
-# the diagnostics' n^3 stays out of the gate.  On a 2-vCPU host (medians of
+# per-trial decisions, the diagnostics' narrow reflector steps (two vectors
+# per row, not the candidate stack's n x n matrices) and hand-offs hold it,
+# so the diagnostics' n^3 stays out of the gate.  On a 2-vCPU host (medians of
 # 7 interleaved runs, us per trial, one thread -> two), cells of 2^14.3 to
 # 2^15.3 lost or broke even (n = 16 with 2^11 helper points 10.6 -> 10.8,
 # n = 20 with 2^10 8.3 -> 10.5) and cells of 2^16 and more gained (n = 16
@@ -294,8 +294,8 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     M n (H n <= trials); else the "stack" scan, n^2 wide, measured faster.
     Work: trials H n for the helper, M n^3 + H M n^2 + trials M n grouped,
     M n^2 (n + trials) stacked, trials n^3 for diagnostics, which also store
-    each chunk's x and z and, on the analytic route, one reflector slice of
-    rotations per batch in flight.  The engine computes batches of `batch`
+    each chunk's x and z and, on the analytic route, a reflector step over
+    the rows of each batch in flight.  The engine computes batches of `batch`
     stream chunks (_batch_chunks; a chunk is the contract's unit of drawing,
     a batch the unit of compute and not in the contract), and every store
     counts a batch's chunks; the engine store adds, per batch in flight, the
@@ -327,10 +327,10 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
         n_messages = 1 << bits
         work += n_messages * n * (n * n + (help_size * n + trials if grouped else trials * n))
         # Each part of the stack in flight holds its three step buffers, n^2
-        # floats per message of its slice, and the slice's draw at its peak,
-        # as the diagnostics' slice below, with 4 n words per message more
-        # (seeds, signs, norms and the steps' sums) and the two operand
-        # buffers, np.getbufsize() elements each, of the draw's broadcast sum.
+        # floats per message of its slice, and the slice's draw at its peak:
+        # 2 w + 1 times n(n+1)/2 words (the words and their xor-shift buffer
+        # or transposed copy, and the word indices), 4 n words per message
+        # and the two np.getbufsize()-element operand buffers of its sum.
         span, width = _stack_parts(n_messages, n, workers)
         part = (3 * n * n * width + (2 * width + 1) * n * (n + 1) // 2 + 4 * n * width
                 + 2 * np.getbufsize())
@@ -351,15 +351,14 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
                     f"{in_flight} engine chunk(s) of {k} trials in dimension {n} exceed"))
     if diagnostics:
         # Each chunk in flight holds its x and z, 2 k n, which a scan forms
-        # from the chunk's stack rows.  The analytic route rotates
-        # reflector_slice(n) messages at a time: a slice's draw is rows
-        # n(n+1)/2 words; at the peak 2 rows + 1 of those (the words and
-        # their xor-shift buffer, or the draw and its transposed copy, and
-        # the word indices), plus 2 rows n for the slice's vectors (within 2%
-        # of HelperCodebook.rotate's traced peak at n = 16 to 725).
-        slices = min(rows, reflector_slice(n))
-        slice_words = 0 if exhaustive else (2 * slices + 1) * n * (n + 1) // 2 + 2 * slices * n
-        storage.append((items * slice_words + in_flight * 2 * k * n,
+        # from the chunk's stack rows.  The analytic route applies each
+        # batch's reflectors to its rows (HelperCodebook.rotate), a step at
+        # a time: at most 8 n words per row (the rows' vectors, their copy,
+        # a step's draw and its rank-one terms; traced at 7.0 to 7.7 for n =
+        # 8 to 256 and n rows = 2^12 to 2^17) and the two operand buffers,
+        # np.getbufsize() elements each, of the step's draw.
+        rotate = 0 if exhaustive else 8 * n * rows + 2 * np.getbufsize()
+        storage.append((items * rotate + in_flight * 2 * k * n,
                         f"diagnostics rotations of {rows} trials in dimension {n} exceed"))
     return RunPlan(route, tuple(storage), work, threads, batch)
 
@@ -575,8 +574,9 @@ def run_trials(cfg: SchemeConfig, messages=None, correlations: CorrelationSums |
     draws from its own noise stream (module docstring), and the batch
     searches, scans and decodes all its rows at once.  For `correlations`
     each batch computes its inputs x = R_m b_t and noises z = R_m w, by
-    applying R_m's reflectors (HelperCodebook.rotate) or from the candidate
-    stack on a scan; they are added to the sums, not kept.  Batches run on
+    applying R_m's reflectors to all its rows at once, a step at a time
+    (HelperCodebook.rotate), or from the candidate stack on a scan; they are
+    added to the sums, not kept.  Batches run on
     `threads` threads (None: resolve_workers(); a sweep's workers pass 1)
     when the helper search pays (plan, THREAD_MIN_WORK), each writing only
     its own rows.  The calling thread takes their decisions and adds their x

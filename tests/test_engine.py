@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gausshelp import feedback, scheme, search
+from gausshelp import feedback, scheme
 from gausshelp.capacity import ChannelParams
 from gausshelp.cli import cli
-from gausshelp.codebook import CodebookSizeError, HelperCodebook, derive_seed, reflector_slice
+from gausshelp.codebook import CodebookSizeError, HelperCodebook, derive_seed
 from gausshelp.converse import CorrelationSums, empirical_correlations
 from gausshelp.feedback import (
     _Z0_STREAM_OFFSET,
@@ -312,15 +312,15 @@ def test_a_long_block_is_refused_for_its_chunks(monkeypatch):
 
 
 def test_diagnostics_run_under_a_small_size_cap(monkeypatch):
-    # The cap is the plan's largest store, a chunk's diagnostics rotations
-    # and its x and z, (2 k + 1) n (n + 1) / 2 + 4 k n floats with
-    # k = min(trials, 128) (one reflector slice at n = 16): the same at 200
-    # and 2000 trials.  No trials x n array is kept, so both run under it, and
-    # the profile from running sums matches the one from the reference's
-    # vectors.
+    # The cap is the plan's largest store, a batch's diagnostics rotations
+    # and its chunk's x and z, 8 k n words, the draw's two operand buffers
+    # and 2 k n, with k = min(trials, 128) rows (one chunk per batch): the
+    # same at 200 and 2000 trials.  No trials x n array is kept, so both run
+    # under it, and the profile from running sums matches the one from the
+    # reference's vectors.
     storage = plan(analytic_config(200), diagnostics=True).storage
     cap = max(words for words, _ in storage)
-    assert cap == storage[-1][0] == (2 * CHUNK_TRIALS + 1) * 8 * 17 + 4 * CHUNK_TRIALS * 16
+    assert cap == storage[-1][0] == 10 * CHUNK_TRIALS * 16 + 2 * np.getbufsize()
     monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", cap)
     for trials in (200, 2000):
         cfg = analytic_config(trials)
@@ -359,37 +359,43 @@ def test_diagnostics_rotations_count_toward_the_size_cap(monkeypatch, caplog):
     assert simulate(cfg).trials == 200
 
 
-def test_diagnostics_slices_leave_the_sums_bitwise(monkeypatch):
-    # Under a tile cap of 4 * 3 n^2 floats each chunk applies its rotations 3
-    # messages at a time, and the plan's store shrinks to one such slice (and
-    # the chunk's x and z); the running sums are bitwise those of whole-chunk
-    # slices.
-    cfg = analytic_config(300)
-    messages = scheme.draw_messages(cfg)
-
-    def sums():
-        added = CorrelationSums()
-        scheme.run_trials(cfg, messages, added, threads=1)
-        return added.sums.tobytes()
-
-    whole = sums()
-    monkeypatch.setattr(search, "TILE_FLOATS", 4 * 3 * 16 * 16)
-    assert reflector_slice(16) == 3
-    assert plan(cfg, diagnostics=True).storage[-1][0] == (
-        (2 * 3 + 1) * 8 * 17 + 2 * (3 + CHUNK_TRIALS) * 16)
-    assert sums() == whole
-
-
 def test_a_long_block_is_admitted_with_diagnostics():
     # A whole chunk's rotations at n = 725, 4 * 128 * 725^2 floats in the
-    # formed-Q store, exceeded the cap; one reflector slice is one message,
-    # (2 + 1) 725 * 726 / 2 floats, plus its vectors and the chunk's x and z.
+    # formed-Q store, exceeded the cap; applying the reflectors a step at a
+    # time holds 8 n words per row and the draw's two operand buffers, plus
+    # the chunk's x and z.
     cfg = config_from_rates(725, 0.5, 0.0, CH, seed=5, eps=0.0, trials=128)
-    assert reflector_slice(725) == 1
     assert 4 * CHUNK_TRIALS * 725 ** 2 > scheme.MAX_CODEBOOK_FLOATS
     run = plan(cfg, diagnostics=True).admit()
-    assert run.storage[-1] == (3 * 725 * 363 + 2 * (1 + CHUNK_TRIALS) * 725,
+    assert run.storage[-1] == (10 * CHUNK_TRIALS * 725 + 2 * np.getbufsize(),
                                "diagnostics rotations of 128 trials in dimension 725 exceed")
+
+
+@pytest.mark.parametrize("n, batch", [(8, 8), (16, 4), (32, 2), (128, 1), (256, 1)])
+def test_rotate_lies_within_the_diagnostics_store(monkeypatch, n, batch):
+    # What HelperCodebook.rotate adds to the traced peak, rotating a batch's
+    # b_t and w (as the engine does) into x and z, lies between half of the
+    # diagnostics store and that store, on one thread.  The batches hold at
+    # least 2^13 / n rows: below 2^12 / n the draw's operand buffers are
+    # smaller than the np.getbufsize() elements counted for them.
+    monkeypatch.setattr(scheme, "MIN_BATCHES", 1)
+    force_batch(monkeypatch, batch)
+    rows = batch * CHUNK_TRIALS
+    cfg = config_from_rates(n, 2.0, 0.0, CH, seed=5, eps=0.0, trials=rows)
+    run = plan(cfg, diagnostics=True, threads=1)
+    store, what = run.storage[-1]
+    assert run.route == "analytic" and what.startswith(f"diagnostics rotations of {rows} trials")
+    cb = build_codebook(cfg)
+    messages = scheme.draw_messages(cfg)
+    vectors = np.random.default_rng(n).standard_normal((rows, 2, n))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cb.rotate(messages, vectors)
+        traced = (tracemalloc.get_traced_memory()[1] - before) / 8
+    finally:
+        tracemalloc.stop()
+    assert store / 2 <= traced <= store
 
 
 def diagnostics_extra_peak(cfg, threads=None):
@@ -442,10 +448,10 @@ def traced_peak(cfg, diagnostics, batch):
 def test_batches_count_toward_the_size_cap(monkeypatch, name, batch, diagnostics):
     # plan counts the B chunks of a batch in flight: the engine chunks' store,
     # with the batch's float32 score tile and runner-up copy, and the
-    # diagnostics' x, z and reflector slices.  What batching adds to the
-    # traced peak of a run is at least half of what plan adds and at most
-    # that: B chunks against 2^8 points fill a tile of TILE_FLOATS scores,
-    # one chunk 2^15.
+    # diagnostics' x, z and reflector steps over the batch's rows.  What
+    # batching adds to the traced peak of a run is at least half of what plan
+    # adds and at most that: B chunks against 2^8 points fill a tile of
+    # TILE_FLOATS scores, one chunk 2^15.
     monkeypatch.setattr(scheme, "MIN_BATCHES", 1)
     trials = 2 * batch * CHUNK_TRIALS + 3
     if name == "analytic n=32":  # 2^8 helper points
@@ -470,7 +476,7 @@ def test_batches_count_toward_the_size_cap(monkeypatch, name, batch, diagnostics
 
 @pytest.mark.parametrize("n, helper_bits, route", [(96, 0, "grouped"), (64, 7, "stack")])
 def test_scan_diagnostics_store_is_the_chunks_x_and_z(n, helper_bits, route):
-    # A scan reads R_m off the candidate stack and forms no reflector slice,
+    # A scan reads R_m off the candidate stack and applies no reflectors,
     # so diagnostics add only the chunk's x and z, 2 k n words: no more than
     # the chunk's own store, and (with 16 messages, one thread and 128
     # trials) within 5% of the traced growth of the peak.
@@ -484,9 +490,10 @@ def test_scan_diagnostics_store_is_the_chunks_x_and_z(n, helper_bits, route):
 
 
 def test_diagnostics_memory_does_not_grow_with_trials():
-    # The extra peak that diagnostics add (the per-chunk rotations and
-    # vectors) is the same at 512 and 8192 trials; one stored trials x n
-    # array would add 8 * 7680 * 32 bytes, about 2 MB, between the two.
+    # The extra peak that diagnostics add (a batch's rotations and vectors)
+    # follows the batch's rows, which plan caps, not the trials: 8192 trials
+    # get batches of 4 chunks where 512 get one, 0.41 MB more; one stored
+    # trials x n array would add 8 * 7680 * 32 bytes, about 2 MB.
     n, few, many = 32, 512, 8192
 
     def extra_peak(trials):
@@ -494,6 +501,23 @@ def test_diagnostics_memory_does_not_grow_with_trials():
             config_from_rates(n, 1.2, 0.25, CH, seed=31, eps=0.1, trials=trials))
 
     assert extra_peak(many) - extra_peak(few) < 8 * (many - few) * n / 2
+
+
+@pytest.mark.parametrize("n, trials, corr_sum", [
+    (128, 1024, "0.129943067"), (256, 256, "1.15072263")])
+def test_long_block_diagnostics_end_to_end(monkeypatch, n, trials, corr_sum):
+    # Diagnostics at R_h = 0, SNR 1 and rate 0.3, where a message's draw has
+    # n(n+1)/2 normals, from start to finish: the sum of squared correlations
+    # to the 9 significant digits the CSV writes, and every summary field the
+    # same on one thread and, with the gate lowered, two.
+    monkeypatch.setattr(scheme, "THREAD_MIN_WORK", 0)
+    cfg = config_from_rates(n, 0.3, 0.0, ChannelParams.from_snr(1.0), seed=1, eps=0.0,
+                            trials=trials)
+    assert plan(cfg).route == "analytic" and plan(cfg, threads=2).threads == 2
+    runs = [simulate(cfg, keep_records=True, diagnostics=True, threads=threads)
+            for threads in (1, 2)]
+    assert "%.9g" % runs[0].corr_sum == corr_sum
+    assert summary_bits(runs[0]) == summary_bits(runs[1])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -790,7 +814,7 @@ class TestEngineThreads:
     def test_threaded_diagnostics_memory_does_not_grow_with_trials(self, monkeypatch):
         # As test_diagnostics_memory_does_not_grow_with_trials, on 2 threads
         # and in batches of 4 chunks (the criterion-5 cells'): each batch
-        # applies its rotations on its own thread, a reflector slice at a
+        # applies its rotations on its own thread, a reflector step at a
         # time, and at most threads + 1 batches are in flight, so the threads
         # add no store that grows with the trials.  Both counts span several
         # batches on every thread, so they hold the same batches in flight.
