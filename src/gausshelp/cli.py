@@ -8,7 +8,6 @@ diagnose request, that no run can honour).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .capacity import ChannelParams, capacity_cognizant, capacity_oblivious_feedback, \
@@ -16,9 +15,9 @@ from .capacity import ChannelParams, capacity_cognizant, capacity_oblivious_feed
 from .codebook import CodebookSizeError
 from .converse import check_budget, estimator_slack
 from .geometry import achievable_rate_threshold, cap_rate_exponent, cap_ratio_exact
-from .harness import (ConfigError, SweepSpec, check_eps, check_products, emit_csv,
-                      parse_config, run_cell, run_sweep)
-from .scheme import config_from_rates, simulate
+from .harness import (ConfigError, SweepSpec, emit_csv, parse_config, run_cell, run_sweep,
+                      single_config)
+from .scheme import simulate
 
 
 def _build_parser():
@@ -58,10 +57,10 @@ def _build_parser():
 
     p = sub.add_parser("diagnose", help="run a cognizant simulation with correlation auditing")
     p.add_argument("--snr", type=float, required=True)
-    p.add_argument("--rh", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--rh", type=float, required=True, help="sets helper_rate_bits")
+    p.add_argument("--n", type=int, required=True, help="sets blocklength")
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--rate-fraction", type=float, default=0.7)
+    p.add_argument("--rate-fraction", type=float, default=0.7, help="sets rate_fraction")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=1)
     return parser
@@ -130,31 +129,13 @@ def cli(argv=None) -> int:
             return 0
 
         if args.command == "diagnose":
-            if args.trials < 2:
-                raise ConfigError(f"diagnose needs --trials of at least 2, got {args.trials}")
-            if not 0 < args.rate_fraction < math.inf:
-                raise ConfigError("diagnose needs a finite positive --rate-fraction, "
-                                  f"got {args.rate_fraction}")
-            if not 0 < args.snr < math.inf:
-                raise ConfigError(f"diagnose needs a finite positive --snr, got {args.snr}")
-            if not 0 <= args.rh < math.inf:
-                raise ConfigError(f"diagnose needs a finite nonnegative --rh, got {args.rh}")
-            if args.n < 2:
-                raise ConfigError(f"diagnose needs --n of at least 2, got {args.n}")
-            if args.eps is not None:
-                check_eps(args.eps, (args.rh,))
-            ch = ChannelParams.from_snr(args.snr)
-            capacity = capacity_cognizant(ch, args.rh)
-            check_products(args.n, ("--snr", (args.snr,), 1.0, "n*P"),
-                           ("--rh", (args.rh,), 1.0, "n*R_h"),
-                           ("--rate-fraction", (args.rate_fraction,), capacity,
-                            "n*R = n * rate_fraction * capacity"))
-            rate = args.rate_fraction * capacity
-            cfg = config_from_rates(args.n, rate, args.rh, ch, args.seed,
-                                    eps=args.eps, trials=args.trials)
+            cfg = single_config(SweepSpec(
+                snr=(args.snr,), helper_rate=(args.rh,), blocklength=(args.n,),
+                rate_fraction=(args.rate_fraction,), trials=args.trials, base_seed=args.seed,
+                diagnostics=True, eps=args.eps))
             summary = simulate(cfg, diagnostics=True)
             slack = estimator_slack(summary.corr_profile)
-            report = check_budget(summary.corr_profile, ch, cfg.helper_rate, slack)
+            report = check_budget(summary.corr_profile, cfg.channel, cfg.helper_rate, slack)
             print(f"trials              {report.trials}")
             print(f"err_rate            {summary.err_rate:.6g}")
             print(f"corr_sum            {report.corr_sum:.6g}")

@@ -53,7 +53,9 @@ class ConfigError(ValueError):
 
 
 def _check_run(trials: int, scheme: str, diagnostics: bool) -> None:
-    """Refuse a trial count or a diagnostics request that no run can honour."""
+    """Refuse a scheme, a trial count or a diagnostics request that no run can honour."""
+    if scheme not in ("cognizant", "feedback"):
+        raise ConfigError(f"scheme must be 'cognizant' or 'feedback', got {scheme!r}")
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
     if diagnostics and scheme == "feedback":
@@ -62,14 +64,19 @@ def _check_run(trials: int, scheme: str, diagnostics: bool) -> None:
         raise ConfigError(f"diagnostics = on needs trials of at least 2, got trials = {trials}")
 
 
-def check_eps(eps: float, helper_rates) -> None:
-    """Refuse an eps outside (0, R_h) for any helper rate R_h (eps = 0 when R_h = 0)."""
+def check_eps(eps: float | None, helper_rates) -> None:
+    """Refuse an eps outside (0, R_h) for any helper rate R_h (eps = 0 when R_h = 0).
+
+    None stands for each rate's default, 0.1 * R_h, which leaves (0, R_h) only
+    where it underflows to 0.
+    """
     for rh in helper_rates:
-        if rh > 0 and not 0.0 < eps < rh:
+        e = 0.1 * rh if eps is None else eps
+        if rh > 0 and not 0.0 < e < rh:
             raise ConfigError(
-                f"violated constraint '0 < eps < R_h': eps={eps!r}, helper_rate_bits={rh!r}"
+                f"violated constraint '0 < eps < R_h': eps={e!r}, helper_rate_bits={rh!r}"
             )
-        if rh == 0 and eps != 0.0:
+        if rh == 0 and e != 0.0:
             raise ConfigError("eps must be 0 when helper_rate_bits is 0")
 
 
@@ -80,14 +87,44 @@ def check_products(n: int, *checks) -> None:
     """
     for key, values, scale, product in checks:
         for v in values:
-            if n * v * scale == math.inf:
+            try:
+                overflows = n * v * scale == math.inf
+            except OverflowError:  # n itself is past the float range
+                overflows = True
+            if overflows:
                 raise ConfigError(f"{key} = {v!r} is too large: {product} overflows "
                                   f"at blocklength {n}")
 
 
+def _check(snr, helper_rate, blocklength, rate_fraction, trials, scheme, diagnostics, eps):
+    """Refuse, naming its config key, any value that no run can honour: every
+    SweepSpec's on construction, and a rate_bits run's with no rate_fraction."""
+    for key, values, ok, wanted in (
+            ("snr", snr, lambda v: v > 0, "positive"),
+            ("helper_rate_bits", helper_rate, lambda v: v >= 0, "nonnegative"),
+            ("blocklength", blocklength, lambda v: v >= 2, "at least 2"),
+            ("rate_fraction", rate_fraction, lambda v: v > 0, "positive")):
+        for v in values:
+            if not -math.inf < v < math.inf:
+                raise ConfigError(f"{key} values must be finite")
+            if not ok(v):
+                raise ConfigError(f"{key} values must be {wanted}")
+    _check_run(trials, scheme, diagnostics)
+    check_eps(eps, helper_rate)
+    # P = snr at unit noise variance; R = fraction * capacity, which grows with snr and R_h
+    n = max(blocklength)
+    top = capacity_cognizant(ChannelParams.from_snr(max(snr)), max(helper_rate))
+    check_products(n, ("snr", snr, 1.0, "n*P"), ("helper_rate_bits", helper_rate, 1.0, "n*R_h"),
+                   ("rate_fraction", rate_fraction, top, "n*R = n * rate_fraction * capacity"))
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid of experiment cells over (snr, helper rate, blocklength, rate fraction)."""
+    """Grid of experiment cells over (snr, helper rate, blocklength, rate fraction).
+
+    Valid by construction: its values pass the checker that every parsed
+    config's values pass, or it raises that checker's ConfigError.
+    """
 
     snr: tuple
     helper_rate: tuple
@@ -103,9 +140,8 @@ class SweepSpec:
         for name in ("snr", "helper_rate", "blocklength", "rate_fraction"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} values must be nonempty")
-        if any(f <= 0 for f in self.rate_fraction):
-            raise ConfigError("rate_fraction values must be positive")
-        _check_run(self.trials, self.scheme, self.diagnostics)
+        _check(self.snr, self.helper_rate, self.blocklength, self.rate_fraction, self.trials,
+               self.scheme, self.diagnostics, self.eps)
 
 
 _LIST_KEYS = ("snr", "helper_rate_bits", "blocklength", "rate_fraction")
@@ -118,7 +154,7 @@ def _parse_number(key, raw, lineno, cast):
         value = cast(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: value {raw!r} for {key!r} is not a number") from None
-    if not math.isfinite(value):
+    if not -math.inf < value < math.inf:  # math.isfinite raises on an int past the float range
         raise ConfigError(f"line {lineno}: value {raw!r} for {key!r} is not finite")
     return value
 
@@ -156,19 +192,6 @@ def parse_config(text: str):
     blocklength = lists("blocklength", int)
     rate_fraction = lists("rate_fraction", float) if "rate_fraction" in seen else None
 
-    if any(v <= 0 for v in snr):
-        raise ConfigError("snr values must be positive")
-    if any(v < 0 for v in helper_rate):
-        raise ConfigError("helper_rate_bits values must be nonnegative")
-    if any(v < 2 for v in blocklength):
-        raise ConfigError("blocklength values must be at least 2")
-    # P = snr at unit noise variance; R = fraction * capacity, which grows with snr and R_h
-    n = max(blocklength)
-    top = capacity_cognizant(ChannelParams.from_snr(max(snr)), max(helper_rate))
-    check_products(n, ("snr", snr, 1.0, "n*P"), ("helper_rate_bits", helper_rate, 1.0, "n*R_h"),
-                   ("rate_fraction", rate_fraction or (), top,
-                    "n*R = n * rate_fraction * capacity"))
-
     trials = _parse_number("trials", seen["trials"][1], seen["trials"][0], int) \
         if "trials" in seen else 10000
     seed = _parse_number("seed", seen["seed"][1], seen["seed"][0], int) \
@@ -177,73 +200,59 @@ def parse_config(text: str):
         if "eps" in seen else None
 
     scheme = seen["scheme"][1] if "scheme" in seen else "cognizant"
-    if scheme not in ("cognizant", "feedback"):
-        raise ConfigError(
-            f"line {seen['scheme'][0]}: scheme must be 'cognizant' or 'feedback', got {scheme!r}"
-        )
     diagnostics_raw = seen["diagnostics"][1] if "diagnostics" in seen else "off"
     if diagnostics_raw not in ("on", "off"):
         lineno = seen["diagnostics"][0]
         raise ConfigError(f"line {lineno}: diagnostics must be 'on' or 'off', got {diagnostics_raw!r}")
     diagnostics = diagnostics_raw == "on"
 
-    if eps is not None:
-        check_eps(eps, helper_rate)
-
     single = all(len(v) == 1 for v in (snr, helper_rate, blocklength)) and (
         rate_fraction is None or len(rate_fraction) == 1
     )
-    if single:
-        _check_run(trials, scheme, diagnostics)
-        rh = helper_rate[0]
-        ch = ChannelParams.from_snr(snr[0])
-        if rate_fraction is not None:
-            if rate_fraction[0] <= 0:
-                raise ConfigError("rate_fraction must be positive")
-            rate = rate_fraction[0] * capacity_cognizant(ch, rh)
-        else:
-            rate = _parse_number("rate_bits", seen["rate_bits"][1], seen["rate_bits"][0], float)
-            if rate <= 0:
-                raise ConfigError("rate_bits must be positive")
-            check_products(n, ("rate_bits", (rate,), 1.0, "n*R"))
-        cfg = config_from_rates(blocklength[0], rate, rh, ch, seed, eps=eps, trials=trials)
-        if scheme == "feedback":
-            return FeedbackConfig(inner=cfg), diagnostics
-        return cfg, diagnostics
-
     if rate_fraction is None:
-        raise ConfigError("sweeps require 'rate_fraction' (not 'rate_bits')")
-    return (
-        SweepSpec(
-            snr=snr,
-            helper_rate=helper_rate,
-            blocklength=blocklength,
-            rate_fraction=rate_fraction,
-            trials=trials,
-            base_seed=seed,
-            scheme=scheme,
-            diagnostics=diagnostics,
-            eps=eps,
-        ),
-        diagnostics,
-    )
+        _check(snr, helper_rate, blocklength, (), trials, scheme, diagnostics, eps)
+        if not single:
+            raise ConfigError("sweeps require 'rate_fraction' (not 'rate_bits')")
+        rate = _parse_number("rate_bits", seen["rate_bits"][1], seen["rate_bits"][0], float)
+        if rate <= 0:
+            raise ConfigError("rate_bits must be positive")
+        check_products(blocklength[0], ("rate_bits", (rate,), 1.0, "n*R"))
+        return _config(scheme, snr[0], helper_rate[0], blocklength[0], seed, eps, trials,
+                       rate=rate), diagnostics
+    spec = SweepSpec(snr=snr, helper_rate=helper_rate, blocklength=blocklength,
+                     rate_fraction=rate_fraction, trials=trials, base_seed=seed, scheme=scheme,
+                     diagnostics=diagnostics, eps=eps)
+    return (single_config(spec) if single else spec), diagnostics
+
+
+def _config(scheme, snr, rh, n, seed, eps, trials, fraction=None, rate=None):
+    """One run's config, seeded by `seed`: a FeedbackConfig for scheme feedback.
+
+    Its rate is `rate` bits per use, else `fraction` of the cognizant
+    capacity at the requested R_h (not at the effective helper_bits / n).
+    """
+    ch = ChannelParams.from_snr(snr)
+    if rate is None:
+        rate = fraction * capacity_cognizant(ch, rh)
+    cfg = config_from_rates(n, rate, rh, ch, seed, eps=eps, trials=trials)
+    return FeedbackConfig(inner=cfg) if scheme == "feedback" else cfg
+
+
+def single_config(spec: SweepSpec):
+    """The single run of a one-cell spec: seeded by the base seed itself, as
+    a single-valued config and `diagnose` are."""
+    return _config(spec.scheme, spec.snr[0], spec.helper_rate[0], spec.blocklength[0],
+                   spec.base_seed, spec.eps, spec.trials, spec.rate_fraction[0])
 
 
 def cell_config(spec: SweepSpec, i_snr: int, i_rh: int, i_n: int, i_frac: int):
-    """Build the reproducible experiment config for one grid cell."""
-    snr = spec.snr[i_snr]
-    rh = spec.helper_rate[i_rh]
-    n = spec.blocklength[i_n]
-    frac = spec.rate_fraction[i_frac]
-    ch = ChannelParams.from_snr(snr)
-    rate = frac * capacity_cognizant(ch, rh)
+    """Build the reproducible experiment config for one grid cell, seeded by
+    a seed derived from the base seed and the cell's coordinates."""
     seed = spec.base_seed
     for coord in (i_snr, i_rh, i_n, i_frac):
         seed = derive_seed(seed, coord)
-    cfg = config_from_rates(n, rate, rh, ch, seed, eps=spec.eps, trials=spec.trials)
-    if spec.scheme == "feedback":
-        return FeedbackConfig(inner=cfg)
-    return cfg
+    return _config(spec.scheme, spec.snr[i_snr], spec.helper_rate[i_rh], spec.blocklength[i_n],
+                   seed, spec.eps, spec.trials, spec.rate_fraction[i_frac])
 
 
 def run_cell(cfg, diagnostics=False, threads=None) -> SimSummary:

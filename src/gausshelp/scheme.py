@@ -118,12 +118,12 @@ WORKERS_ENV = "GAUSSHELP_WORKERS"
 # run_trials runs its chunks on threads.  The search's GEMM releases the GIL;
 # per-trial decisions, the diagnostics' narrow reflector steps (two vectors
 # per row, not the candidate stack's n x n matrices) and hand-offs hold it,
-# so the diagnostics' n^3 stays out of the gate.  On a 2-vCPU host (medians of
-# 7 interleaved runs, us per trial, one thread -> two), cells of 2^14.3 to
-# 2^15.3 lost or broke even (n = 16 with 2^11 helper points 10.6 -> 10.8,
-# n = 20 with 2^10 8.3 -> 10.5) and cells of 2^16 and more gained (n = 16
-# with 2^12 13.3 -> 12.9; criterion-5 n = 24 17.4 -> 16.3); cells that only
-# the diagnostics' n^3 lifted past 2^16 lost (README).
+# so the diagnostics' n^3 stays out of the gate.  On a 2-vCPU host (2048
+# trials, us per trial, one thread -> two, medians of 21 rounds), cells of
+# 2^12 to 2^15.3 lost (n = 20 with 2^10 helper points 4.2 -> 6.6), 2^16 and
+# 2^16.6 broke even (n = 16 with 2^12 8.8 -> 8.5 and 7.5 -> 8.2), criterion-5
+# n = 32 (2^21) gained (118 -> 84), and exhaustive-decode (2^6.6) and cells
+# that only the diagnostics' n^3 lifts past 2^16 lost (README).
 THREAD_MIN_WORK = 1 << 16
 
 

@@ -179,7 +179,7 @@ class TestSimulateCommand:
         path.write_text(SINGLE_CONFIG.replace("rate_bits = 1.2", f"rate_fraction = {fraction}"))
         code, out, err = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 2
-        assert err == "config error: rate_fraction must be positive\n"
+        assert err == "config error: rate_fraction values must be positive\n"
         assert out == ""
 
     @pytest.mark.parametrize("command, blocklength", [
@@ -313,7 +313,7 @@ def test_diagnose_refuses_an_overflowing_product_with_the_blocklength(capsys, mo
     flags = {"--snr": "3", "--rh": "0.5", "--n": "8", flag: "1e308"}
     code, out, err = run_cli(capsys, "diagnose", *(x for kv in flags.items() for x in kv))
     assert code == 2 and out == ""
-    assert err == (f"config error: {flag} = 1e+308 is too large: {PRODUCTS[key]} overflows "
+    assert err == (f"config error: {key} = 1e+308 is too large: {PRODUCTS[key]} overflows "
                    "at blocklength 8\n")
 
 
@@ -451,7 +451,9 @@ class TestDiagnoseCommand:
         code, out, err = run_cli(capsys, "diagnose", "--snr", "3", "--rh", "0.5",
                                  "--n", "12", "--trials", trials)
         assert code == 2
-        assert err == f"config error: diagnose needs --trials of at least 2, got {trials}\n"
+        reason = ("diagnostics = on needs trials of at least 2, got trials = 1" if trials == "1"
+                  else f"trials must be at least 1, got {trials}")
+        assert err == f"config error: {reason}\n"
         assert out == ""
 
     @pytest.mark.parametrize("fraction", ["0", "-0.5", "nan", "inf"])
@@ -463,8 +465,8 @@ class TestDiagnoseCommand:
         code, out, err = run_cli(capsys, "diagnose", "--snr", "3", "--rh", "0.5",
                                  "--n", "12", "--rate-fraction", fraction)
         assert code == 2
-        assert err == ("config error: diagnose needs a finite positive --rate-fraction, "
-                       f"got {float(fraction)}\n")
+        wanted = "finite" if fraction in ("nan", "inf") else "positive"
+        assert err == f"config error: rate_fraction values must be {wanted}\n"
         assert out == ""
 
     @pytest.mark.parametrize("flag, value, wanted", [
@@ -484,12 +486,15 @@ class TestDiagnoseCommand:
         code, out, err = run_cli(capsys, "diagnose", *(x for kv in rates.items() for x in kv),
                                  "--n", "12")
         assert code == 2
-        assert err == f"config error: diagnose needs a finite {wanted} {flag}, got {float(value)}\n"
+        key = {"--snr": "snr", "--rh": "helper_rate_bits"}[flag]
+        if value in ("nan", "inf"):  # refused as not finite, before the range
+            wanted = "finite"
+        assert err == f"config error: {key} values must be {wanted}\n"
         assert out == ""
 
     @pytest.mark.parametrize("args, reason", [
-        (("--n", "1"), "diagnose needs --n of at least 2, got 1"),
-        (("--n", "-4"), "diagnose needs --n of at least 2, got -4"),
+        (("--n", "1"), "blocklength values must be at least 2"),
+        (("--n", "-4"), "blocklength values must be at least 2"),
         (("--eps", "0.7"), "violated constraint '0 < eps < R_h': eps=0.7, helper_rate_bits=0.5"),
         (("--eps", "nan"), "violated constraint '0 < eps < R_h': eps=nan, helper_rate_bits=0.5"),
         (("--eps", "0"), "violated constraint '0 < eps < R_h': eps=0.0, helper_rate_bits=0.5"),

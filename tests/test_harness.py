@@ -3,12 +3,17 @@ import math
 import multiprocessing
 import os
 import re
+import tempfile
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gausshelp.capacity import ChannelParams, capacity_cognizant
+from gausshelp.cli import cli
 from gausshelp.feedback import FeedbackConfig
 from gausshelp import harness
 from gausshelp.harness import (
@@ -39,6 +44,10 @@ rate_fraction = 0.5, 0.7
 trials = 30
 seed = 9
 """
+
+# Half from a range that runs, half at and past every rule's edge or any float.
+VALUES = st.one_of(st.floats(0.01, 10.0), st.one_of(
+    st.sampled_from([0.0, -0.5, math.nan, math.inf, -math.inf, 1e308]), st.floats()))
 
 
 class TestParseSingle:
@@ -187,6 +196,75 @@ class TestParseErrors:
         for axis in ("snr", "helper_rate", "blocklength", "rate_fraction"):
             with pytest.raises(ConfigError, match=f"^{axis} values must be nonempty$"):
                 SweepSpec(trials=50, **{**grid, axis: ()})
+        # each was once built, and then ended run_sweep with a ValueError
+        # (snr 1e308 after running the engine on inf and NaN points), or for
+        # the scheme ran the cognizant one
+        grid = {**grid, "blocklength": (8,)}
+        for values, reason in [
+            (dict(blocklength=(8, 1)), "blocklength values must be at least 2"),
+            (dict(snr=(3.0, -1.0)), "snr values must be positive"),
+            (dict(snr=(math.inf,)), "snr values must be finite"),
+            (dict(helper_rate=(-0.5,)), "helper_rate_bits values must be nonnegative"),
+            (dict(eps=0.7), "violated constraint '0 < eps < R_h': eps=0.7, helper_rate_bits=0.5"),
+            (dict(rate_fraction=(math.nan,)), "rate_fraction values must be finite"),
+            (dict(snr=(1e308,)), "snr = 1e+308 is too large: n*P overflows at blocklength 8"),
+            (dict(scheme="telepathy"),
+             "scheme must be 'cognizant' or 'feedback', got 'telepathy'"),
+        ]:
+            with pytest.raises(ConfigError, match=f"^{re.escape(reason)}$"):
+                SweepSpec(trials=50, **{**grid, **values})
+
+    @settings(max_examples=300, deadline=None)
+    # one that runs, a default eps that underflows to 0, and an n past the float range
+    @example(snr=3.0, rh=0.5, n=12, fraction=0.7, eps=None, trials=200, seed=1)
+    @example(snr=3.0, rh=1e-323, n=12, fraction=0.7, eps=None, trials=200, seed=1)
+    @example(snr=3.0, rh=0.5, n=10 ** 400, fraction=0.7, eps=None, trials=200, seed=1)
+    @given(snr=VALUES, rh=VALUES, n=st.integers(-3, 64) | st.integers(), fraction=VALUES,
+           eps=st.none() | VALUES, trials=st.integers(-3, 10 ** 6),
+           seed=st.integers(-2 ** 64, 2 ** 64))
+    def test_a_config_file_and_diagnose_share_one_rule(self, snr, rh, n, fraction, eps,
+                                                       trials, seed):
+        # The same values, as a single-valued config with diagnostics and as
+        # diagnose's flags: both refused (exit 2) or both the same config.
+        keys = dict(snr=snr, helper_rate_bits=rh, blocklength=n, rate_fraction=fraction,
+                    trials=trials, seed=seed, eps=eps)
+        flags = dict(snr=snr, rh=rh, n=n, rate_fraction=fraction, trials=trials, seed=seed,
+                     eps=eps)
+
+        class Ran(Exception):
+            pass
+
+        def ran(cfg, *args, **kwargs):
+            raise Ran(cfg)
+
+        def outcome(argv):  # an exit code, or the config that would have run
+            try:
+                return cli(argv)
+            except Ran as exc:
+                return exc.args[0]
+
+        with tempfile.TemporaryDirectory() as tmp, mock.patch("gausshelp.cli.run_cell", ran), \
+                mock.patch("gausshelp.cli.simulate", ran):
+            path = os.path.join(tmp, "run.conf")
+            with open(path, "w") as fh:
+                fh.write("diagnostics = on\n" + "".join(
+                    f"{k} = {v!r}\n" for k, v in keys.items() if v is not None))
+            from_file = outcome(["simulate", "--config", path])
+            # --flag=value, so that argparse reads a value such as -inf as a value
+            from_flags = outcome(["diagnose"] + [f"--{k.replace('_', '-')}={v!r}"
+                                                 for k, v in flags.items() if v is not None])
+        spec = partial(SweepSpec, snr=(snr,), helper_rate=(rh,), blocklength=(n,),
+                       rate_fraction=(fraction,), trials=trials, base_seed=seed,
+                       diagnostics=True, eps=eps)
+        if isinstance(from_file, int) or isinstance(from_flags, int):
+            assert (from_file, from_flags) == (2, 2)
+            with pytest.raises(ConfigError):
+                spec()
+            return
+        assert isinstance(from_file, SchemeConfig) and from_file == from_flags
+        cell = cell_config(spec(), 0, 0, 0, 0)
+        seeds = ("codebook_seed", "noise_seed", "message_seed", "base_seed")
+        assert cell == replace(from_file, **{name: getattr(cell, name) for name in seeds})
 
     def test_run_cell_refuses_feedback_diagnostics(self):
         cfg, _ = parse_config(MINIMAL + "scheme = feedback\n")
