@@ -8,14 +8,13 @@ bulk: it stacks every message's rotation (scheme.candidate_rotations), and
 its grouped route builds every per-help-index codebook {R_m' b_t : m'}.  A
 rotation is Stewart's product of Householder reflectors of n(n+1)/2
 Gaussian normals, SplitMix64 words of that seed mapped through the normal
-quantile (_normal_draw), with no generator per message and no QR.  The
-stack is formed a bounded slice of messages at a time, each slice's
-recursion in step buffers that its caller reuses (haar_rotations' `work`)
-and copied into the caller's rows (`out`), so the stack can be built in
-parts on several threads.  Where only products R_m v are wanted (the
-diagnostics' inputs and noises), the reflectors are applied to the vectors
-of all the messages at once (HelperCodebook.rotate), each step drawing
-only its own normals, and R_m is never formed.
+quantile (_normal_draw), with no generator per message and no QR.
+haar_rotations forms many at once, in step buffers and rows its caller may
+pass; how the stack is cut into slices and parts is scheme's.  Where only
+products R_m v are wanted (the diagnostics' inputs and noises), the
+reflectors are applied to the vectors of all the messages at once
+(HelperCodebook.rotate), each step drawing only its own normals, and R_m is
+never formed.
 """
 
 from __future__ import annotations
@@ -134,10 +133,10 @@ def haar_rotations(n: int, seeds, out=None, work=None) -> np.ndarray:
     grows contiguous (k, k, seeds) arrays, so each step is a few long vector
     operations over all seeds; each matrix is bitwise the one a single-seed
     call gives.  The steps run in `work`, three float64 buffers of at least
-    n^2 len(seeds) floats each (Q_{k-1}, Q_k and the rank-one term), which a
-    caller building many slices reuses, and Q_n is copied from them into
-    `out`, a (len(seeds), n, n) array such as rows of a stack, which is
-    returned; either is allocated when None.
+    n^2 len(seeds) floats each (Q_{k-1}, Q_k and the rank-one term), which
+    the candidate stack reuses from slice to slice, and Q_n is copied from
+    them into `out`, a (len(seeds), n, n) array such as the stack's rows,
+    which is returned; either is allocated when None.
     """
     if n < 2:
         raise ValueError(f"rotation dimension must be at least 2, got {n}")
@@ -167,16 +166,6 @@ def haar_rotations(n: int, seeds, out=None, work=None) -> np.ndarray:
     # (n = 16, 256 messages).
     out[...] = q.transpose(2, 0, 1)
     return out
-
-
-def reflector_slice(n: int) -> int:
-    """Messages whose rotations the candidate stack forms at a time (scheme.candidate_rotations).
-
-    A quarter of TILE_FLOATS of n^2 floats per message: the stack evens its
-    slices out to at most this many messages each, so each part of it holds
-    three step buffers of at most 3/4 of a tile.
-    """
-    return max(1, search.TILE_FLOATS // (4 * n * n))
 
 
 def _reflect(n: int, seeds: np.ndarray, w: np.ndarray) -> None:
@@ -246,13 +235,9 @@ class HelperCodebook:
             raise ValueError(f"message indices must be nonnegative, got {min(messages)}")
         return derive_seeds(self.rotation_seed_base, messages)
 
-    def rotations(self, messages, out=None, work=None) -> np.ndarray:
-        """Stacked rotations of several messages, (len(messages), n, n), as haar_rotations.
-
-        `out` and `work` are haar_rotations': the stack rows written and the
-        reused step buffers.
-        """
-        return haar_rotations(self.blocklength, self._seeds(messages), out, work)
+    def rotations(self, messages) -> np.ndarray:
+        """Stacked rotations of several messages, (len(messages), n, n), as haar_rotations."""
+        return haar_rotations(self.blocklength, self._seeds(messages))
 
     def rotate(self, messages, vectors) -> np.ndarray:
         """R_m v for each message m = messages[j] and row v of vectors[j], (len(messages), ..., n).

@@ -103,7 +103,8 @@ def simulate_feedback(cfg: FeedbackConfig, keep_records=False, threads=None) -> 
     `wall_time_s` is therefore the inner run's, and the outer messages are
     drawn only to relabel kept records: message m, decision
     (m - m'_hat + m') mod 2^mb and noise energy plus z0^2.  `threads` bounds
-    the engine's threads, as in scheme.simulate.
+    the engine's threads, as in scheme.simulate, and the early admission
+    refuses a bad one, or an oversized run, before the time-zero draw.
     """
     t_start = time.perf_counter()
     inner, mb = cfg.inner, cfg.message_bits

@@ -17,7 +17,7 @@ All single values yield one SchemeConfig; any list yields a SweepSpec over
 the grid.  Every cell's seed is derived from (base seed, cell coordinates),
 so any cell is individually reproducible and results do not depend on
 scheduling or worker count.  run_sweep spreads the worker count (`--workers`,
-else scheme.resolve_workers()) over processes or engine threads, passed down
+checked by scheme.resolve_workers) over processes or engine threads, passed down
 as run_cell's `threads` argument, and hands a pool the cells longest-first by
 `scheme.plan` work (Graham's LPT rule); rows and skip warnings keep sweep order.
 """
@@ -256,7 +256,7 @@ def cell_config(spec: SweepSpec, i_snr: int, i_rh: int, i_n: int, i_frac: int):
 
 
 def run_cell(cfg, diagnostics=False, threads=None) -> SimSummary:
-    """Run one experiment cell on up to `threads` engine threads (None: resolve_workers()).
+    """Run one experiment cell on up to `threads` engine threads (plan checks: resolve_workers).
 
     Module-level so worker processes can pickle it.
     """
@@ -282,11 +282,11 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SimSummary]:
     the sweep continues.  With more than one worker a pool of at most one
     process per cell receives the cells in order of decreasing
     `plan(cfg).work`, and each cell runs its engine on one thread; otherwise
-    each runs it on `workers` threads.  The summaries and the skip warnings come in
+    each runs it on `workers` threads, resolved and checked (resolve_workers)
+    before any cell is built.  The summaries and the skip warnings come in
     sweep order, so the output is the same for every worker count.
     """
-    if workers is None:
-        workers = resolve_workers()
+    workers = resolve_workers(workers)
     cells = []
     for i_snr in range(len(spec.snr)):
         for i_rh in range(len(spec.helper_rate)):

@@ -21,7 +21,7 @@ rotation.  R_m is applied only for the exhaustive decoder's y = R_m (b_t + w)
 and the diagnostics' x = R_m b_t and z = R_m w; off the candidate stack, R_m
 is applied as its Householder reflectors (HelperCodebook.rotate), never
 formed.  The helper and exhaustive searches go through search.ScreenedSearch
-(`plan` picks the decode route and sizes the run).
+(`plan` decides each run once: its route, sizes, threads and stack parts).
 
 A chunk, CHUNK_TRIALS trials, is the unit of drawing (the contract below); a
 batch of RunPlan.batch consecutive chunks is the unit of compute, which
@@ -64,6 +64,7 @@ trial for trial.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import time
 import warnings
@@ -77,7 +78,7 @@ import numpy as np
 from . import search
 from .capacity import ChannelParams, capacity_cognizant
 from .codebook import (MAX_CODEBOOK_FLOATS, CodebookSizeError, HelperCodebook,
-                       build_base_codebook, derive_seed, reflector_slice)
+                       build_base_codebook, derive_seed, derive_seeds, haar_rotations)
 from .converse import CorrelationSums, correlation_budget
 from .geometry import (COS_CLAMP_TOL, achievable_rate_threshold, angle_between,
                        cap_ratio_exact, log_cap_ratio, theta0)
@@ -254,6 +255,7 @@ class RunPlan:
     work: int  # estimated work in flops-like units; a sweep runs the largest cell first
     threads: int  # the engine's threads: 1 unless a trial's helper search passes THREAD_MIN_WORK
     batch: int  # stream chunks per engine item (_batch_chunks)
+    parts: tuple | None  # the candidate stack's (span, width) (_stack_parts); None off a scan
 
     def admit(self) -> RunPlan:
         """This plan, unless a store outgrows the size cap: then CodebookSizeError."""
@@ -300,10 +302,10 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     a batch the unit of compute and not in the contract), and every store
     counts a batch's chunks; the engine store adds, per batch in flight, the
     float32 scores of its widest search (search.tile_floats).  Batches run
-    on `threads` (None: resolve_workers()) when a trial's helper search, H n,
+    on resolve_workers(threads) threads when a trial's helper search, H n,
     is at least THREAD_MIN_WORK; the diagnostics' n^3 counts toward the
-    work, not the gate.  The candidate stack is built in parts on `threads`
-    whatever the gate (candidate_rotations), and its store adds each part's
+    work, not the gate.  The candidate stack is cut into `parts`, one per
+    thread whatever the gate (_stack_parts), and its store adds each part's
     step buffers and draw.
     """
     n, trials, bits = cfg.blocklength, cfg.trials, cfg.message_bits
@@ -312,7 +314,7 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     # 2^message_bits <= EXHAUSTIVE_LIMIT, compared as bit counts.
     exhaustive = bits < EXHAUSTIVE_LIMIT.bit_length()
     gated = help_size * n >= THREAD_MIN_WORK
-    workers = (threads or resolve_workers()) if gated or exhaustive else 1
+    workers = resolve_workers(threads)
     threads = workers if gated else 1
     grouped = exhaustive and help_size <= n and help_size * n <= trials
     route = "grouped" if grouped else "stack" if exhaustive else "analytic"
@@ -323,6 +325,7 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
          f"{_count(trials)} trials of {_count(bits)}-bit messages exceed"),
         (help_size * n, f"codebook of 2^{_count(cfg.helper_bits)} points in dimension {n} exceeds")]
     work = trials * (help_size * n + (n ** 3 if diagnostics else 0))
+    parts = None
     if exhaustive:
         n_messages = 1 << bits
         work += n_messages * n * (n * n + (help_size * n + trials if grouped else trials * n))
@@ -331,7 +334,7 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
         # 2 w + 1 times n(n+1)/2 words (the words and their xor-shift buffer
         # or transposed copy, and the word indices), 4 n words per message
         # and the two np.getbufsize()-element operand buffers of its sum.
-        span, width = _stack_parts(n_messages, n, workers)
+        parts = span, width = _stack_parts(n_messages, n, workers)
         part = (3 * n * n * width + (2 * width + 1) * n * (n + 1) // 2 + 4 * n * width
                 + 2 * np.getbufsize())
         storage.append((n_messages * n * (n + help_size * grouped) + -(-n_messages // span) * part,
@@ -360,7 +363,7 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
         rotate = 0 if exhaustive else 8 * n * rows + 2 * np.getbufsize()
         storage.append((items * rotate + in_flight * 2 * k * n,
                         f"diagnostics rotations of {rows} trials in dimension {n} exceed"))
-    return RunPlan(route, tuple(storage), work, threads, batch)
+    return RunPlan(route, tuple(storage), work, threads, batch, parts)
 
 
 def _analytic_error_probability(n: int, decode_angle, n_competitors: int):
@@ -462,41 +465,42 @@ def draw_messages(cfg: SchemeConfig) -> list[int]:
 def _stack_parts(n_messages: int, n: int, threads: int) -> tuple[int, int]:
     """(span, width): messages per part of the candidate stack, and per slice of a part.
 
-    The stack's ceil(M / reflector_slice(n)) slices are rounded up to a
-    multiple of the min(threads, slices) parts and made equal, ceil(M /
-    slices) messages each; a part is slices / parts consecutive slices.
+    A slice is at most a quarter of TILE_FLOATS of n^2 floats per message,
+    so a part's three step buffers hold at most 3/4 of a tile.  The stack's
+    ceil(M / that) slices are rounded up to a multiple of the min(threads,
+    slices) parts and made equal, ceil(M / slices) messages each; a part is
+    slices / parts consecutive slices.
     """
-    slices = -(-n_messages // reflector_slice(n))
+    slices = -(-n_messages // max(1, search.TILE_FLOATS // (4 * n * n)))
     parts = min(threads, slices)
     slices = -(-slices // parts) * parts
     width = -(-n_messages // slices)
     return width * (slices // parts), width
 
 
-def candidate_rotations(cfg: SchemeConfig, cb: HelperCodebook, threads=None):
-    """Stacked per-message rotations on an exhaustive route (sized by plan(cfg).admit()).
+def candidate_rotations(cfg: SchemeConfig, cb: HelperCodebook, run: RunPlan):
+    """Stacked per-message rotations of cfg's scan route, None on the analytic one.
 
-    The stack is cut into contiguous parts of equal slice counts
-    (_stack_parts), one per thread of `threads` (None: resolve_workers()) up
-    to one per slice, which run through _in_order: a stack of one slice, or
-    one thread, builds no pool.  A part forms its slices' rotations in three
-    step buffers of its own (haar_rotations' `work`), reused from slice to
-    slice, and copies each slice's Q_n into its rows of the stack (`out`);
-    its steps are long ufunc passes that release the GIL.  Every matrix is
-    bitwise the one haar_rotations gives its message's seed, at any thread
-    count.
+    The stack is cut as plan's `run.parts` say: contiguous parts of `span`
+    messages, one per thread, in slices of `width`, which run through
+    _in_order, so a stack of one part builds no pool.  A part forms its
+    slices' rotations in three step buffers of its own (haar_rotations'
+    `work`), reused from slice to slice, and copies each slice's Q_n into
+    its rows of the stack (`out`); its steps are long ufunc passes that
+    release the GIL.  Every matrix is bitwise the one haar_rotations gives
+    its message's seed, at any thread count.
     """
-    if plan(cfg).route == "analytic":
+    if run.parts is None:
         return None
     n_messages, n = 1 << cfg.message_bits, cfg.blocklength
-    span, width = _stack_parts(n_messages, n, threads or resolve_workers())
+    span, width = run.parts
     stack = np.empty((n_messages, n, n))
 
     def build(part):
         lo, work = part
         for s in range(lo, min(lo + span, n_messages), width):
             e = min(s + width, n_messages)
-            cb.rotations(range(s, e), stack[s:e], work)
+            haar_rotations(n, derive_seeds(cb.rotation_seed_base, range(s, e)), stack[s:e], work)
 
     # The buffers are allocated on the calling thread: a pool thread's come
     # from a malloc arena of its own (exhaustive-decode's peak RSS read
@@ -517,19 +521,23 @@ def _row_angles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def resolve_workers(threads=None) -> int:
+    """CPUs a run may use, checked: `threads`, an int >= 1, else ValueError naming it.
 
-
-def resolve_workers() -> int:
-    """CPUs gausshelp may use: GAUSSHELP_WORKERS if non-zero, else the usable CPUs."""
-    raw = os.environ.get(WORKERS_ENV, "0")  # 0: the default
-    if not (raw.isascii() and raw.isdigit()):
-        raise ValueError(f"{WORKERS_ENV} must be an integer >= 0, got {raw!r}")
-    return int(raw) or _usable_cpus()
+    None means GAUSSHELP_WORKERS if non-zero, else the CPUs this process may
+    run on (its affinity mask where the OS has one).  plan and run_sweep
+    resolve every count here.
+    """
+    if threads is None:
+        raw = os.environ.get(WORKERS_ENV, "0")  # 0: the default
+        if not (raw.isascii() and raw.isdigit()):
+            raise ValueError(f"{WORKERS_ENV} must be an integer >= 0, got {raw!r}")
+        if hasattr(os, "sched_getaffinity"):
+            return int(raw) or len(os.sched_getaffinity(0))
+        return int(raw) or os.cpu_count() or 1
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"worker count must be an integer >= 1, got {threads!r}")
+    return int(threads)
 
 
 def _in_order(fn, items, threads: int, take) -> None:
@@ -562,13 +570,13 @@ def run_trials(cfg: SchemeConfig, messages=None, correlations: CorrelationSums |
                threads=None) -> TrialColumns:
     """Trial i sends messages[i]; the batched equivalent of run_trial per trial.
 
-    Checks the messages it is given first: ValueError unless there are
-    cfg.trials of them, naming the first outside [0, 2^message_bits) and its
-    index.  Then admits the run (plan(...).admit(): CodebookSizeError before
-    anything is drawn or built), draws cfg's messages when given none
-    (draw_messages), builds cfg's codebook and, on a scan route, its
-    candidate_rotations stack, in parts on `threads` threads (None:
-    resolve_workers(); a stack of one slice, or one thread, builds no pool),
+    Checks the messages it is given first, through operator.index: ValueError
+    unless there are cfg.trials of them, naming the first not an integer in
+    [0, 2^message_bits) and its index.  Then plans the run once and admits
+    it (plan(...).admit(): ValueError for a bad `threads`, CodebookSizeError
+    for an oversized run, before anything is drawn or built), draws cfg's
+    messages when given none (draw_messages), builds cfg's codebook and, on
+    a scan route, its candidate_rotations stack in the plan's parts,
     called from the calling thread, then runs the trials a batch of plan's
     `batch` stream chunks at a time: each chunk of CHUNK_TRIALS trials
     draws from its own noise stream (module docstring), and the batch
@@ -576,9 +584,9 @@ def run_trials(cfg: SchemeConfig, messages=None, correlations: CorrelationSums |
     each batch computes its inputs x = R_m b_t and noises z = R_m w, by
     applying R_m's reflectors to all its rows at once, a step at a time
     (HelperCodebook.rotate), or from the candidate stack on a scan; they are
-    added to the sums, not kept.  Batches run on
-    `threads` threads (None: resolve_workers(); a sweep's workers pass 1)
-    when the helper search pays (plan, THREAD_MIN_WORK), each writing only
+    added to the sums, not kept.  Batches run on `threads` threads
+    (resolve_workers; a sweep's workers pass 1) when the helper search pays
+    (plan, THREAD_MIN_WORK), each writing only
     its own rows.  The calling thread takes their decisions and adds their x
     and z a chunk at a time, in chunk order, so every result is the serial
     one-chunk loop's, bitwise, at any thread count and batch size.
@@ -587,10 +595,13 @@ def run_trials(cfg: SchemeConfig, messages=None, correlations: CorrelationSums |
         messages, size = list(messages), 1 << cfg.message_bits
         if len(messages) != cfg.trials:
             raise ValueError(f"need {cfg.trials} messages, got {len(messages)}")
-        bad = next((i for i, m in enumerate(messages) if not 0 <= m < size), None)
-        if bad is not None:
-            raise ValueError(f"message {messages[bad]} at index {bad} is out of range "
-                             f"for {cfg.message_bits} bits")
+        for i, m in enumerate(messages):
+            try:
+                messages[i] = operator.index(m)
+            except TypeError:
+                raise ValueError(f"message {m} at index {i} is not an integer") from None
+            if not 0 <= messages[i] < size:
+                raise ValueError(f"message {m} at index {i} is out of range for {cfg.message_bits} bits")
     run = plan(cfg, correlations is not None, threads).admit()
     messages = draw_messages(cfg) if messages is None else messages
     trials, n = len(messages), cfg.blocklength
@@ -598,7 +609,7 @@ def run_trials(cfg: SchemeConfig, messages=None, correlations: CorrelationSums |
     n_messages = 1 << cfg.message_bits
     exhaustive, grouped = run.route != "analytic", run.route == "grouped"
     cb = build_codebook(cfg)
-    rotations = candidate_rotations(cfg, cb, threads)
+    rotations = candidate_rotations(cfg, cb, run)
     scale, sigma = math.sqrt(n * cb.power), math.sqrt(cfg.channel.noise_var)
 
     help_index = np.empty(trials, dtype=np.int64)
@@ -735,8 +746,8 @@ def simulate(cfg: SchemeConfig, keep_records=False, diagnostics=False,
     per-index input/noise correlations across trials, from running sums that
     take O(n) memory whatever the trial count.  run_trials plans and admits
     the run, draws the messages when none are given and builds the codebook
-    and the candidate stack.  `threads` bounds the engine's threads (None:
-    resolve_workers()); no result depends on it.
+    and the candidate stack.  `threads` bounds the engine's threads
+    (resolve_workers: None, or an int >= 1); no result depends on it.
     """
     t_start = time.perf_counter()
     sums = CorrelationSums() if diagnostics else None

@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gausshelp import feedback, scheme
+from gausshelp import feedback, harness, scheme
 from gausshelp.capacity import ChannelParams
 from gausshelp.cli import cli
-from gausshelp.codebook import CodebookSizeError, HelperCodebook, derive_seed
+from gausshelp.codebook import CodebookSizeError, HelperCodebook, derive_seed, derive_seeds
 from gausshelp.converse import CorrelationSums, empirical_correlations
 from gausshelp.feedback import (
     _Z0_STREAM_OFFSET,
@@ -136,7 +136,7 @@ class TestEngineMatchesRunTrial:
         diagnostics = trials > 1
         s = simulate(cfg, keep_records=True, diagnostics=diagnostics)
         cb = build_codebook(cfg)
-        rotations = candidate_rotations(cfg, cb)
+        rotations = candidate_rotations(cfg, cb, plan(cfg))
         pairs = []
         for i, (rec, draws) in enumerate(zip(s.records, contract_draws(cfg, trials))):
             ref, x, z = run_trial(cfg, cb, rec.message, *draws, rotations=rotations,
@@ -166,7 +166,7 @@ class TestEngineMatchesRunTrial:
         mb, power = inner.message_bits, CH.power
         s = simulate_feedback(FeedbackConfig(inner=inner), keep_records=True)
         cb = build_codebook(inner)
-        rotations = candidate_rotations(inner, cb)
+        rotations = candidate_rotations(inner, cb, plan(inner))
         # All time-zero noises, in block order, from one generator.
         z0s = np.random.default_rng(derive_seed(inner.noise_seed, _Z0_STREAM_OFFSET)) \
             .standard_normal(trials) * math.sqrt(CH.noise_var)
@@ -203,16 +203,16 @@ def test_grouped_codebooks_count_toward_the_size_cap(monkeypatch):
     (stack,) = [words for words, what in plan(replace(cfg, trials=help_size * n - 1)).storage
                 if what.startswith("rotation stack")]
     monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", stack + n_messages * n * help_size // 2)
-    rotations = HelperCodebook.rotations
+    rotations = scheme.haar_rotations
 
     def refuse(*args):
         raise AssertionError("rotations formed before the size check")
 
-    monkeypatch.setattr(HelperCodebook, "rotations", refuse)
+    monkeypatch.setattr(scheme, "haar_rotations", refuse)
     with pytest.raises(CodebookSizeError, match="rotation stack"):
         simulate(cfg)
     assert isinstance(_run_cell_safe((cfg, False)), CodebookSizeError)
-    monkeypatch.setattr(HelperCodebook, "rotations", rotations)
+    monkeypatch.setattr(scheme, "haar_rotations", rotations)
     assert simulate(replace(cfg, trials=help_size * n - 1)).trials == help_size * n - 1
 
 
@@ -344,7 +344,7 @@ def test_diagnostics_rotations_count_toward_the_size_cap(monkeypatch, caplog):
     def refuse(*args):
         raise AssertionError("rotations formed or applied before the size check")
 
-    monkeypatch.setattr(HelperCodebook, "rotations", refuse)
+    monkeypatch.setattr(scheme, "haar_rotations", refuse)
     monkeypatch.setattr(HelperCodebook, "rotate", refuse)
     with pytest.raises(CodebookSizeError,
                        match="^diagnostics rotations of 128 trials in dimension 16 exceed"):
@@ -837,7 +837,7 @@ def stack_cell(n, bits):
 
 
 class TestCandidateStack:
-    """The rotation stack, built in parts on up to `threads` threads."""
+    """The rotation stack, built in the parts its plan holds, one per thread."""
 
     @pytest.mark.parametrize("n, bits", [
         (2, 12),  # 4096 messages, under one slice of 2^14
@@ -850,7 +850,8 @@ class TestCandidateStack:
         cb = build_codebook(cfg)
         want = np.stack([cb.rotation(m) for m in range(1 << bits)]).tobytes()
         for threads in (1, 2, 3):
-            assert candidate_rotations(cfg, cb, threads).tobytes() == want, threads
+            stack = candidate_rotations(cfg, cb, plan(cfg, threads=threads))
+            assert stack.tobytes() == want, threads
 
     def test_one_thread_or_one_slice_builds_no_pool(self, monkeypatch):
         pools, pool = [], scheme.ThreadPoolExecutor
@@ -864,31 +865,73 @@ class TestCandidateStack:
 
         cfg, one_slice = stack_cell(12, 12), stack_cell(16, 8)
         monkeypatch.setattr(scheme, "ThreadPoolExecutor", no_pool)
-        candidate_rotations(cfg, build_codebook(cfg), 1)
+        candidate_rotations(cfg, build_codebook(cfg), plan(cfg, threads=1))
         scheme.run_trials(cfg, threads=1)
-        candidate_rotations(one_slice, build_codebook(one_slice), 4)
+        candidate_rotations(one_slice, build_codebook(one_slice), plan(one_slice, threads=4))
         # Ten slices on four threads: four parts of three slices of 342.
         monkeypatch.setattr(scheme, "ThreadPoolExecutor", counting_pool)
         assert scheme._stack_parts(1 << 12, 12, 4) == (3 * 342, 342)
-        candidate_rotations(cfg, build_codebook(cfg), 4)
+        assert plan(cfg, threads=4).parts == (3 * 342, 342)
+        candidate_rotations(cfg, build_codebook(cfg), plan(cfg, threads=4))
         assert pools == [(4,)]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n, bits", [(12, 12), (16, 10), (32, 8), (16, 8)])
+    def test_the_stack_is_built_in_the_plans_parts(self, monkeypatch, n, bits, threads):
+        # candidate_rotations hands _in_order exactly the parts `run` carries
+        # and forms each part's slices `width` messages at a time; it plans
+        # nothing of its own.  n = 12's ten slices are uneven on three and
+        # four threads: they round up to twelve, in parts of four or three.
+        cfg, n_messages = stack_cell(n, bits), 1 << bits
+        cb, run = build_codebook(cfg), plan(cfg, threads=threads)
+        span, width = run.parts
+        if (n, threads) == (12, 4):
+            assert run.parts == (3 * 342, 342)
+        handed, slices = [], []
+        in_order, rotations = scheme._in_order, scheme.haar_rotations
+
+        def recording(fn, items, count, take):
+            handed.append(([lo for lo, _ in items], count, {b.size for _, work in items
+                                                            for b in work}))
+            in_order(fn, items, count, take)
+
+        def recording_slices(n, seeds, out, work):
+            slices.append(len(seeds))
+            return rotations(n, seeds, out, work)
+
+        def planned(*args, **kwargs):
+            raise AssertionError("candidate_rotations planned its stack again")
+
+        monkeypatch.setattr(scheme, "_in_order", recording)
+        monkeypatch.setattr(scheme, "haar_rotations", recording_slices)
+        for name in ("plan", "_stack_parts", "resolve_workers"):
+            monkeypatch.setattr(scheme, name, planned)
+        candidate_rotations(cfg, cb, run)
+        los = list(range(0, n_messages, span))
+        assert handed == [(los, len(los), {n * n * width})]
+        assert len(los) == min(threads, -(-n_messages // width))
+        assert sorted(slices) == sorted(min(s + width, n_messages) - s
+                                        for s in range(0, n_messages, width))
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_a_failing_part_propagates_and_leaves_no_thread(self, monkeypatch, threads):
         cfg = stack_cell(12, 12)
         cb = build_codebook(cfg)
-        rotations, started = HelperCodebook.rotations, []
+        first = {int(seed): m for m, seed in
+                 enumerate(derive_seeds(cb.rotation_seed_base, range(1 << 12)))}
+        rotations, started = scheme.haar_rotations, []
 
-        def failing(self, messages, *args):
-            started.append(messages.start)
-            if messages.start >= 1 << 11:  # the last part's slices
+        def failing(n, seeds, *args):
+            start = first[int(seeds[0])]
+            started.append(start)
+            if start >= 1 << 11:  # the last part's slices
                 raise RuntimeError("the last part failed")
-            return rotations(self, messages, *args)
+            return rotations(n, seeds, *args)
 
-        monkeypatch.setattr(HelperCodebook, "rotations", failing)
+        monkeypatch.setattr(scheme, "haar_rotations", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="^the last part failed$"):
-            candidate_rotations(cfg, cb, threads)
+            candidate_rotations(cfg, cb, plan(cfg, threads=threads))
         assert threading.active_count() == before
         assert started and 0 in started
 
@@ -900,12 +943,11 @@ class TestCandidateStack:
         # itself, lies between half of that and that.  One word below the
         # store the cell is refused before any rotation is formed.
         cfg = stack_cell(n, bits)
-        cb, stack = build_codebook(cfg), (1 << bits) * n * n
-        (store,) = [words for words, what in plan(cfg, threads=threads).storage
-                    if what.startswith("rotation stack")]
+        cb, stack, run = build_codebook(cfg), (1 << bits) * n * n, plan(cfg, threads=threads)
+        (store,) = [words for words, what in run.storage if what.startswith("rotation stack")]
         tracemalloc.start()
         try:
-            candidate_rotations(cfg, cb, threads)
+            candidate_rotations(cfg, cb, run)
             traced = tracemalloc.get_traced_memory()[1] / 8 - stack
         finally:
             tracemalloc.stop()
@@ -915,7 +957,74 @@ class TestCandidateStack:
         def formed(*args):
             raise AssertionError("a rotation was formed")
 
-        monkeypatch.setattr(HelperCodebook, "rotations", formed)
+        monkeypatch.setattr(scheme, "haar_rotations", formed)
         with pytest.raises(CodebookSizeError,
                            match=rf"^rotation stack of {1 << bits} {n}x{n} matrices exceeds"):
             scheme.run_trials(cfg, threads=threads)
+
+
+class TestThePlanIsTheRun:
+    """Each run is planned once, and its thread count is checked there."""
+
+    def test_a_run_makes_one_plan(self, monkeypatch):
+        # An exhaustive simulate plans once, in run_trials; simulate_feedback
+        # twice: its early admission and the inner run.
+        calls, planned = [], scheme.plan
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return planned(*args, **kwargs)
+
+        monkeypatch.setattr(scheme, "plan", counting)
+        monkeypatch.setattr(feedback, "plan", counting)
+        cfg = exhaustive_config(3 * CHUNK_TRIALS)
+        simulate(cfg)
+        assert calls == [cfg]
+        calls.clear()
+        cell = feedback_config(3 * CHUNK_TRIALS)
+        simulate_feedback(cell)
+        assert calls == [cell.inner, cell.inner]
+
+    # The cell that once ran on a bad count: 2^12 messages at n = 12, decoded
+    # against the uninitialised stack when the count was negative.
+    CELL = config_from_rates(12, 1.0, 0.25, CH, 1, trials=300)
+
+    @pytest.mark.parametrize("threads", [0, -1, 2.5])
+    @pytest.mark.parametrize("entry", ["simulate", "simulate_feedback", "run_trials",
+                                       "run_sweep"])
+    def test_a_bad_count_is_refused_before_any_draw(self, monkeypatch, entry, threads):
+        # threads=-1 once gave 284 errors on simulate where threads=1 gives
+        # 13, 288 on simulate_feedback where it gives 20, and run_sweep's
+        # workers=-1 gave [124, 200] for [124, 4]; 0 meant the default.
+        spec = SweepSpec(snr=(3.0,), helper_rate=(0.25,), blocklength=(12,),
+                         rate_fraction=(0.9, 0.5), trials=300, base_seed=1)
+        assert plan(self.CELL).route == "grouped"
+        refuse_draws(monkeypatch)
+
+        def built(*args, **kwargs):
+            raise AssertionError("a cell was built")
+
+        monkeypatch.setattr(harness, "cell_config", built)
+        runs = {"simulate": lambda: simulate(self.CELL, threads=threads),
+                "simulate_feedback": lambda: simulate_feedback(FeedbackConfig(inner=self.CELL),
+                                                               threads=threads),
+                "run_trials": lambda: scheme.run_trials(self.CELL, threads=threads),
+                "run_sweep": lambda: run_sweep(spec, workers=threads)}
+        with pytest.raises(ValueError,
+                           match=rf"^worker count must be an integer >= 1, got {threads!r}$"):
+            runs[entry]()
+
+    def test_none_and_explicit_counts_give_the_serial_result(self, monkeypatch):
+        # Bitwise the one-thread result, from None and from 1 to 3 threads,
+        # on the cell above and its feedback twin; the gate is lowered so
+        # that the batches, not only the stack, run on the threads.
+        monkeypatch.setattr(scheme, "THREAD_MIN_WORK", 0)
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        cell = FeedbackConfig(inner=self.CELL)
+        runs = {threads: (summary_bits(simulate(self.CELL, keep_records=True, diagnostics=True,
+                                                threads=threads)),
+                          summary_bits(simulate_feedback(cell, keep_records=True,
+                                                         threads=threads)))
+                for threads in (None, 1, 2, 3)}
+        assert runs[1][0][0]["errors"] == bits(13)
+        assert all(run == runs[1] for run in runs.values())

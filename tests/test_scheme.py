@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -320,8 +321,14 @@ class TestSimulate:
         (16, 2.0, [0, 1, -5], "^message -5 at index 2 is out of range for 32 bits$"),
         # A longer list once ran trials plan never admitted; a shorter one, fewer.
         (12, 1.0, [0, 1, 2, 3], "^need 3 messages, got 4$"),
-        (12, 1.0, [0, 1], "^need 3 messages, got 2$")],
-        ids=["negative", "past-the-space", "negative-analytic", "too-many", "too-few"])
+        (12, 1.0, [0, 1], "^need 3 messages, got 2$"),
+        # m + 0.5 was once recorded as sent on the analytic route, and hit an
+        # IndexError on the scan only after the stack was built.
+        (12, 1.0, [0, 1.5, 2], "^message 1.5 at index 1 is not an integer$"),
+        (16, 2.0, [0, 1, np.float64(2.5)], "^message 2.5 at index 2 is not an integer$"),
+        (16, 2.0, [0, 1.0, 2], "^message 1.0 at index 1 is not an integer$")],
+        ids=["negative", "past-the-space", "negative-analytic", "too-many", "too-few",
+             "half", "half-analytic", "integral-float"])
     def test_run_trials_checks_its_messages_first(self, monkeypatch, run, n, rate, messages,
                                                     error):
         cfg = config_from_rates(n, rate, 0.25, CH, seed=1, trials=3)
@@ -335,6 +342,20 @@ class TestSimulate:
             monkeypatch.setattr(scheme, name, drawn)
         with pytest.raises(ValueError, match=error):
             getattr(scheme, run)(cfg, messages=messages)
+
+    @pytest.mark.parametrize("n, rate, bits", [(8, 9.0, 72), (12, 1.0, 12), (16, 2.0, 32)])
+    def test_numpy_integer_messages_at_any_width(self, n, rate, bits):
+        # np.arange(200) at 72 bits once raised OverflowError from the range
+        # check; numpy integers of any dtype now run as the ints they hold.
+        cfg = config_from_rates(n, rate, 0.25, CH, seed=1, trials=200)
+        assert cfg.message_bits == bits
+        want = [dataclasses.astuple(r) for r in
+                simulate(cfg, keep_records=True, messages=list(range(200))).records]
+        for messages in (np.arange(200), np.arange(200, dtype=np.uint16),
+                         list(np.arange(200, dtype=np.int32))):
+            s = simulate(cfg, keep_records=True, messages=messages)
+            assert [dataclasses.astuple(r) for r in s.records] == want
+            assert all(type(r.message) is int for r in s.records)
 
     def test_helper_alignment_tightens_with_blocklength(self):
         means = []

@@ -129,8 +129,10 @@ def test_analytic_route_forms_no_rotation(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("a rotation was formed")
 
-    # neither the full matrices nor the reflectors the diagnostics apply
+    # neither the full matrices, for a stack or one message, nor the
+    # reflectors the diagnostics apply
     monkeypatch.setattr(codebook, "haar_rotations", refuse)
+    monkeypatch.setattr(scheme, "haar_rotations", refuse)
     monkeypatch.setattr(codebook, "_reflectors", refuse)
     cfg = config_from_rates(16, 1.2, 0.5, CH, seed=21, eps=0.1, trials=300)
     assert plan(cfg).route == "analytic"
