@@ -17,7 +17,15 @@ from .converse import check_budget, estimator_slack
 from .geometry import achievable_rate_threshold, cap_rate_exponent, cap_ratio_exact
 from .harness import (ConfigError, SweepSpec, emit_csv, parse_config, run_cell, run_sweep,
                       single_config)
-from .scheme import simulate
+from .scheme import resolve_workers, simulate
+
+
+def _workers(raw: str) -> int:
+    """A --workers count, checked by scheme.resolve_workers: its ValueError is a usage error."""
+    try:
+        return resolve_workers(int(raw))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser():
@@ -50,7 +58,7 @@ def _build_parser():
         p.add_argument("--repro", action="store_true",
                        help="zero the wall_time_s column for byte-identical output")
         if name == "sweep":
-            p.add_argument("--workers", type=int,
+            p.add_argument("--workers", type=_workers,
                            help="CPUs to use: worker processes with one engine thread each, "
                                 "or engine threads for a single cell (default: "
                                 "GAUSSHELP_WORKERS, else the usable CPUs)")
@@ -78,8 +86,6 @@ def cli(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "workers", None) is not None and args.workers < 1:
-            parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     if args.command is None:

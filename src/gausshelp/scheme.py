@@ -25,10 +25,9 @@ formed.  The helper and exhaustive searches go through search.ScreenedSearch
 
 A chunk, CHUNK_TRIALS trials, is the unit of drawing (the contract below); a
 batch of RunPlan.batch consecutive chunks is the unit of compute, which
-`plan` picks (_batch_chunks) and the contract leaves out: no row's result
-depends on the rows computed with it, so every result is the same at any
-batch size.  Batches run on up to `threads` threads, and no result depends
-on how many.
+`plan` sizes by its search tile and thread count alone (_batch_chunks) and
+the contract leaves out: no row's result depends on the rows computed with
+it, so every result is the same at any batch size and thread count.
 
 Stream contract STREAM_CONTRACT = 5, each stream drawn in the order given:
 
@@ -103,11 +102,9 @@ CHUNK_BLOCKS = 4
 # per tile row, a tenth of a 512-score row's scan.  Measured at B = 1 to 16
 # on the criterion-5 cells (README's batch table), 2^16 helper points lost
 # 8% at B = 8 (256 columns) and 2^12 points 27% at B = 16 (128 columns),
-# while 2^8 points gained up to B = 16.  A run keeps at least MIN_BATCHES
-# batches, so the pool has items to share and a run of fewer than
-# 2 MIN_BATCHES chunks stores what one chunk does per item.
+# while 2^8 points gained up to B = 16.  The tile and the pool's threads
+# (a batch each) are all that size a batch.
 BATCH_MIN_COLUMNS = 512
-MIN_BATCHES = 16
 
 # Version of the random streams documented in the module docstring.
 STREAM_CONTRACT = 5
@@ -116,15 +113,13 @@ STREAM_CONTRACT = 5
 WORKERS_ENV = "GAUSSHELP_WORKERS"
 
 # Least helper search per trial, 2^helper_bits * n (plan), for which
-# run_trials runs its chunks on threads.  The search's GEMM releases the GIL;
-# per-trial decisions, the diagnostics' narrow reflector steps (two vectors
-# per row, not the candidate stack's n x n matrices) and hand-offs hold it,
-# so the diagnostics' n^3 stays out of the gate.  On a 2-vCPU host (2048
-# trials, us per trial, one thread -> two, medians of 21 rounds), cells of
-# 2^12 to 2^15.3 lost (n = 20 with 2^10 helper points 4.2 -> 6.6), 2^16 and
-# 2^16.6 broke even (n = 16 with 2^12 8.8 -> 8.5 and 7.5 -> 8.2), criterion-5
-# n = 32 (2^21) gained (118 -> 84), and exhaustive-decode (2^6.6) and cells
-# that only the diagnostics' n^3 lifts past 2^16 lost (README).
+# run_trials runs its batches on threads.  The search's GEMM releases the
+# GIL; per-trial decisions, hand-offs and the numpy calls of the
+# diagnostics' reflector steps hold it, so their n^3 stays out of the gate.
+# On a 2-vCPU host (2048 trials, us per trial, one thread -> two, medians;
+# README), 2^12 to 2^15.3 lost, the edge lost in batches of 4 (2^16: 7.2 ->
+# 8.1, criterion-5 n = 24, 2^16.6: 7.7 -> 8.3), criterion-5 n = 32 (2^21)
+# gained (118 -> 84), and exhaustive-decode (2^6.6) lost with the gate at 0.
 THREAD_MIN_WORK = 1 << 16
 
 
@@ -270,7 +265,7 @@ def _count(value: int) -> str:
     return str(value) if value < 10**12 else f"{Decimal(value):.3g}"
 
 
-def _batch_chunks(width: int, searched: int, chunks: int) -> int:
+def _batch_chunks(width: int, searched: int, chunks: int, threads: int) -> int:
     """Stream chunks one engine item computes together (a batch) in a run of `chunks`.
 
     A batch pays a chunk's fixed numpy cost once for its B chunks, but its
@@ -279,10 +274,10 @@ def _batch_chunks(width: int, searched: int, chunks: int) -> int:
     So the batch's rows, times the larger of its query's `width` (n, or n^2
     on the stack scan) and min(searched, BATCH_MIN_COLUMNS), for the
     largest codebook of `searched` rows it scans, stay within one tile; and
-    a run keeps at least MIN_BATCHES batches.
+    each of `threads` threads gets a batch (B <= chunks // threads).
     """
     per_row = max(width, min(searched, BATCH_MIN_COLUMNS))
-    return max(1, min(chunks // MIN_BATCHES, search.TILE_FLOATS // (CHUNK_TRIALS * per_row)))
+    return max(1, min(chunks // threads, search.TILE_FLOATS // (CHUNK_TRIALS * per_row)))
 
 
 def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
@@ -297,16 +292,15 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
     Work: trials H n for the helper, M n^3 + H M n^2 + trials M n grouped,
     M n^2 (n + trials) stacked, trials n^3 for diagnostics, which also store
     each chunk's x and z and, on the analytic route, a reflector step over
-    the rows of each batch in flight.  The engine computes batches of `batch`
-    stream chunks (_batch_chunks; a chunk is the contract's unit of drawing,
-    a batch the unit of compute and not in the contract), and every store
-    counts a batch's chunks; the engine store adds, per batch in flight, the
-    float32 scores of its widest search (search.tile_floats).  Batches run
-    on resolve_workers(threads) threads when a trial's helper search, H n,
-    is at least THREAD_MIN_WORK; the diagnostics' n^3 counts toward the
-    work, not the gate.  The candidate stack is cut into `parts`, one per
-    thread whatever the gate (_stack_parts), and its store adds each part's
-    step buffers and draw.
+    the rows of each batch in flight.  Batches run on resolve_workers(threads)
+    threads when a trial's helper search, H n, is at least THREAD_MIN_WORK
+    (the diagnostics' n^3 counts toward the work, not the gate), else on one.
+    A batch is as many stream chunks as its search tile holds, at most chunks
+    // threads (_batch_chunks); every store counts a batch's chunks, and the
+    engine store adds, per batch in flight, the float32 scores of its widest
+    search (search.tile_floats).  The candidate stack is cut into `parts`,
+    one per thread whatever the gate (_stack_parts), and its store adds each
+    part's step buffers and draw.
     """
     n, trials, bits = cfg.blocklength, cfg.trials, cfg.message_bits
     # No memory holds 2^64 points, so a larger codebook is refused as one of 2^64.
@@ -342,7 +336,7 @@ def plan(cfg: SchemeConfig, diagnostics=False, threads=None) -> RunPlan:
                         f"{' with its per-help-index codebooks' if grouped else ''} exceeds"))
     width, chunks = n * n if route == "stack" else n, -(-trials // CHUNK_TRIALS)
     searched = max(help_size, n_messages if exhaustive else 0)
-    batch = _batch_chunks(width, searched, chunks)
+    batch = _batch_chunks(width, searched, chunks, threads)
     # Batches in flight: one, or up to threads + 1 on a pool; and their chunks.
     items = min(-(-chunks // batch), threads + 1 if threads > 1 else 1)
     in_flight = min(chunks, items * batch)

@@ -347,6 +347,18 @@ class TestSweepCommand:
         assert code == 1
         assert WORKERS_ENV in err and repr(raw) in err and out == ""
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_are_refused_by_the_resolver(self, capsys, tmp_path, workers):
+        # --workers holds no rule of its own: scheme.resolve_workers refuses
+        # the count, with the message every library entry point gives.
+        path = tmp_path / "grid.conf"
+        path.write_text(SWEEP_CONFIG)
+        with pytest.raises(ValueError) as refused:
+            scheme.resolve_workers(int(workers))
+        code, _, err = run_cli(capsys, "sweep", "--config", str(path), "--workers", workers)
+        assert code == 1
+        assert f"argument --workers: {refused.value}" in err
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_huge_helper_codebook_cell_is_skipped(self, capsys, tmp_path, caplog, workers):
         # 2^16000 helper points at n = 8: the size message once converted

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gausshelp import feedback, harness, scheme
+from gausshelp import feedback, harness, scheme, search
 from gausshelp.capacity import ChannelParams
 from gausshelp.cli import cli
 from gausshelp.codebook import CodebookSizeError, HelperCodebook, derive_seed, derive_seeds
@@ -275,11 +275,13 @@ def refuse_draws(mp):
 ])
 def test_engine_chunks_count_toward_the_size_cap(monkeypatch, make, threads, chunk):
     # A chunk holds 4 float64 blocks of (k, n), (k, n^2) on the stack scan,
-    # and a pool up to threads + 1 chunks.  Each chunk here is its own batch,
-    # which also holds a float32 score tile of its 128 rows against 256
-    # helper points or messages, plus the runner-up copy of 16 rows: 144 * 256
-    # / 2 words.  One word below them the cell is refused before anything is
-    # drawn, and a sweep skips it; at them it runs.
+    # and a pool up to threads + 1 chunks.  Each chunk here is its own batch
+    # (forced: one thread would take both chunks in one batch), which also
+    # holds a float32 score tile of its 128 rows against 256 helper points
+    # or messages, plus the runner-up copy of 16 rows: 144 * 256 / 2 words.
+    # One word below them the cell is refused before anything is drawn, and
+    # a sweep skips it; at them it runs.
+    force_batch(monkeypatch, 1)
     cfg = make(200)
     n = cfg.blocklength
     in_flight = chunk // (4 * CHUNK_TRIALS * (n * n if plan(cfg).route == "stack" else n))
@@ -314,10 +316,11 @@ def test_a_long_block_is_refused_for_its_chunks(monkeypatch):
 def test_diagnostics_run_under_a_small_size_cap(monkeypatch):
     # The cap is the plan's largest store, a batch's diagnostics rotations
     # and its chunk's x and z, 8 k n words, the draw's two operand buffers
-    # and 2 k n, with k = min(trials, 128) rows (one chunk per batch): the
-    # same at 200 and 2000 trials.  No trials x n array is kept, so both run
-    # under it, and the profile from running sums matches the one from the
-    # reference's vectors.
+    # and 2 k n, with k = min(trials, 128) rows (one chunk per batch,
+    # forced): the same at 200 and 2000 trials.  No trials x n array is kept,
+    # so both run under it, and the profile from running sums matches the
+    # one from the reference's vectors.
+    force_batch(monkeypatch, 1)
     storage = plan(analytic_config(200), diagnostics=True).storage
     cap = max(words for words, _ in storage)
     assert cap == storage[-1][0] == 10 * CHUNK_TRIALS * 16 + 2 * np.getbufsize()
@@ -336,7 +339,8 @@ def test_diagnostics_run_under_a_small_size_cap(monkeypatch):
 def test_diagnostics_rotations_count_toward_the_size_cap(monkeypatch, caplog):
     # One word below a chunk's diagnostics rotations the cell is refused
     # before any rotation is formed, and a sweep skips it; without
-    # diagnostics it runs.
+    # diagnostics it runs.  Each batch holds one chunk (forced).
+    force_batch(monkeypatch, 1)
     cfg = analytic_config(200)
     words, _ = plan(cfg, diagnostics=True).storage[-1]
     monkeypatch.setattr(scheme, "MAX_CODEBOOK_FLOATS", words - 1)
@@ -378,7 +382,6 @@ def test_rotate_lies_within_the_diagnostics_store(monkeypatch, n, batch):
     # diagnostics store and that store, on one thread.  The batches hold at
     # least 2^13 / n rows: below 2^12 / n the draw's operand buffers are
     # smaller than the np.getbufsize() elements counted for them.
-    monkeypatch.setattr(scheme, "MIN_BATCHES", 1)
     force_batch(monkeypatch, batch)
     rows = batch * CHUNK_TRIALS
     cfg = config_from_rates(n, 2.0, 0.0, CH, seed=5, eps=0.0, trials=rows)
@@ -412,7 +415,7 @@ def diagnostics_extra_peak(cfg, threads=None):
 
 
 def batch_cell(name, trials):
-    """A cell of each route with the batch size plan picks for it (MIN_BATCHES aside)."""
+    """A cell of each route with the batch size plan picks for it on one thread."""
     if name in ("analytic n=16", "analytic n=24"):  # 2^8 and 2^12 helper points
         return criterion5_config(int(name[-2:]), trials)
     # 2^12 messages, with 2^3 helper points at n = 12 or 2^8 at n = 16
@@ -452,7 +455,6 @@ def test_batches_count_toward_the_size_cap(monkeypatch, name, batch, diagnostics
     # batching adds to the traced peak of a run is at least half of what plan
     # adds and at most that: B chunks against 2^8 points fill a tile of
     # TILE_FLOATS scores, one chunk 2^15.
-    monkeypatch.setattr(scheme, "MIN_BATCHES", 1)
     trials = 2 * batch * CHUNK_TRIALS + 3
     if name == "analytic n=32":  # 2^8 helper points
         cfg = config_from_rates(32, 1.2, 0.25, CH, seed=31, eps=0.1, trials=trials)
@@ -492,8 +494,8 @@ def test_scan_diagnostics_store_is_the_chunks_x_and_z(n, helper_bits, route):
 def test_diagnostics_memory_does_not_grow_with_trials():
     # The extra peak that diagnostics add (a batch's rotations and vectors)
     # follows the batch's rows, which plan caps, not the trials: 8192 trials
-    # get batches of 4 chunks where 512 get one, 0.41 MB more; one stored
-    # trials x n array would add 8 * 7680 * 32 bytes, about 2 MB.
+    # get batches of 8 chunks where 512 get 4, 0.53 to 0.54 MB more; one
+    # stored trials x n array would add 8 * 7680 * 32 bytes, about 2 MB.
     n, few, many = 32, 512, 8192
 
     def extra_peak(trials):
@@ -585,11 +587,10 @@ def criterion5_config(n, trials):
 def test_batches_leave_columns_and_sums_bitwise(monkeypatch, name, batch):
     # One batch of B chunks searches, scans and rotates its rows together;
     # no row's result depends on the rows beside it, so the columns and the
-    # running sums are bitwise those of one chunk per batch.  With at least
-    # MIN_BATCHES batches per run lowered to 1, plan picks B from the cell.
-    monkeypatch.setattr(scheme, "MIN_BATCHES", 1)
+    # running sums are bitwise those of one chunk per batch.  Plan picks B
+    # from the cell.
     cfg = batch_cell(name, 2 * batch * CHUNK_TRIALS + 3)
-    assert plan(cfg).batch == batch
+    assert plan(cfg, threads=1).batch == batch
     messages = scheme.draw_messages(cfg)
 
     def run(b):
@@ -601,6 +602,63 @@ def test_batches_leave_columns_and_sums_bitwise(monkeypatch, name, batch):
     want = run(1)
     assert run(2) == want
     assert run(batch) == want
+
+
+def tile_rule(cfg):
+    """Chunks per batch that cfg's search tile allows.
+
+    TILE_FLOATS over 128 rows of the wider of the query (n, n^2 on the stack
+    scan) and min(codebook rows searched, BATCH_MIN_COLUMNS).
+    """
+    n, route = cfg.blocklength, plan(cfg, threads=1).route
+    width = n * n if route == "stack" else n
+    searched = max(1 << cfg.helper_bits, 0 if route == "analytic" else 1 << cfg.message_bits)
+    return search.TILE_FLOATS // (CHUNK_TRIALS * max(width, min(searched, scheme.BATCH_MIN_COLUMNS)))
+
+
+def feedback_sweep_cells():
+    """The inner configs of the benchmark's feedback-sweep grid: 300 trials, 3 chunks each."""
+    spec = SweepSpec(snr=(1.0, 3.0), helper_rate=(0.5,), blocklength=(8, 12, 16),
+                     rate_fraction=(0.4, 0.7), trials=300, base_seed=1, scheme="feedback")
+    return [harness.cell_config(spec, i_snr, 0, i_n, i_frac).inner
+            for i_snr in range(2) for i_n in range(3) for i_frac in range(2)]
+
+
+@pytest.mark.parametrize("name", ["feedback-sweep", "exhaustive-decode"])
+def test_one_thread_batches_up_to_the_tile(name):
+    # On one thread the batch is capped by its search tile and the run's
+    # chunks alone: a 300-trial sweep cell runs in one batch of 3 chunks,
+    # and the 1500-trial exhaustive-decode cell (12 chunks) in batches of 4.
+    if name == "feedback-sweep":
+        cells, chunks, batch = feedback_sweep_cells(), 3, 3
+    else:
+        cells, chunks, batch = [config_from_rates(12, 1.0, 0.25, CH, seed=1, trials=1500)], 12, 4
+    for cfg in cells:
+        assert -(-cfg.trials // CHUNK_TRIALS) == chunks
+        assert plan(cfg, threads=1).batch == min(chunks, tile_rule(cfg)) == batch
+
+
+@pytest.mark.parametrize("threads", [2, 3, 4])
+def test_a_pool_keeps_a_batch_per_thread(threads):
+    # A gated cell (criterion-5 n = 24, 2^12 * 24 per trial) on a pool gets
+    # the largest batch that still leaves every thread a batch of its own.
+    for chunks in range(2, 10):
+        cfg = criterion5_config(24, chunks * CHUNK_TRIALS)
+        run = plan(cfg, threads=threads)
+        assert run.threads == threads
+        assert -(-chunks // run.batch) >= min(threads, chunks)
+        assert run.batch == max(1, min(chunks // threads, tile_rule(cfg)))
+
+
+@pytest.mark.parametrize("trials", [2048, 10_000])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("n, batch", [(16, 8), (24, 4), (32, 4)])
+def test_the_criterion_5_batches(n, batch, threads, trials):
+    # The criterion-5 cells' batches, with and without diagnostics: their
+    # tiles cap n = 24 and 32 at 4 chunks on every thread count, and n = 16,
+    # below the thread gate, runs on one thread in batches of 8.
+    cfg = criterion5_config(n, trials)
+    assert {plan(cfg, diagnostics, threads=threads).batch for diagnostics in (False, True)} == {batch}
 
 
 @pytest.mark.parametrize("n, diagnostics, threads", [
